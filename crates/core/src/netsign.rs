@@ -1005,7 +1005,7 @@ mod tests {
         };
         let (o_l, m_l) = run(&TransportKind::Lockstep);
         let (o_c, m_c) = run(&TransportKind::Channel(DeliveryPolicy::reliable()));
-        let (o_t, m_t) = run(&TransportKind::TcpLoopback(DeliveryPolicy::reliable()));
+        let (o_t, m_t) = run(&TransportKind::TcpReactor(DeliveryPolicy::reliable()));
         assert_eq!(o_l.signatures, o_c.signatures);
         assert_eq!(o_l.signatures, o_t.signatures);
         assert!(m_l.same_traffic(&m_c));

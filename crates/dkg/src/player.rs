@@ -892,7 +892,7 @@ pub fn dkg_players(
 /// [`borndist_net::TransportKind::Lockstep`] for the paper's idealized
 /// model, [`borndist_net::TransportKind::Channel`] with a lossy
 /// [`borndist_net::DeliveryPolicy`] for unreliable-network scenarios,
-/// and [`borndist_net::TransportKind::TcpLoopback`] for real sockets.
+/// and [`borndist_net::TransportKind::TcpReactor`] for real sockets.
 ///
 /// `behaviors` maps player ids to fault hooks; unlisted players are
 /// honest. Returns per-player outputs plus network metrics. Byte

@@ -225,170 +225,6 @@ fn round_zero_outage_reads_as_crashed_dealer() {
 }
 
 #[test]
-fn tcp_loopback_matches_channel_byte_for_byte() {
-    // The same DKG over real loopback sockets: per-player TCP metrics
-    // merged into the global view must equal the in-process transports
-    // exactly — the tentpole parity gate at the protocol level.
-    let params = ThresholdParams::new(1, 4).unwrap();
-    let cfg = standard_config(params, 2, b"tcp-parity", false);
-    let behaviors = BTreeMap::new();
-    let (out_chan, m_chan) = dkg_session(
-        &cfg,
-        &behaviors,
-        42,
-        &TransportKind::Channel(DeliveryPolicy::reliable()),
-    )
-    .unwrap();
-    let (out_tcp, m_tcp) = dkg_session(
-        &cfg,
-        &behaviors,
-        42,
-        &TransportKind::TcpLoopback(DeliveryPolicy::reliable()),
-    )
-    .unwrap();
-    assert!(
-        m_chan.same_traffic(&m_tcp),
-        "TCP frames must meter byte-identically: {:?} vs {:?}",
-        m_chan,
-        m_tcp
-    );
-    let ref_chan = agreed_output(&out_chan);
-    let ref_tcp = agreed_output(&out_tcp);
-    assert_eq!(ref_chan.qualified, ref_tcp.qualified);
-    assert_eq!(ref_chan.combined_commitments, ref_tcp.combined_commitments);
-    assert_eq!(ref_chan.share, ref_tcp.share);
-}
-
-#[test]
-fn tcp_peer_going_silent_mid_run_reads_as_complaints() {
-    // Player 3 stops participating after dealing (crash_at_round 1):
-    // over real sockets its frames simply never arrive, the complaint
-    // round absorbs the absence, and the surviving players agree — with
-    // traffic still byte-identical to the in-process transports (the
-    // crash is part of the protocol, not of the network).
-    let params = ThresholdParams::new(1, 5).unwrap();
-    let cfg = standard_config(params, 2, b"tcp-crash", false);
-    let mut behaviors = BTreeMap::new();
-    behaviors.insert(
-        2u32,
-        Behavior {
-            corrupt_shares_to: [4u32].into_iter().collect(),
-            refuse_answers: true,
-            ..Default::default()
-        },
-    );
-    behaviors.insert(
-        3u32,
-        Behavior {
-            crash_at_round: Some(1),
-            ..Default::default()
-        },
-    );
-    let (out_lock, m_lock) = dkg_session(&cfg, &behaviors, 7, &TransportKind::Lockstep).unwrap();
-    let (out_tcp, m_tcp) = dkg_session(
-        &cfg,
-        &behaviors,
-        7,
-        &TransportKind::TcpLoopback(DeliveryPolicy::reliable()),
-    )
-    .unwrap();
-    assert!(m_lock.same_traffic(&m_tcp));
-    let q = &agreed_output(&out_tcp).qualified;
-    assert_eq!(q, &agreed_output(&out_lock).qualified);
-    assert!(!q.contains(&2), "refusing dealer is out over TCP too");
-}
-
-#[test]
-fn tcp_malformed_frames_disqualify_over_real_sockets() {
-    // Dealer 2's round-0 frames are corrupted at the real socket
-    // boundary (sender-side tamper, after metering — same discipline as
-    // the in-process router): receivers apply the strict decode and
-    // disqualify, identically to the channel transport.
-    let params = ThresholdParams::new(1, 4).unwrap();
-    let cfg = standard_config(params, 2, b"tcp-tamper", false);
-    for kind in [Tamper::FlipPayloadBit, Tamper::BadVersion] {
-        let policy = DeliveryPolicy {
-            tamper: vec![TamperRule {
-                round: 0,
-                from: 2,
-                kind,
-            }],
-            ..DeliveryPolicy::default()
-        };
-        let (out_tcp, m_tcp) = dkg_session(
-            &cfg,
-            &BTreeMap::new(),
-            11,
-            &TransportKind::TcpLoopback(policy.clone()),
-        )
-        .unwrap();
-        let (out_chan, m_chan) =
-            dkg_session(&cfg, &BTreeMap::new(), 11, &TransportKind::Channel(policy)).unwrap();
-        let reference = agreed_output(&out_tcp);
-        assert!(
-            !reference.qualified.contains(&2),
-            "{:?}: malformed real-socket frames must disqualify",
-            kind
-        );
-        assert_eq!(reference.qualified, agreed_output(&out_chan).qualified);
-        // Tampering is rule-driven (no randomness), so even this run
-        // meters byte-identically across runtimes.
-        assert!(m_chan.same_traffic(&m_tcp));
-    }
-}
-
-#[test]
-fn tcp_faulted_run_matches_channel_byte_for_byte() {
-    // Lossy, duplicating, reordering sockets: both runtimes derive their
-    // injection schedules from the policy's shared per-sender and
-    // per-inbox streams, so the *same* frames are dropped, duplicated
-    // and shuffled in the *same* way over real sockets as in-process —
-    // the reliable-only parity gate, upgraded to a faulted run. The
-    // complaint traffic the loss provokes must therefore meter
-    // byte-identically too, and every player must agree.
-    let params = ThresholdParams::new(2, 7).unwrap();
-    let cfg = standard_config(params, 2, b"tcp-lossy", false);
-    let policy = DeliveryPolicy {
-        duplicate_rate: 0.05,
-        ..DeliveryPolicy::lossy(1, 0.15)
-    };
-    let (out_chan, m_chan) = dkg_session(
-        &cfg,
-        &BTreeMap::new(),
-        13,
-        &TransportKind::Channel(policy.clone()),
-    )
-    .unwrap();
-    let (out_tcp, m_tcp) = dkg_session(
-        &cfg,
-        &BTreeMap::new(),
-        13,
-        &TransportKind::TcpLoopback(policy),
-    )
-    .unwrap();
-    assert!(
-        m_chan.same_traffic(&m_tcp),
-        "identical fault schedules must meter identically: {:?} vs {:?}",
-        m_chan,
-        m_tcp
-    );
-    let ref_chan = agreed_output(&out_chan);
-    let ref_tcp = agreed_output(&out_tcp);
-    assert_eq!(ref_chan.qualified, ref_tcp.qualified);
-    assert_eq!(ref_chan.combined_commitments, ref_tcp.combined_commitments);
-    assert_eq!(ref_chan.share, ref_tcp.share);
-    assert!(
-        out_tcp.values().all(|o| o.is_ok()),
-        "loss must not wedge the mesh"
-    );
-    assert!(
-        ref_tcp.qualified.len() >= params.n - params.t,
-        "loss alone must not disqualify more than t dealers"
-    );
-    assert!(m_tcp.bytes > 0);
-}
-
-#[test]
 fn reactor_matches_channel_byte_for_byte() {
     // The event-driven reactor runs the same DKG through one poll loop
     // per process instead of a thread pair per peer. Routing, metering

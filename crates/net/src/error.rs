@@ -1,11 +1,10 @@
 //! One error hierarchy for the whole network stack.
 //!
-//! Before the TCP transport landed, every layer had its own ad-hoc enum
-//! and callers matched on each in turn. Now [`SimError`] (protocol-run
-//! failures), [`CodecError`] (strict-decode failures) and [`TcpError`]
-//! (socket-layer failures) all implement `std::error::Error` + `Display`
-//! and convert into the top-level [`Error`] via `From`, so a daemon can
-//! thread `?` from a socket read all the way up to its main loop.
+//! [`SimError`] (protocol-run failures), [`CodecError`] (strict-decode
+//! failures) and [`TcpError`] (socket-layer failures) all implement
+//! `std::error::Error` + `Display` and convert into the top-level
+//! [`Error`] via `From`, so a daemon can thread `?` from a socket read
+//! all the way up to its main loop.
 
 use crate::{PlayerId, SimError};
 use borndist_pairing::CodecError;
@@ -22,7 +21,8 @@ pub enum Error {
     /// protocol frames never surface here — they are delivered to the
     /// player as `Delivered::msg: Err(CodecError)` instead.
     Codec(CodecError),
-    /// Socket-layer failure of the TCP transport.
+    /// Socket-layer failure of the socket transport
+    /// ([`crate::ReactorTransport`]).
     Tcp(TcpError),
 }
 
@@ -99,7 +99,7 @@ pub enum TcpError {
         /// Peers that never completed the handshake.
         missing: Vec<PlayerId>,
     },
-    /// A length prefix exceeded [`crate::tcp::MAX_ENVELOPE_BYTES`] — the
+    /// A length prefix exceeded [`crate::MAX_ENVELOPE_BYTES`] — the
     /// pre-allocation guard against adversarial lengths.
     OversizedEnvelope {
         /// The declared length.

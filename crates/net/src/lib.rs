@@ -23,26 +23,23 @@
 //!   `mpsc` channels, with a deterministic fault-injection
 //!   [`DeliveryPolicy`] (per-link drop, duplication, reordering,
 //!   partitions, crash-restart outages, frame tampering);
-//! * [`TcpTransport`] — one player per engine over real
-//!   `std::net::TcpStream` sockets (one reader thread per peer), so a
-//!   run can span OS processes and machines;
-//!   [`TransportKind::TcpLoopback`] runs a whole player set as an
-//!   in-process mesh on `127.0.0.1` for tests;
-//! * [`ReactorTransport`] — the same real-socket mesh driven by **one
-//!   event loop and zero extra threads** per player (`poll(2)` on
-//!   Linux, adaptive readiness scan elsewhere), which is what scales to
-//!   n=512+ meshes; [`TransportKind::TcpReactor`] is its in-process
-//!   loopback driver.
+//! * [`ReactorTransport`] — one player per engine over real
+//!   `std::net::TcpStream` sockets, so a run can span OS processes and
+//!   machines; each player is **one event loop and zero extra threads**
+//!   (`poll(2)` on Linux, adaptive readiness scan elsewhere), which is
+//!   what scales to n=512+ meshes. [`TransportKind::TcpReactor`] runs a
+//!   whole player set as an in-process mesh on `127.0.0.1` for tests.
 //!
-//! The in-process transports share one router, and the TCP transport
-//! meters identically (sender-side, real frame lengths, before fault
-//! injection), so traffic metering ([`Metrics`]) agrees by
-//! construction: experiment E5's byte counts are the exact frame
-//! lengths on the wire, whichever transport runs the protocol.
+//! The in-process transports share one router, and the socket
+//! transport's round engine ([`mesh`]) meters identically (sender-side,
+//! real frame lengths, before fault injection), so traffic metering
+//! ([`Metrics`]) agrees by construction: experiment E5's byte counts
+//! are the exact frame lengths on the wire, whichever transport runs
+//! the protocol.
 //! Byzantine behavior is expressed by registering a *different* state
 //! machine (or behavior-hooked player) for a corrupted player;
 //! unreliable-network behavior by the policy — both in one runtime.
-//! Failures from every layer unify in [`Error`] (see [`error`]).
+//! Failures from every layer unify in [`Error`] (see `error.rs`).
 
 mod channel;
 mod error;
@@ -53,16 +50,17 @@ mod policy;
 pub mod reactor;
 mod ready;
 mod router;
-pub mod tcp;
 
 pub use borndist_pairing::codec::{CodecError, Wire};
 pub use channel::ChannelTransport;
 pub use error::{Error, TcpError};
 pub use frame::{decode_frame, encode_frame, WIRE_VERSION};
 pub use lockstep::LockstepTransport;
+pub use mesh::MAX_ENVELOPE_BYTES;
 pub use policy::{DeliveryPolicy, Outage, Partition, Tamper, TamperRule};
-pub use reactor::{ensure_fd_capacity, run_tcp_reactor_loopback_with, ReactorTransport};
-pub use tcp::{dial_with_backoff, TcpOptions, TcpTransport, MAX_ENVELOPE_BYTES};
+pub use reactor::{
+    ensure_fd_capacity, run_tcp_reactor_loopback_with, ReactorTransport, TcpOptions,
+};
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -141,7 +139,7 @@ pub trait Protocol {
     fn id(&self) -> PlayerId;
 }
 
-/// A boxed protocol player, as both transports consume them
+/// A boxed protocol player, as every transport consumes them
 /// (`Send` so the channel transport can move it onto its own thread).
 pub type BoxedPlayer<M, O> = Box<dyn Protocol<Message = M, Output = O> + Send>;
 
@@ -183,9 +181,9 @@ pub struct Metrics {
     pub bytes_by_player: BTreeMap<PlayerId, usize>,
     /// Per-round (messages, bytes).
     pub per_round: Vec<(usize, usize)>,
-    /// Wall-clock time of the whole run (all players' compute across all
-    /// rounds; communication is in-process, so this measures protocol
-    /// computation — the latency dimension of experiment E5).
+    /// Wall-clock time of the whole run: all players' compute across all
+    /// rounds plus the transport's own frame movement and barrier waits
+    /// (negligible in-process) — the latency dimension of experiment E5.
     pub elapsed: Duration,
     /// Per-round wall-clock time, aligned with [`Self::per_round`].
     pub per_round_elapsed: Vec<Duration>,
@@ -205,7 +203,7 @@ impl Metrics {
     }
 
     /// Merges per-player metrics (each covering one player's sends, as
-    /// the TCP transport produces) into the global view the in-process
+    /// the socket transport produces) into the global view the in-process
     /// transports meter directly: counters sum, per-round vectors sum
     /// elementwise (padding short runs with zero rounds), and the
     /// wall-clock samples take the slowest player (rounds overlap in
@@ -384,8 +382,7 @@ impl Wire for LatencySummary {
 /// Socket-layer counters of one real-socket transport run — the
 /// operational view ([`Metrics`] is the *protocol* view and stays
 /// byte-identical across transports; these counters describe how the
-/// bytes moved and legitimately differ between the threaded and reactor
-/// transports).
+/// bytes moved and depend on kernel scheduling).
 ///
 /// Crosses the service's client framing (the daemon `Summary` reports
 /// its signing-mesh counters), so it carries a canonical encoding.
@@ -399,8 +396,8 @@ pub struct TransportStats {
     pub frames_out: u64,
     /// Times an inbound read resumed a partially buffered frame —
     /// nonzero means the reactor's incremental framing actually crossed
-    /// packet boundaries (always `0` for the blocking transport, whose
-    /// `read_exact` hides partial reads in the kernel).
+    /// packet boundaries (workload-dependent: loopback often delivers
+    /// whole frames).
     pub partial_read_resumptions: u64,
 }
 
@@ -477,15 +474,12 @@ pub enum TransportKind {
     Lockstep,
     /// [`ChannelTransport`] with the given fault policy.
     Channel(DeliveryPolicy),
-    /// An in-process mesh of [`TcpTransport`]s over real loopback
-    /// sockets (one thread and one ephemeral `127.0.0.1` port per
-    /// player) with the given fault policy — every driver and
-    /// fault-injection test runs unchanged over the real socket path.
-    TcpLoopback(DeliveryPolicy),
     /// An in-process mesh of [`ReactorTransport`]s over real loopback
-    /// sockets with the given fault policy: the same wire format and
-    /// byte-identical [`Metrics`] as [`Self::TcpLoopback`], but each
-    /// player is one event loop on one thread instead of ~n threads.
+    /// sockets (one thread, one event loop and one ephemeral
+    /// `127.0.0.1` port per player) with the given fault policy — every
+    /// driver and fault-injection test runs unchanged over the real
+    /// socket path, with [`Metrics`] byte-identical to
+    /// [`Self::Channel`] under the same policy.
     TcpReactor(DeliveryPolicy),
 }
 
@@ -494,7 +488,7 @@ pub enum TransportKind {
 /// # Errors
 ///
 /// See [`LockstepTransport::run`] / [`ChannelTransport::run`] /
-/// [`TcpTransport::run`]; everything unifies into [`Error`].
+/// [`ReactorTransport::run`]; everything unifies into [`Error`].
 pub fn run_protocol<M: Wire + Clone, O: Send>(
     kind: &TransportKind,
     players: Vec<BoxedPlayer<M, O>>,
@@ -511,12 +505,11 @@ pub fn run_protocol<M: Wire + Clone, O: Send>(
             let outputs = transport.run(max_rounds)?;
             Ok((outputs, transport.metrics().clone()))
         }
-        TransportKind::TcpLoopback(policy) => {
-            tcp::run_tcp_loopback(players, policy.clone(), max_rounds)
-        }
-        TransportKind::TcpReactor(policy) => {
-            reactor::run_tcp_reactor_loopback(players, policy.clone(), max_rounds)
-        }
+        TransportKind::TcpReactor(policy) => run_tcp_reactor_loopback_with(
+            players,
+            TcpOptions::with_policy(policy.clone()),
+            max_rounds,
+        ),
     }
 }
 
@@ -636,9 +629,9 @@ mod tests {
         assert!(metrics.same_traffic(&metrics2));
         // The real-socket mesh produces the same outputs and — merged
         // across players — byte-identical traffic metrics (the parity
-        // gate of the TCP transport).
+        // gate of the socket transport).
         let (out3, metrics3) = run_protocol(
-            &TransportKind::TcpLoopback(DeliveryPolicy::reliable()),
+            &TransportKind::TcpReactor(DeliveryPolicy::reliable()),
             summers(3),
             10,
         )
@@ -646,23 +639,9 @@ mod tests {
         assert_eq!(out, out3);
         assert!(
             metrics.same_traffic(&metrics3),
-            "lockstep {:?} vs tcp {:?}",
-            metrics,
-            metrics3
-        );
-        // The event-driven reactor mesh is held to the same parity bar.
-        let (out4, metrics4) = run_protocol(
-            &TransportKind::TcpReactor(DeliveryPolicy::reliable()),
-            summers(3),
-            10,
-        )
-        .unwrap();
-        assert_eq!(out, out4);
-        assert!(
-            metrics.same_traffic(&metrics4),
             "lockstep {:?} vs reactor {:?}",
             metrics,
-            metrics4
+            metrics3
         );
     }
 

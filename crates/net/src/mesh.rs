@@ -1,14 +1,13 @@
 //! Shared socket-mesh machinery: the handshake/framing envelope, the
 //! incremental (partial-read / partial-write) frame codecs, and the
-//! round engine both real-socket transports drive.
+//! round engine the socket transport drives.
 //!
-//! [`crate::tcp::TcpTransport`] (thread-per-peer, blocking I/O) and
-//! [`crate::reactor::ReactorTransport`] (one nonblocking event loop)
-//! differ only in *how bytes move*; everything that decides *which*
-//! frames exist — metering, fault injection, parking, barriers — lives
-//! here, once. That is the transport-parity argument: the two cannot
-//! disagree on a [`crate::Metrics`] byte because they execute the same
-//! routing code against the same [`DeliveryPolicy`] RNG streams.
+//! [`crate::reactor::ReactorTransport`] only decides *how bytes move*;
+//! everything that decides *which* frames exist — metering, fault
+//! injection, parking, barriers — lives here, and draws from the same
+//! [`DeliveryPolicy`] RNG streams as the in-process router. That is the
+//! transport-parity argument: a socket run cannot disagree with a
+//! [`crate::ChannelTransport`] run on a [`crate::Metrics`] byte.
 
 use crate::error::{Error, TcpError};
 use crate::frame::{decode_frame, encode_frame};
@@ -134,7 +133,7 @@ impl Wire for Envelope {
 }
 
 /// Encodes one envelope with its `u32` big-endian length prefix — the
-/// exact bytes either transport puts on the wire.
+/// exact bytes the socket transport puts on the wire.
 pub fn frame_envelope(env: &Envelope) -> Vec<u8> {
     let body = env.encode();
     let mut buf = Vec::with_capacity(4 + body.len());
@@ -143,44 +142,20 @@ pub fn frame_envelope(env: &Envelope) -> Vec<u8> {
     buf
 }
 
-/// Writes one length-prefixed envelope (blocking path).
-pub(crate) fn write_envelope<W: Write>(stream: &mut W, env: &Envelope) -> std::io::Result<()> {
-    stream.write_all(&frame_envelope(env))
-}
-
-/// Reads one length-prefixed envelope (blocking path), enforcing
-/// [`MAX_ENVELOPE_BYTES`].
-pub(crate) fn read_envelope<R: Read>(stream: &mut R) -> Result<Envelope, Error> {
-    let mut len_bytes = [0u8; 4];
-    stream.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_ENVELOPE_BYTES {
-        return Err(TcpError::OversizedEnvelope {
-            declared: len,
-            max: MAX_ENVELOPE_BYTES,
-        }
-        .into());
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(Envelope::decode_exact(&body)?)
-}
-
 /// What one nonblocking pull from a socket produced.
 #[derive(Debug, Default)]
 pub struct Pull {
     /// Every envelope completed by this pull, in arrival order.
     pub envelopes: Vec<Envelope>,
     /// `true` once the peer is unusable: EOF, a socket error, an
-    /// oversized length prefix, or a malformed envelope. Mirrors the
-    /// blocking reader's "any read error means the peer is gone".
+    /// oversized length prefix, or a malformed envelope — any read
+    /// error means the peer is gone.
     pub closed: bool,
 }
 
 /// The partial-read state machine of one inbound socket: accumulates
 /// whatever bytes a nonblocking read produces and yields envelopes as
-/// their length prefixes complete — the incremental replacement for the
-/// blocking `read_exact` pair.
+/// their length prefixes complete.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -276,9 +251,8 @@ pub enum Flush {
 
 /// The partial-write state machine of one outbound socket: envelopes
 /// are queued whole and flushed as far as the socket accepts, with the
-/// offset into the front buffer carried across `WouldBlock` — the
-/// replacement for blocking `write_all` calls that can deadlock a large
-/// simultaneous fan-out.
+/// offset into the front buffer carried across `WouldBlock`, so a
+/// large simultaneous fan-out cannot deadlock on full kernel buffers.
 #[derive(Debug, Default)]
 pub struct WriteQueue {
     queue: VecDeque<Vec<u8>>,
@@ -330,7 +304,7 @@ pub(crate) struct Parked {
     pub frame: Vec<u8>,
 }
 
-/// The per-player round-engine state shared by both socket transports:
+/// The per-player round-engine state of a socket transport:
 /// frames parked for future barriers, the per-peer `EndRound`
 /// watermark, and the finished/gone verdicts.
 pub(crate) struct RoundState {
@@ -448,12 +422,11 @@ impl RoundState {
 /// encoded lengths, **before** tampering), fault injection in emission
 /// order from the shared sender RNG, local parking of self-deliveries,
 /// and fan-out through `send` — `send(peer, env)` returns `false` when
-/// the peer's socket is dead, which marks it gone exactly like the
-/// blocking transport's failed `write_all`.
+/// the peer's socket is dead, which marks it gone.
 ///
-/// This is *the* function both socket transports call, so the drop /
-/// duplicate / tamper schedule and every metered byte are identical by
-/// construction.
+/// The drop / duplicate / tamper decisions are drawn exactly as the
+/// in-process router draws them, so the schedule and every metered byte
+/// are identical by construction.
 #[allow(clippy::too_many_arguments)] // the full per-round routing context
 pub(crate) fn route_outgoing<M: Wire>(
     me: PlayerId,
@@ -545,6 +518,39 @@ pub(crate) fn route_outgoing<M: Wire>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn envelope_roundtrip() {
+        for env in [
+            Envelope::Hello { from: 3, to: 1 },
+            Envelope::HelloAck { from: 1 },
+            Envelope::Payload {
+                round: 7,
+                broadcast: true,
+                frame: vec![1, 2, 3],
+            },
+            Envelope::EndRound { round: 9 },
+            Envelope::Finished { round: 2 },
+        ] {
+            assert_eq!(Envelope::decode_exact(&env.encode()).unwrap(), env);
+        }
+        assert!(matches!(
+            Envelope::decode_exact(&[9]),
+            Err(CodecError::InvalidTag(9))
+        ));
+        // Non-boolean broadcast flag is rejected.
+        let mut bytes = Envelope::Payload {
+            round: 0,
+            broadcast: false,
+            frame: vec![],
+        }
+        .encode();
+        bytes[5] = 2;
+        assert!(matches!(
+            Envelope::decode_exact(&bytes),
+            Err(CodecError::InvalidTag(2))
+        ));
+    }
 
     #[test]
     fn frame_reader_reassembles_byte_by_byte() {

@@ -186,7 +186,7 @@ impl DeliveryPolicy {
     /// private frame the sender emits on an administratively-up link, in
     /// emission order — so a faulted run injects the identical schedule
     /// whether the players share a process ([`crate::ChannelTransport`])
-    /// or sit behind real sockets ([`crate::TcpTransport`]).
+    /// or sit behind real sockets ([`crate::ReactorTransport`]).
     pub fn sender_rng(&self, id: PlayerId) -> StdRng {
         StdRng::seed_from_u64(self.seed ^ (0x7c9_0000_0000u64 | u64::from(id)).rotate_left(17))
     }

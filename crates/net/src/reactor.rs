@@ -1,34 +1,60 @@
-//! The event-driven TCP transport: **one poll loop, zero extra
-//! threads** per player.
+//! The socket transport: one player per [`ReactorTransport`], real
+//! `std::net::TcpStream` sockets between players, **one poll loop and
+//! zero extra threads** per player — the transport that lets a protocol
+//! run span OS processes and machines.
 //!
-//! [`crate::tcp::TcpTransport`] spends one reader thread per peer plus
-//! an acceptor — O(n) threads per process, O(n²) across an in-process
-//! mesh, which is what capped the real-socket experiments near n=128.
-//! [`ReactorTransport`] runs the same protocol, byte-for-byte, on the
-//! caller's thread alone: every peer socket is nonblocking and owned by
-//! a reactor that waits for readiness ([`crate::ready`] — `poll(2)` on
-//! Linux, an adaptive backoff scan elsewhere), reads length-prefixed
-//! envelopes through per-peer incremental buffers
-//! ([`crate::mesh::FrameReader`], a partial-read state machine replacing
-//! the blocking `read_exact` pair), and drains per-peer write queues
-//! with partial-write tracking ([`crate::mesh::WriteQueue`]) so a large
+//! ## Mesh formation
+//!
+//! Every player knows the listen address of every peer. Connections are
+//! keyed by player id: the **higher** id dials the **lower** id (with
+//! retry-and-backoff, so start order does not matter), and an
+//! [`Envelope::Hello`]/[`Envelope::HelloAck`] handshake pins who is on
+//! each end before any protocol byte flows. Formation is fully
+//! interleaved in one loop: the reactor keeps accepting and handshaking
+//! inbound peers *while* its own dials and `HelloAck` waits are in
+//! flight. Because a player only ever waits on strictly lower ids (and
+//! acks depend on nothing), the wait graph is acyclic and
+//! single-threaded formation cannot deadlock.
+//!
+//! ## Rounds over sockets
+//!
+//! The paper's protocols are round-based, so the transport recreates the
+//! lockstep barrier with explicit markers: all of a round's payload
+//! envelopes are followed by [`Envelope::EndRound`] on every link, and a
+//! player enters round `r + 1` once every live peer has closed round
+//! `r`. TCP's per-link ordering makes that exact — a peer can run at
+//! most one round ahead, and early frames are parked per round until
+//! their barrier opens. A player that terminates sends
+//! [`Envelope::Finished`] (which satisfies every future barrier) and a
+//! peer whose socket dies or that stays silent past the round timeout is
+//! treated as crashed: its traffic simply stops, which is exactly the
+//! fault the protocols' complaint machinery absorbs.
+//!
+//! ## Moving bytes
+//!
+//! Every peer socket is nonblocking and owned by a reactor that waits
+//! for readiness (`crate::ready` — `poll(2)` on Linux, an adaptive
+//! backoff scan elsewhere), reads length-prefixed envelopes through
+//! per-peer incremental buffers ([`crate::mesh::FrameReader`], a
+//! partial-read state machine), and drains per-peer write queues with
+//! partial-write tracking ([`crate::mesh::WriteQueue`]) so a large
 //! simultaneous fan-out can never deadlock on full kernel buffers: an
 //! unwritable socket just keeps its bytes queued in user space until
-//! the receiver catches up.
+//! the receiver catches up. One loop per player (not a thread per peer)
+//! is what lets an n=512 mesh run inside one process.
 //!
-//! Mesh formation is the same higher-id-dials-lower-id scheme as the
-//! threaded transport, but fully interleaved in one loop: the reactor
-//! keeps accepting and handshaking inbound peers *while* its own dials
-//! and `HelloAck` waits are in flight. Because a player only ever waits
-//! on strictly lower ids (and acks depend on nothing), the wait graph
-//! is acyclic and single-threaded formation cannot deadlock.
+//! ## Fault injection and metering
 //!
-//! Determinism: all routing, metering, fault injection and barrier
-//! logic is the shared [`crate::mesh`] round engine — the reactor moves
-//! bytes, it never decides which frames exist. A run's merged
-//! [`Metrics`] are therefore byte-identical to the same protocol over
-//! [`crate::ChannelTransport`] or the threaded TCP transport, lossy
-//! runs included.
+//! All routing, metering, fault injection and barrier logic is the
+//! [`crate::mesh`] round engine — the reactor moves bytes, it never
+//! decides which frames exist. The same [`DeliveryPolicy`] drives fault
+//! injection, applied sender-side exactly like the in-process router
+//! and drawn from the same per-sender and per-inbox streams
+//! ([`DeliveryPolicy::sender_rng`], [`DeliveryPolicy::reorder_rng`]), so
+//! a run's merged [`Metrics`] (see [`Metrics::merge`]) are
+//! **byte-identical** to the same protocol over
+//! [`crate::ChannelTransport`] — the cross-transport parity gate CI
+//! enforces, lossy runs included.
 
 use crate::error::{Error, TcpError};
 use crate::mesh::{
@@ -36,7 +62,6 @@ use crate::mesh::{
 };
 use crate::policy::DeliveryPolicy;
 use crate::ready::{fd_of, Readiness, Want};
-use crate::tcp::TcpOptions;
 use crate::{BoxedPlayer, Metrics, PlayerId, RoundAction, SimError, TransportStats};
 use borndist_pairing::codec::Wire;
 use borndist_parallel::{with_parallelism, Parallelism};
@@ -44,6 +69,52 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
+
+/// Tuning knobs of a socket mesh.
+#[derive(Clone, Debug)]
+pub struct TcpOptions {
+    /// Fault injection, identical semantics to the in-process router.
+    pub policy: DeliveryPolicy,
+    /// Dial attempts per peer before giving up.
+    pub dial_attempts: u32,
+    /// Initial dial backoff (doubles per attempt).
+    pub dial_backoff: Duration,
+    /// Backoff ceiling.
+    pub dial_backoff_max: Duration,
+    /// Wall-clock cap on the whole outbound dialing phase (all peers).
+    /// An elapsed deadline surfaces as [`TcpError::DialFailed`] with an
+    /// `io::ErrorKind::TimedOut` cause — even when it elapses before the
+    /// first connect attempt (e.g. a zero timeout).
+    pub dial_timeout: Duration,
+    /// How long the acceptor waits for the full inbound mesh.
+    pub accept_timeout: Duration,
+    /// A live peer silent past this deadline is treated as crashed.
+    pub round_timeout: Duration,
+}
+
+impl Default for TcpOptions {
+    fn default() -> Self {
+        TcpOptions {
+            policy: DeliveryPolicy::reliable(),
+            dial_attempts: 40,
+            dial_backoff: Duration::from_millis(5),
+            dial_backoff_max: Duration::from_millis(500),
+            dial_timeout: Duration::from_secs(30),
+            accept_timeout: Duration::from_secs(30),
+            round_timeout: Duration::from_secs(60),
+        }
+    }
+}
+
+impl TcpOptions {
+    /// Default options with the given fault policy.
+    pub fn with_policy(policy: DeliveryPolicy) -> Self {
+        TcpOptions {
+            policy,
+            ..Self::default()
+        }
+    }
+}
 
 /// Raises the process file-descriptor limit to at least `needed`
 /// descriptors (soft limit, capped by the hard limit). Returns whether
@@ -183,7 +254,10 @@ enum DialPhase {
 
 /// Drives **one** player of a protocol over a TCP mesh with a single
 /// event loop on the caller's thread — no per-peer threads, no
-/// acceptor thread. See the module docs for the full design.
+/// acceptor thread. The other players live in other transports — other
+/// threads ([`crate::TransportKind::TcpReactor`]), other processes (the
+/// signing daemon), or other machines. See the module docs for the full
+/// design.
 pub struct ReactorTransport<M, O> {
     player: BoxedPlayer<M, O>,
     id: PlayerId,
@@ -227,13 +301,11 @@ impl<M: Wire, O> ReactorTransport<M, O> {
             return Err(SimError::DuplicatePlayer(id).into());
         }
         let expected: BTreeSet<PlayerId> = peers.keys().copied().filter(|p| *p > id).collect();
-        let mut dial_plan: Vec<(PlayerId, SocketAddr)> = peers
+        // The dial plan, ascending by id (the map's own order).
+        let mut dial_iter = peers
             .iter()
             .filter(|(p, _)| **p < id)
-            .map(|(p, a)| (*p, *a))
-            .collect();
-        dial_plan.sort_by_key(|(p, _)| *p);
-        let mut dial_iter = dial_plan.into_iter();
+            .map(|(p, a)| (*p, *a));
 
         listener.set_nonblocking(true)?;
         let mut readiness = Readiness::new();
@@ -279,8 +351,7 @@ impl<M: Wire, O> ReactorTransport<M, O> {
 
             // 2. Progress inbound handshakes. Stray, misaddressed,
             //    duplicate or malformed hellos drop the connection
-            //    without killing the mesh — same policy as the threaded
-            //    acceptor.
+            //    without killing the mesh.
             let mut i = 0;
             while i < inbound.len() {
                 let pend = &mut inbound[i];
@@ -731,21 +802,10 @@ impl<M: Wire, O> ReactorTransport<M, O> {
 
 /// Runs a whole player set as an in-process reactor mesh on loopback —
 /// how `TransportKind::TcpReactor` lets every existing driver and
-/// fault-injection test run over the event-driven socket path
-/// unchanged. One thread per *player* (each player's reactor is
-/// single-threaded), versus the threaded transport's ~n threads per
-/// player.
-pub(crate) fn run_tcp_reactor_loopback<M: Wire, O: Send>(
-    players: Vec<BoxedPlayer<M, O>>,
-    policy: DeliveryPolicy,
-    max_rounds: usize,
-) -> Result<(BTreeMap<PlayerId, O>, Metrics), Error> {
-    run_tcp_reactor_loopback_with(players, TcpOptions::with_policy(policy), max_rounds)
-}
-
-/// [`run_tcp_reactor_loopback`] with explicit [`TcpOptions`] — large
-/// meshes (n=512) need raised dial/accept/round timeouts, everything
-/// else uses the defaults for parity with the threaded transport.
+/// fault-injection test run over the real socket path unchanged. One
+/// thread per *player* (each player's reactor is single-threaded) and
+/// one ephemeral `127.0.0.1` port each. Large meshes (n=512) need
+/// raised dial/accept/round timeouts in `options`.
 ///
 /// # Errors
 ///
@@ -812,11 +872,127 @@ mod tests {
         assert!(ensure_fd_capacity(64));
     }
 
-    /// Mirror of the threaded transport's disconnect-as-silence test:
-    /// player 1 finishes (and closes its sockets) at round 1 while
-    /// players 2 and 3 keep exchanging frames until round 3. The
-    /// survivors must read the mid-round disconnect as silence — EOF,
-    /// peer gone, barriers stop waiting — and complete normally.
+    /// A player that finishes at once; the dial tests never run it.
+    struct Idle(PlayerId);
+    impl Protocol for Idle {
+        type Message = u64;
+        type Output = ();
+        fn round(&mut self, _round: usize, _inbox: &[Delivered<u64>]) -> RoundAction<u64, ()> {
+            RoundAction::Finish(())
+        }
+        fn id(&self) -> PlayerId {
+            self.0
+        }
+    }
+
+    /// A loopback address nothing listens on (reserved once, then freed).
+    fn free_addr() -> SocketAddr {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap()
+    }
+
+    /// Joins a two-player mesh as `me`, listening on `listen`.
+    fn connect(
+        me: PlayerId,
+        listen: SocketAddr,
+        peer: (PlayerId, SocketAddr),
+        options: TcpOptions,
+    ) -> Result<ReactorTransport<u64, ()>, Error> {
+        ReactorTransport::connect(Box::new(Idle(me)), listen, BTreeMap::from([peer]), options)
+    }
+
+    /// Dials `peer` at an address nothing listens on and reports how
+    /// the dial failed: (peer, attempts made, last cause).
+    fn failed_dial(peer: PlayerId, options: TcpOptions) -> (PlayerId, u32, std::io::Error) {
+        let result = connect(peer + 1, free_addr(), (peer, free_addr()), options);
+        match result.err().expect("nothing listens: the dial must fail") {
+            Error::Tcp(TcpError::DialFailed {
+                peer,
+                attempts,
+                last,
+                ..
+            }) => (peer, attempts, last),
+            other => panic!("unexpected error: {}", other),
+        }
+    }
+
+    #[test]
+    fn dial_backoff_waits_for_late_listener() {
+        // Player 1 only binds its listener after a delay — player 2's
+        // dial must ride its backoff schedule through the gap.
+        let (a1, a2) = (free_addr(), free_addr());
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(120));
+            connect(1, a1, (2, a2), TcpOptions::default()).map(drop)
+        });
+        let options = TcpOptions {
+            dial_attempts: 60,
+            dial_backoff: Duration::from_millis(5),
+            dial_backoff_max: Duration::from_millis(50),
+            ..TcpOptions::default()
+        };
+        connect(2, a2, (1, a1), options).expect("dial must succeed once the listener appears");
+        late.join().unwrap().expect("late listener joins the mesh");
+    }
+
+    #[test]
+    fn dial_with_expired_deadline_errors_instead_of_panicking() {
+        // A deadline that elapses before the first connect attempt (a
+        // zero `dial_timeout`) must surface as DialFailed with a
+        // TimedOut cause and zero attempts made — not a panic on the
+        // missing attempt error.
+        let options = TcpOptions {
+            dial_attempts: 3,
+            dial_timeout: Duration::ZERO,
+            ..TcpOptions::default()
+        };
+        let (peer, attempts, last) = failed_dial(7, options);
+        assert_eq!(peer, 7);
+        assert_eq!(attempts, 0, "no connect attempt fits a zero timeout");
+        assert_eq!(last.kind(), std::io::ErrorKind::TimedOut);
+    }
+
+    #[test]
+    fn dial_deadline_caps_the_backoff_schedule() {
+        // A deadline between attempts must stop the schedule early.
+        let options = TcpOptions {
+            dial_attempts: 1_000,
+            dial_backoff: Duration::from_millis(10),
+            dial_backoff_max: Duration::from_millis(10),
+            dial_timeout: Duration::from_millis(40),
+            ..TcpOptions::default()
+        };
+        let start = Instant::now();
+        let (_, attempts, last) = failed_dial(2, options);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "deadline must cut the 1000-attempt schedule short"
+        );
+        assert!(attempts >= 1, "at least one real attempt ran");
+        assert!(attempts < 1_000, "the schedule did not run out");
+        assert_eq!(last.kind(), std::io::ErrorKind::TimedOut);
+    }
+
+    #[test]
+    fn dial_gives_up_with_context() {
+        let options = TcpOptions {
+            dial_attempts: 3,
+            dial_backoff: Duration::from_millis(1),
+            dial_backoff_max: Duration::from_millis(2),
+            ..TcpOptions::default()
+        };
+        let (peer, attempts, _) = failed_dial(5, options);
+        assert_eq!(peer, 5);
+        assert_eq!(attempts, 3);
+    }
+
+    /// Player 1 finishes (and closes its sockets) at round 1 while
+    /// players 2 and 3 keep exchanging frames until round 3: the
+    /// mid-round disconnect must read as *silence* — the survivors see
+    /// EOF, mark the peer gone, stop waiting for its round barriers,
+    /// and complete normally. This is the socket-level half of the
+    /// crash fault model; protocols translate the silence into
+    /// complaints/disqualification at their own layer.
     #[test]
     fn peer_disconnect_mid_round_reads_as_silence() {
         struct Chatter {
@@ -859,7 +1035,7 @@ mod tests {
                 from_one: 0,
             }),
         ];
-        let (outputs, _) = run_tcp_reactor_loopback(players, DeliveryPolicy::reliable(), 10)
+        let (outputs, _) = run_tcp_reactor_loopback_with(players, TcpOptions::default(), 10)
             .expect("mesh completes");
         assert_eq!(outputs.len(), 3, "survivors and quitter all finish");
         // Player 1 broadcast in round 0 only; each survivor therefore

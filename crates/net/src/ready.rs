@@ -1,10 +1,10 @@
 //! Socket readiness without crates or busy-waits.
 //!
-//! The reactor ([`crate::reactor`]) and the legacy transport's accept
-//! loop both need one primitive: *block until one of these sockets can
-//! make progress, or a timeout passes*. On Linux that is `poll(2)`,
-//! bound here through a minimal `extern "C"` declaration (no new
-//! dependencies — the binding is three constants and one function). On
+//! The reactor ([`crate::reactor`]) needs one primitive: *block until
+//! one of these sockets can make progress, or a timeout passes*. On
+//! Linux that is `poll(2)`, bound here through a minimal `extern "C"`
+//! declaration (no new dependencies — the binding is three constants
+//! and one function). On
 //! every other platform the same API degrades to a **readiness scan
 //! with adaptive backoff**: the caller's descriptors are all reported
 //! ready after a short sleep, and the caller's nonblocking reads and
@@ -12,7 +12,7 @@
 //! The sleep starts near zero and doubles up to a small ceiling while
 //! nothing happens; [`Readiness::note_progress`] resets it, so a busy
 //! mesh spins tight and an idle one converges to a few wakeups per
-//! second instead of the old fixed 2 ms poll.
+//! second.
 //!
 //! Both paths are deliberately *hint-shaped*: a descriptor reported
 //! ready may still yield `WouldBlock` (spurious wakeups, the fallback

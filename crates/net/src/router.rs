@@ -9,9 +9,9 @@
 //! Fault randomness comes from the policy's shared derivations
 //! ([`DeliveryPolicy::sender_rng`], [`DeliveryPolicy::reorder_rng`]) —
 //! per-sender streams for drop/duplicate decisions and per-inbox streams
-//! for reorder shuffles, never a router-global sequence. The TCP runtime
-//! draws from the same streams in the same order, so a *faulted* run
-//! injects the identical delivery schedule on either transport.
+//! for reorder shuffles, never a router-global sequence. The socket
+//! round engine ([`crate::mesh`]) draws from the same streams in the
+//! same order, so a *faulted* run injects the identical schedule there.
 
 use crate::policy::DeliveryPolicy;
 use crate::{Metrics, PlayerId, Recipient, SimError};

@@ -71,7 +71,7 @@ fn window_sum<C: CurveParams>(
 /// Uses a windowed bucket method with a window size chosen from the input
 /// length; falls back to naive (wNAF) per-point multiplication for very
 /// small inputs. The per-window bucket accumulations are independent, so
-/// for inputs of [`PAR_MIN_POINTS`] or more points they run across the
+/// for inputs of `PAR_MIN_POINTS` or more points they run across the
 /// configured threads ([`borndist_parallel::current`]); the cheap Horner
 /// fold over the window sums (doublings plus one addition per window) is
 /// identical either way, so the result does not depend on the thread

@@ -11,9 +11,8 @@
 //!   protocol.
 
 use crate::{
-    read_frame, run_gateway_worker, write_frame, ClientRequest, ClientResponse, MeshTransport,
-    ServiceCoordinator, ServiceOutcome, ServicePlayer, Topology, DKG_ROUND_BUDGET,
-    SIGN_ROUND_BUDGET,
+    read_frame, run_gateway_worker, write_frame, ClientRequest, ClientResponse, ServiceCoordinator,
+    ServiceOutcome, ServicePlayer, Topology, DKG_ROUND_BUDGET, SIGN_ROUND_BUDGET,
 };
 use borndist_core::aggregate::AggregateScheme;
 use borndist_core::gateway::{AggregationGateway, GatewayConfig, VerifyRequest};
@@ -21,7 +20,7 @@ use borndist_core::ro::ThresholdScheme;
 use borndist_dkg::dkg_players;
 use borndist_net::{
     BoxedPlayer, DeliveryPolicy, LatencySummary, Metrics, PlayerId, ReactorTransport, TcpOptions,
-    TcpTransport, TransportKind, TransportStats, Wire,
+    TransportKind, TransportStats, Wire,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,26 +78,15 @@ fn proto(msg: impl Into<String>) -> ServiceError {
     ServiceError::Protocol(msg.into())
 }
 
-/// Connects and runs one mesh on the topology's configured socket
-/// engine. Same player, same peers, same frames — only the byte-moving
-/// machinery differs, so callers treat the result identically.
+/// Joins the mesh described by `peers` and runs `player` on it to
+/// completion.
 fn run_mesh<M: Wire, O>(
-    engine: MeshTransport,
     player: BoxedPlayer<M, O>,
     listen: std::net::SocketAddr,
     peers: std::collections::BTreeMap<PlayerId, std::net::SocketAddr>,
     budget: usize,
 ) -> Result<(O, Metrics, TransportStats), borndist_net::Error> {
-    match engine {
-        MeshTransport::Threaded => {
-            TcpTransport::connect(player, listen, peers, TcpOptions::default())?
-                .run_with_stats(budget)
-        }
-        MeshTransport::Reactor => {
-            ReactorTransport::connect(player, listen, peers, TcpOptions::default())?
-                .run_with_stats(budget)
-        }
-    }
+    ReactorTransport::connect(player, listen, peers, TcpOptions::default())?.run_with_stats(budget)
 }
 
 /// One signing node, start to finish: DKG over the TCP mesh, local key
@@ -114,7 +102,6 @@ pub fn run_player(top: &Topology, id: PlayerId) -> Result<usize, ServiceError> {
     let mut players = dkg_players(&cfg, &BTreeMap::new(), top.seed);
     let me = players.remove(id as usize - 1);
     let (output, dkg_metrics, dkg_transport) = run_mesh(
-        top.transport,
         me,
         Topology::addr(top.dkg_base, id),
         Topology::peers(top.dkg_base, id, n),
@@ -127,7 +114,6 @@ pub fn run_player(top: &Topology, id: PlayerId) -> Result<usize, ServiceError> {
     // Phase 2: the signing mesh, now including the front-end at n+1.
     let player = ServicePlayer::new(scheme, &km, id, dkg_metrics, dkg_transport);
     let (outcome, _, _) = run_mesh(
-        top.transport,
         Box::new(player) as BoxedPlayer<_, ServiceOutcome>,
         Topology::addr(top.sign_base, id),
         Topology::peers(top.sign_base, id, n + 1),
@@ -171,10 +157,8 @@ pub fn run_frontend(top: &Topology, client_listener: TcpListener) -> Result<(), 
     let mesh = {
         let listen = Topology::addr(top.sign_base, n + 1);
         let peers = Topology::peers(top.sign_base, n + 1, n);
-        let engine = top.transport;
         std::thread::spawn(move || {
             run_mesh(
-                engine,
                 Box::new(coordinator) as BoxedPlayer<_, ServiceOutcome>,
                 listen,
                 peers,
@@ -399,7 +383,6 @@ pub fn run_smoke(top: &Topology, requests: u64) -> Result<(), ServiceError> {
         ("--dkg-base", top.dkg_base.to_string()),
         ("--sign-base", top.sign_base.to_string()),
         ("--max-in-flight", top.max_in_flight.to_string()),
-        ("--transport", top.transport.flag().to_string()),
     ];
     let spawn = |mode: &str, extra: &[(&str, String)]| -> Result<Child, ServiceError> {
         let mut cmd = Command::new(&exe);
@@ -528,7 +511,7 @@ pub fn run_smoke(top: &Topology, requests: u64) -> Result<(), ServiceError> {
     }
     if !dkg_metrics.same_traffic(&metrics_ref) {
         return Err(proto(format!(
-            "DKG metrics parity broken: tcp {:?} vs channel {:?}",
+            "DKG metrics parity broken: sockets {:?} vs channel {:?}",
             dkg_metrics, metrics_ref
         )));
     }
@@ -567,11 +550,7 @@ pub fn run_smoke(top: &Topology, requests: u64) -> Result<(), ServiceError> {
         || transport.frames_in == 0
         || transport.frames_out == 0
     {
-        return Err(proto(format!(
-            "transport counters empty: {:?} (engine {})",
-            transport,
-            top.transport.flag()
-        )));
+        return Err(proto(format!("transport counters empty: {:?}", transport)));
     }
 
     for (i, child) in players.into_iter().enumerate() {
@@ -580,8 +559,7 @@ pub fn run_smoke(top: &Topology, requests: u64) -> Result<(), ServiceError> {
     wait_ok(frontend, "frontend")?;
 
     println!(
-        "SMOKE OK ({}): {} requests signed, {} verified by {} processes; DKG parity {} msgs / {} bytes; high water {} <= {}; sign p50/p99 {:?}/{:?}; verify p50/p99 {:?}/{:?}; sockets hw {} frames {}/{} resumptions {}",
-        top.transport.flag(),
+        "SMOKE OK: {} requests signed, {} verified by {} processes; DKG parity {} msgs / {} bytes; high water {} <= {}; sign p50/p99 {:?}/{:?}; verify p50/p99 {:?}/{:?}; sockets hw {} frames {}/{} resumptions {}",
         requests,
         verified,
         n + 1,

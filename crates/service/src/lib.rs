@@ -2,13 +2,13 @@
 //!
 //! The threshold-signing **daemon**: the paper's schemes deployed as `N`
 //! long-running OS processes plus a front-end, talking over real TCP
-//! sockets (DESIGN.md §2 "TCP transport & the signing daemon").
+//! sockets (DESIGN.md §2 "Socket transport & the signing daemon").
 //!
 //! Lifecycle of a deployment:
 //!
 //! 1. **Birth** — the `N` player processes run Pedersen's DKG (§3.1)
-//!    over a [`borndist_net::TcpTransport`] mesh; no process ever holds
-//!    the key.
+//!    over a [`borndist_net::ReactorTransport`] mesh; no process ever
+//!    holds the key.
 //! 2. **Ready** — each player joins a second mesh that includes the
 //!    front-end and ships it a [`ServiceMessage::Ready`] carrying the
 //!    public key and that player's local DKG traffic metrics; the
@@ -700,45 +700,6 @@ pub fn run_gateway_worker<R: rand::RngCore>(
 // Deployment topology shared by every mode.
 // ---------------------------------------------------------------------
 
-/// Which socket engine a daemon process runs its meshes on. Both move
-/// the same frames through the same routing engine, so `Metrics` stay
-/// byte-identical; they differ only in how the bytes move (threads vs
-/// one poll loop).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MeshTransport {
-    /// Thread-per-peer blocking sockets ([`borndist_net::TcpTransport`]).
-    #[default]
-    Threaded,
-    /// One event-driven poll loop per process
-    /// ([`borndist_net::ReactorTransport`]).
-    Reactor,
-}
-
-impl MeshTransport {
-    /// The `--transport` flag value naming this engine (inverse of
-    /// [`FromStr`](std::str::FromStr)).
-    pub fn flag(self) -> &'static str {
-        match self {
-            MeshTransport::Threaded => "tcp",
-            MeshTransport::Reactor => "reactor",
-        }
-    }
-}
-
-impl std::str::FromStr for MeshTransport {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "tcp" | "threaded" => Ok(MeshTransport::Threaded),
-            "reactor" => Ok(MeshTransport::Reactor),
-            other => Err(format!(
-                "unknown transport {:?} (expected tcp or reactor)",
-                other
-            )),
-        }
-    }
-}
-
 /// Everything the processes of one deployment must agree on.
 #[derive(Clone, Debug)]
 pub struct Topology {
@@ -755,10 +716,6 @@ pub struct Topology {
     pub sign_base: u16,
     /// Backpressure bound on concurrently open signing sessions.
     pub max_in_flight: usize,
-    /// Socket engine for both meshes (all processes must agree — the
-    /// engines interoperate on the wire, but mixing them would make the
-    /// reported socket counters incoherent).
-    pub transport: MeshTransport,
 }
 
 impl Topology {

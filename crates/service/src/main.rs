@@ -6,12 +6,13 @@
 //! borndist-service frontend --n 4 --t 1 --seed 7 --domain demo \
 //!                           --dkg-base 9000 --sign-base 9100 --max-in-flight 8 \
 //!                           --client-port 9200
-//! borndist-service smoke    --n 4 --t 1 --requests 100 --transport reactor
+//! borndist-service smoke    --n 4 --t 1 --requests 100
 //! ```
 //!
-//! `--transport` picks the mesh socket engine for every process:
-//! `tcp` (thread-per-peer, the default) or `reactor` (one poll loop
-//! per process).
+//! Every mesh runs on the one socket engine (`borndist_net`'s reactor:
+//! one poll loop per process). `--transport reactor` is still accepted
+//! so existing command lines keep working, and selects nothing; any
+//! other value, and any flag the mode does not read, is a startup error.
 //!
 //! `player` and `frontend` are the long-running deployment processes;
 //! `smoke` spawns a whole deployment (players + front-end as child
@@ -19,28 +20,94 @@
 //! metrics byte-parity with an in-process reference run.
 
 use borndist_service::daemon::{free_port_block, run_frontend, run_player, run_smoke};
-use borndist_service::{MeshTransport, Topology};
+use borndist_service::Topology;
 use borndist_shamir::ThresholdParams;
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::process::ExitCode;
 
+/// The deployment-topology flags every mode reads.
+const TOPOLOGY_FLAGS: &[&str] = &[
+    "n",
+    "t",
+    "seed",
+    "domain",
+    "dkg-base",
+    "sign-base",
+    "max-in-flight",
+    "transport",
+];
+
+/// Why a command line was rejected before anything started.
+#[derive(Debug, PartialEq, Eq)]
+enum ArgError {
+    /// A token where a `--flag` was expected.
+    NotAFlag(String),
+    /// A `--flag` with nothing after it.
+    MissingValue(String),
+    /// A flag the mode does not read — a typo must not run at defaults.
+    UnknownFlag { flag: String, valid: Vec<String> },
+    /// `--transport` named anything but the one socket engine.
+    EngineRemoved(String),
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::NotAFlag(token) => write!(f, "expected --flag, got {:?}", token),
+            ArgError::MissingValue(flag) => write!(f, "--{} needs a value", flag),
+            ArgError::UnknownFlag { flag, valid } => {
+                write!(
+                    f,
+                    "unknown flag --{} (valid: --{})",
+                    flag,
+                    valid.join(" --")
+                )
+            }
+            ArgError::EngineRemoved(value) => write!(
+                f,
+                "--transport {:?}: thread-per-peer engine removed; every mesh runs on \"reactor\"",
+                value
+            ),
+        }
+    }
+}
+
+#[derive(Debug)]
 struct Args(BTreeMap<String, String>);
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
+    /// Parses `--flag value` pairs, accepting only [`TOPOLOGY_FLAGS`]
+    /// and the mode's own `mode_flags`.
+    fn parse(raw: &[String], mode_flags: &[&str]) -> Result<Self, ArgError> {
         let mut map = BTreeMap::new();
         let mut it = raw.iter();
-        while let Some(key) = it.next() {
-            let key = key
+        while let Some(token) = it.next() {
+            let key = token
                 .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got {:?}", key))?;
+                .ok_or_else(|| ArgError::NotAFlag(token.clone()))?;
+            if !TOPOLOGY_FLAGS.contains(&key) && !mode_flags.contains(&key) {
+                return Err(ArgError::UnknownFlag {
+                    flag: key.to_string(),
+                    valid: TOPOLOGY_FLAGS
+                        .iter()
+                        .chain(mode_flags)
+                        .map(|f| f.to_string())
+                        .collect(),
+                });
+            }
             let value = it
                 .next()
-                .ok_or_else(|| format!("--{} needs a value", key))?;
+                .ok_or_else(|| ArgError::MissingValue(key.to_string()))?;
             map.insert(key.to_string(), value.clone());
         }
-        Ok(Args(map))
+        // Kept as a validated word: deployed command lines pass
+        // `--transport reactor`, and `tcp` must fail loudly rather than
+        // silently run an engine the caller did not ask for.
+        match map.get("transport").map(String::as_str) {
+            None | Some("reactor") => Ok(Args(map)),
+            Some(other) => Err(ArgError::EngineRemoved(other.to_string())),
+        }
     }
 
     fn get<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
@@ -72,7 +139,6 @@ fn topology(args: &Args) -> Result<Topology, String> {
         dkg_base: args.get_or("dkg-base", 0)?,
         sign_base: args.get_or("sign-base", 0)?,
         max_in_flight: args.get_or("max-in-flight", 8)?,
-        transport: args.get_or("transport", MeshTransport::Threaded)?,
     })
 }
 
@@ -81,10 +147,11 @@ fn run() -> Result<(), String> {
     let Some((mode, rest)) = raw.split_first() else {
         return Err("usage: borndist-service <player|frontend|smoke> --flags ...".into());
     };
-    let args = Args::parse(rest)?;
+    let parse = |mode_flags: &[&str]| Args::parse(rest, mode_flags).map_err(|e| e.to_string());
 
     match mode.as_str() {
         "player" => {
+            let args = parse(&["id"])?;
             let top = topology(&args)?;
             let id: u32 = args.get("id")?;
             let served = run_player(&top, id).map_err(|e| e.to_string())?;
@@ -92,6 +159,7 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "frontend" => {
+            let args = parse(&["client-port"])?;
             let top = topology(&args)?;
             let port: u16 = args.get_or("client-port", 0)?;
             let listener =
@@ -99,6 +167,7 @@ fn run() -> Result<(), String> {
             run_frontend(&top, listener).map_err(|e| e.to_string())
         }
         "smoke" => {
+            let args = parse(&["requests"])?;
             let mut top = topology(&args)?;
             let requests: u64 = args.get_or("requests", 100)?;
             if top.dkg_base == 0 || top.sign_base == 0 {
@@ -121,6 +190,51 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("borndist-service: {}", e);
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str, mode_flags: &[&str]) -> Result<Args, ArgError> {
+        let raw: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Args::parse(&raw, mode_flags)
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_naming_the_valid_ones() {
+        // The typo that used to run at the default bound of 8.
+        let err = parse("--n 4 --t 1 --max-inflight 64", &["requests"]).unwrap_err();
+        let ArgError::UnknownFlag { flag, valid } = &err else {
+            panic!("unexpected error: {}", err);
+        };
+        assert_eq!(flag, "max-inflight");
+        assert!(valid.iter().any(|f| f == "max-in-flight"));
+        assert!(valid.iter().any(|f| f == "requests"));
+        assert!(err.to_string().contains("--max-in-flight"));
+        // A flag another mode reads is still unknown to this one.
+        assert!(matches!(
+            parse("--n 4 --t 1 --id 2", &["requests"]),
+            Err(ArgError::UnknownFlag { .. })
+        ));
+    }
+
+    #[test]
+    fn transport_reactor_is_accepted_and_selects_nothing() {
+        let with = parse("--n 4 --t 1 --transport reactor", &[]).expect("reactor parses");
+        let without = parse("--n 4 --t 1", &[]).expect("flag is optional");
+        let (a, b) = (topology(&with).unwrap(), topology(&without).unwrap());
+        assert_eq!(format!("{:?}", a), format!("{:?}", b));
+    }
+
+    #[test]
+    fn transport_tcp_fails_instead_of_starting() {
+        for removed in ["tcp", "threaded", "epoll"] {
+            let err = parse(&format!("--n 4 --t 1 --transport {}", removed), &[]).unwrap_err();
+            assert_eq!(err, ArgError::EngineRemoved(removed.to_string()));
+            assert!(err.to_string().contains("thread-per-peer engine removed"));
         }
     }
 }

@@ -1,10 +1,10 @@
-//! Event-driven reactor release gate (the acceptance gate for the
-//! one-poll-loop-per-process transport, PR 10). Proves the reactor is
-//! the *same protocol* as the in-process transports (byte-identical
-//! metering), that it actually eliminates the thread-per-peer cost
-//! (measured thread ceiling), and that the freed threads buy capacity
-//! (a service leg sustaining 2× the previous in-flight bound). Prints
-//! a JSON record (the `BENCH_reactor.json` trajectory point).
+//! Socket-transport release gate (the acceptance gate for the
+//! one-poll-loop-per-process reactor). Proves the reactor is the *same
+//! protocol* as the in-process transports (byte-identical metering),
+//! that it costs one thread per player (measured thread ceiling), and
+//! that the daemon's signing mesh sustains 16 sessions in flight over
+//! it. Prints a JSON record (the `BENCH_reactor.json` trajectory
+//! point).
 //!
 //! Legs:
 //!
@@ -14,17 +14,14 @@
 //! * **n = 64 mesh** (always) — a full 64-player DKG over real sockets
 //!   with a `/proc/self/status` thread-count watcher: the whole
 //!   64-player process must stay ≤ n + [`THREAD_SLACK`] threads (one
-//!   poll loop per player — the threaded transport would need ~2
-//!   reader threads *per link*, i.e. thousands).
+//!   poll loop per player, nothing per link).
 //! * **n = 512 mesh** (armed on hosts with ≥ [`GATE_THREADS`] CPUs and
 //!   enough file descriptors) — the headline: 512 players, 130 816
 //!   real loopback connections, one process, ≤ 512 + slack threads.
-//! * **service 2×** (always; latency floor enforced on ≥
-//!   [`GATE_THREADS`]-CPU hosts) — the daemon's signing mesh run once
-//!   on the threaded engine at the legacy in-flight bound (8) and once
-//!   on the reactor at 2× (16): the reactor leg must actually reach
-//!   the doubled high-water mark, and its p99 must not regress past
-//!   [`LATENCY_GUARD`]× the threaded leg's.
+//! * **service ×16** (always) — the daemon's signing mesh at
+//!   [`IN_FLIGHT`] = 16, twice the bound the daemon smoke runs with:
+//!   the leg must actually reach that high-water mark, sign every
+//!   request validly, and report nonzero socket counters.
 //!
 //! Run with: `cargo run --release --example reactor_mesh`
 
@@ -32,29 +29,27 @@ use borndist::core::ro::ThresholdScheme;
 use borndist::dkg::{dkg_players, dkg_session, standard_config};
 use borndist::net::{
     ensure_fd_capacity, run_tcp_reactor_loopback_with, BoxedPlayer, DeliveryPolicy, LatencySummary,
-    ReactorTransport, TcpOptions, TcpTransport, TransportKind, TransportStats,
+    ReactorTransport, TcpOptions, TransportKind, TransportStats,
 };
 use borndist::shamir::ThresholdParams;
 use borndist_service::daemon::free_port_block;
 use borndist_service::{
-    MeshTransport, ServiceCoordinator, ServiceOutcome, ServicePlayer, Topology, SIGN_ROUND_BUDGET,
+    ServiceCoordinator, ServiceOutcome, ServicePlayer, Topology, SIGN_ROUND_BUDGET,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// CPU floor for the armed legs (same convention as every other gate).
+/// CPU floor for the armed n = 512 leg (same convention as every other
+/// gate).
 const GATE_THREADS: usize = 4;
 /// Allowed threads beyond one-per-player in a mesh process: the main
 /// thread, the gauge's sampler, and one spare.
 const THREAD_SLACK: usize = 3;
-/// The daemon's current in-flight bound (CI smoke runs with 8).
-const LEGACY_IN_FLIGHT: usize = 8;
-/// The reactor service leg must sustain twice that.
-const REACTOR_IN_FLIGHT: usize = 2 * LEGACY_IN_FLIGHT;
-/// p99 regression guard for the service legs (enforced hosts only).
-const LATENCY_GUARD: f64 = 1.5;
+/// In-flight bound of the service leg: twice what the daemon smoke
+/// runs with (8).
+const IN_FLIGHT: usize = 16;
 /// Descriptors a 512-player in-process mesh needs: 512·511/2 links ×
 /// 2 endpoint fds + 512 listeners, with headroom.
 const N512_FDS: u64 = 300_000;
@@ -144,12 +139,11 @@ fn reactor_dkg_leg(n: usize, t: usize, seed: u64, options: TcpOptions) -> (f64, 
     (ms, threads_hw)
 }
 
-/// One service signing-mesh leg on the chosen engine: `n` player nodes
-/// plus a coordinator with a fixed request queue, bounded by
-/// `max_in_flight`. Returns (wall clock, sign-latency summary, mux
-/// high-water, coordinator socket stats).
+/// The service signing-mesh leg: `n` player nodes plus a coordinator
+/// with a fixed request queue, bounded by `max_in_flight`. Returns
+/// (wall clock, sign-latency summary, mux high-water, coordinator
+/// socket stats).
 fn service_leg(
-    engine: MeshTransport,
     max_in_flight: usize,
     requests: usize,
 ) -> (Duration, LatencySummary, u64, TransportStats) {
@@ -180,20 +174,10 @@ fn service_leg(
         let peers = Topology::peers(sign_base, id, n as u32 + 1);
         threads.push(std::thread::spawn(move || {
             let boxed = Box::new(player) as BoxedPlayer<_, ServiceOutcome>;
-            match engine {
-                MeshTransport::Threaded => {
-                    TcpTransport::connect(boxed, listen, peers, TcpOptions::default())
-                        .expect("player connect")
-                        .run(SIGN_ROUND_BUDGET)
-                        .expect("player run");
-                }
-                MeshTransport::Reactor => {
-                    ReactorTransport::connect(boxed, listen, peers, TcpOptions::default())
-                        .expect("player connect")
-                        .run(SIGN_ROUND_BUDGET)
-                        .expect("player run");
-                }
-            }
+            ReactorTransport::connect(boxed, listen, peers, TcpOptions::default())
+                .expect("player connect")
+                .run(SIGN_ROUND_BUDGET)
+                .expect("player run");
         }));
     }
     let coordinator = Box::new(ServiceCoordinator::with_requests(
@@ -204,20 +188,11 @@ fn service_leg(
     )) as BoxedPlayer<_, ServiceOutcome>;
     let listen = Topology::addr(sign_base, n as u32 + 1);
     let peers = Topology::peers(sign_base, n as u32 + 1, n as u32);
-    let (outcome, _, stats) = match engine {
-        MeshTransport::Threaded => {
-            TcpTransport::connect(coordinator, listen, peers, TcpOptions::default())
-                .expect("frontend connect")
-                .run_with_stats(SIGN_ROUND_BUDGET)
-                .expect("frontend run")
-        }
-        MeshTransport::Reactor => {
-            ReactorTransport::connect(coordinator, listen, peers, TcpOptions::default())
-                .expect("frontend connect")
-                .run_with_stats(SIGN_ROUND_BUDGET)
-                .expect("frontend run")
-        }
-    };
+    let (outcome, _, stats) =
+        ReactorTransport::connect(coordinator, listen, peers, TcpOptions::default())
+            .expect("frontend connect")
+            .run_with_stats(SIGN_ROUND_BUDGET)
+            .expect("frontend run");
     for t in threads {
         t.join().expect("player thread");
     }
@@ -231,9 +206,8 @@ fn service_leg(
     for (id, msg) in &queue {
         assert!(
             scheme.verify(&km.public_key, msg, &outcome.mux.signatures[id]),
-            "request {} signature invalid on {:?}",
-            id,
-            engine
+            "request {} signature invalid",
+            id
         );
     }
     assert!(
@@ -253,7 +227,6 @@ fn service_leg(
 
 fn main() {
     let host = std::thread::available_parallelism().map_or(1, usize::from);
-    let enforced = host >= GATE_THREADS;
 
     // --- leg A: parity at n = 8 (always) ---
     let params = ThresholdParams::new(2, 8).unwrap();
@@ -306,7 +279,7 @@ fn main() {
 
     // --- leg C: n = 512 (armed on capable hosts only) ---
     let fds_ok = ensure_fd_capacity(N512_FDS);
-    let n512_armed = enforced && fds_ok;
+    let n512_armed = host >= GATE_THREADS && fds_ok;
     let n512_reason = if n512_armed {
         "armed".to_string()
     } else {
@@ -333,32 +306,16 @@ fn main() {
         n512_threads = threads;
     }
 
-    // --- leg D: service legs, threaded @ 8 vs reactor @ 16 ---
+    // --- leg D: service leg at 16 in flight ---
     let requests = 48usize;
-    let (legacy_elapsed, legacy_lat, legacy_hw, _) =
-        service_leg(MeshTransport::Threaded, LEGACY_IN_FLIGHT, requests);
-    let (rx_elapsed, rx_lat, rx_hw, rx_stats) =
-        service_leg(MeshTransport::Reactor, REACTOR_IN_FLIGHT, requests);
+    let (rx_elapsed, rx_lat, rx_hw, rx_stats) = service_leg(IN_FLIGHT, requests);
     assert!(
-        rx_hw as usize >= REACTOR_IN_FLIGHT,
-        "reactor leg must sustain {} concurrent sessions (reached {})",
-        REACTOR_IN_FLIGHT,
+        rx_hw as usize >= IN_FLIGHT,
+        "service leg must sustain {} concurrent sessions (reached {})",
+        IN_FLIGHT,
         rx_hw
     );
     assert!(rx_stats.frames_in > 0 && rx_stats.frames_out > 0);
-    let p99_ratio = if legacy_lat.p99.is_zero() {
-        0.0
-    } else {
-        rx_lat.p99.as_secs_f64() / legacy_lat.p99.as_secs_f64()
-    };
-    if enforced {
-        assert!(
-            p99_ratio <= LATENCY_GUARD,
-            "acceptance: reactor p99 at 2x in-flight must stay within {}x of threaded at 1x (got {:.2}x)",
-            LATENCY_GUARD,
-            p99_ratio
-        );
-    }
 
     println!("== reactor mesh gate (host parallelism {}) ==", host);
     println!(
@@ -382,31 +339,18 @@ fn main() {
         println!("   dkg_n512_reactor          skipped: {}", n512_reason);
     }
     println!(
-        "   service_threaded_x8       {:>8.1}ms  hw {}  p50 {:?}  p99 {:?}",
-        legacy_elapsed.as_secs_f64() * 1e3,
-        legacy_hw,
-        legacy_lat.p50,
-        legacy_lat.p99
-    );
-    println!(
-        "   service_reactor_x16       {:>8.1}ms  hw {}  p50 {:?}  p99 {:?}  p99 ratio {:.2}x ({})",
+        "   service_reactor_x16       {:>8.1}ms  hw {}  p50 {:?}  p99 {:?}",
         rx_elapsed.as_secs_f64() * 1e3,
         rx_hw,
         rx_lat.p50,
-        rx_lat.p99,
-        p99_ratio,
-        if enforced {
-            "enforced"
-        } else {
-            "not enforced: < 4 CPUs"
-        }
+        rx_lat.p99
     );
 
     // Machine-readable record (BENCH_reactor.json).
     let mut json = String::from("{\n  \"bench\": \"reactor_mesh\",\n  \"unit\": \"ms\",\n");
     json.push_str(&format!(
-        "  \"host_parallelism\": {},\n  \"gate\": {{\"thread_slack\": {}, \"inflight_ratio\": 2, \"latency_guard\": {:.1}, \"enforced\": {}, \"n512_armed\": {}, \"n512_reason\": \"{}\"}},\n",
-        host, THREAD_SLACK, LATENCY_GUARD, enforced, n512_armed, n512_reason
+        "  \"host_parallelism\": {},\n  \"gate\": {{\"thread_slack\": {}, \"in_flight\": {}, \"n512_armed\": {}, \"n512_reason\": \"{}\"}},\n",
+        host, THREAD_SLACK, IN_FLIGHT, n512_armed, n512_reason
     ));
     json.push_str("  \"rows\": [\n");
     let rows = [
@@ -415,15 +359,8 @@ fn main() {
         ("dkg_n64_reactor", 64, n64_ms, n64_threads, false),
         ("dkg_n512_reactor", 512, n512_ms, n512_threads, !n512_armed),
         (
-            "service_threaded_x8",
-            LEGACY_IN_FLIGHT,
-            legacy_elapsed.as_secs_f64() * 1e3,
-            legacy_hw as usize,
-            false,
-        ),
-        (
             "service_reactor_x16",
-            REACTOR_IN_FLIGHT,
+            IN_FLIGHT,
             rx_elapsed.as_secs_f64() * 1e3,
             rx_hw as usize,
             false,
@@ -441,10 +378,8 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"service\": {{\"requests\": {}, \"p99_ratio\": {:.2}, \"legacy_p99_ms\": {:.2}, \"reactor_p99_ms\": {:.2}, \"reactor_frames_in\": {}, \"reactor_frames_out\": {}}}\n}}",
+        "  ],\n  \"service\": {{\"requests\": {}, \"reactor_p99_ms\": {:.2}, \"reactor_frames_in\": {}, \"reactor_frames_out\": {}}}\n}}",
         requests,
-        p99_ratio,
-        legacy_lat.p99.as_secs_f64() * 1e3,
         rx_lat.p99.as_secs_f64() * 1e3,
         rx_stats.frames_in,
         rx_stats.frames_out

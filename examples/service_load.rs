@@ -13,7 +13,7 @@
 //!   time (so queueing debt is charged, not hidden).
 //! * **Service leg** — the same traffic shape pushed through the real
 //!   `borndist-service` stack: a 4-player signing mesh over
-//!   [`TcpTransport`] loopback sockets plus the gateway worker thread
+//!   [`ReactorTransport`] loopback sockets plus the gateway worker thread
 //!   the daemon front-end runs ([`run_gateway_worker`]), with
 //!   enqueue→response latencies recorded client-side.
 //!
@@ -34,14 +34,14 @@ use borndist::core::gateway::{AggregationGateway, GatewayConfig, Verdict, Verify
 use borndist::core::ro::{PartialSignature, Signature, ThresholdScheme};
 use borndist::core::{AggPublicKey, AggregateScheme};
 use borndist::net::{
-    BoxedPlayer, LatencySummary, TcpOptions, TcpTransport, TransportKind, TransportStats,
+    BoxedPlayer, LatencySummary, ReactorTransport, TcpOptions, TransportKind, TransportStats,
 };
 use borndist::shamir::ThresholdParams;
 use borndist_bench::load::{arrival_schedule, ClassRecorder, OpClass, ScheduledOp, WorkloadMix};
 use borndist_service::daemon::free_port_block;
 use borndist_service::{
-    run_gateway_worker, ClientResponse, MeshTransport, ServiceCoordinator, ServiceOutcome,
-    ServicePlayer, Topology, SIGN_ROUND_BUDGET,
+    run_gateway_worker, ClientResponse, ServiceCoordinator, ServiceOutcome, ServicePlayer,
+    Topology, SIGN_ROUND_BUDGET,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -389,7 +389,6 @@ fn service_phase(ops: usize) -> Vec<JsonRow> {
         dkg_base: 0,
         sign_base,
         max_in_flight: 8,
-        transport: MeshTransport::Threaded,
     };
 
     // Mesh nodes on threads, exactly the daemon's layout.
@@ -405,7 +404,7 @@ fn service_phase(ops: usize) -> Vec<JsonRow> {
         let listen = Topology::addr(top.sign_base, id);
         let peers = Topology::peers(top.sign_base, id, n as u32 + 1);
         threads.push(std::thread::spawn(move || {
-            let transport = TcpTransport::connect(
+            let transport = ReactorTransport::connect(
                 Box::new(player) as BoxedPlayer<_, ServiceOutcome>,
                 listen,
                 peers,
@@ -427,7 +426,7 @@ fn service_phase(ops: usize) -> Vec<JsonRow> {
     let mesh = {
         let listen = Topology::addr(top.sign_base, n as u32 + 1);
         let peers = Topology::peers(top.sign_base, n as u32 + 1, n as u32);
-        let transport = TcpTransport::connect(
+        let transport = ReactorTransport::connect(
             Box::new(coordinator) as BoxedPlayer<_, ServiceOutcome>,
             listen,
             peers,

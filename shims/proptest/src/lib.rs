@@ -189,7 +189,7 @@ pub mod collection {
     use std::collections::BTreeSet;
     use std::ops::Range;
 
-    /// Strategy producing `Vec`s, from [`vec`].
+    /// Strategy producing `Vec`s, from [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use borndist_dkg::{dkg_session, refresh_session, standard_config, Behavior, DkgConfig};
     pub use borndist_net::{
         ChannelTransport, DeliveryPolicy, Error as NetError, LockstepTransport, Metrics,
-        TcpOptions, TcpTransport, TransportKind, Wire,
+        ReactorTransport, TcpOptions, TransportKind, Wire,
     };
     pub use borndist_parallel::Parallelism;
     pub use borndist_shamir::ThresholdParams;
