@@ -60,12 +60,13 @@ fn bench_robust_combine(c: &mut Criterion) {
                     .unwrap()
             })
         });
-        // The per-share filter over keygen-cached prepared keys (the
-        // pessimistic path a combiner takes after a batch rejection).
+        // The per-share filter over prepared keys built once by the
+        // combiner (the pessimistic path after a batch rejection).
+        let prepared_vks = km.prepare_verification_keys();
         g.bench_with_input(BenchmarkId::new("per_share_prepared", t), &t, |b, _| {
             b.iter(|| {
                 scheme
-                    .combine_verified_prepared(&km.params, &km.prepared_vks, MESSAGE, &partials)
+                    .combine_verified_prepared(&km.params, &prepared_vks, MESSAGE, &partials)
                     .unwrap()
             })
         });

@@ -277,7 +277,7 @@ impl ThresholdScheme {
     }
 
     /// [`Self::combine_batch_verified`] over the prepared verification
-    /// keys of [`crate::ro::KeyMaterial::prepared_vks`]: the optimistic
+    /// keys of [`crate::ro::KeyMaterial::prepare_verification_keys`]: the optimistic
     /// batch is unchanged (its `Ĝ` columns are MSM combinations, where
     /// only the generators — already prepared — are fixed), while the
     /// pessimistic per-share fallback filters through
@@ -746,6 +746,7 @@ mod tests {
     fn prepared_combine_agrees_with_plain() {
         let (scheme, km, mut r) = setup();
         let msg = b"combine prepared";
+        let prepared_vks = km.prepare_verification_keys();
         let mut partials: Vec<PartialSignature> = (1..=6u32)
             .map(|i| scheme.share_sign(&km.shares[&i], msg))
             .collect();
@@ -755,7 +756,7 @@ mod tests {
             .combine_batch_verified(&km.params, &km.verification_keys, msg, &partials, &mut r)
             .unwrap();
         let fast = scheme
-            .combine_batch_verified_prepared(&km.params, &km.prepared_vks, msg, &partials, &mut r)
+            .combine_batch_verified_prepared(&km.params, &prepared_vks, msg, &partials, &mut r)
             .unwrap();
         assert_eq!(plain, fast);
         assert!(scheme.verify(&km.public_key, msg, &fast));
@@ -764,16 +765,16 @@ mod tests {
         partials[0].sig.z = partials[1].sig.z;
         partials[5].sig.r = partials[1].sig.r;
         let fast = scheme
-            .combine_batch_verified_prepared(&km.params, &km.prepared_vks, msg, &partials, &mut r)
+            .combine_batch_verified_prepared(&km.params, &prepared_vks, msg, &partials, &mut r)
             .unwrap();
         assert_eq!(plain, fast);
         let direct = scheme
-            .combine_verified_prepared(&km.params, &km.prepared_vks, msg, &partials)
+            .combine_verified_prepared(&km.params, &prepared_vks, msg, &partials)
             .unwrap();
         assert_eq!(plain, direct);
         // Too few valid shares.
         assert_eq!(
-            scheme.combine_verified_prepared(&km.params, &km.prepared_vks, msg, &partials[..2]),
+            scheme.combine_verified_prepared(&km.params, &prepared_vks, msg, &partials[..2]),
             Err(CombineError::NotEnoughValidShares { valid: 1, need: 3 })
         );
         // Unknown index falls through to the filter (and fails there).
@@ -782,7 +783,7 @@ mod tests {
         assert!(scheme
             .combine_batch_verified_prepared(
                 &km.params,
-                &km.prepared_vks,
+                &prepared_vks,
                 msg,
                 &[alien, partials[1], partials[2]],
                 &mut r

@@ -134,11 +134,6 @@ impl ProactiveDeployment {
                 },
             );
         }
-        // The refreshed keys get fresh pairing line coefficients — the
-        // "refresh time" half of the keygen/refresh preparation contract.
-        self.material.prepared_vks =
-            crate::ro::prepare_verification_keys(&self.material.verification_keys);
-
         // Update each player's share with its own refresh output.
         let mut new_shares = BTreeMap::new();
         for (id, share) in &self.material.shares {
@@ -264,13 +259,6 @@ mod tests {
         .unwrap();
         assert_eq!(dep.epoch(), 1);
         assert_eq!(dep.material().public_key, pk_before);
-
-        // The prepared verification keys were rebuilt for the refreshed
-        // keys and stay index-aligned with the plain ones.
-        for (i, vk) in &dep.material().verification_keys {
-            assert_eq!(dep.material().prepared_vks[i].pk.key, vk.pk);
-            assert_eq!(dep.material().prepared_vks[i].index, *i);
-        }
 
         // New shares sign; the signature still verifies under the same PK
         // and (determinism) equals the pre-refresh signature.

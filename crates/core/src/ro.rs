@@ -76,9 +76,9 @@ pub struct VerificationKey {
 }
 
 /// A verification key with its pairing line coefficients precomputed —
-/// built at keygen/refresh time ([`KeyMaterial::prepared_vks`]) so the
-/// `Share-Verify` hot path pairs every `Ĝ`-side element through cached
-/// coefficients.
+/// built by a combiner that will check many shares
+/// ([`KeyMaterial::prepare_verification_keys`]) so the `Share-Verify`
+/// hot path pairs every `Ĝ`-side element through cached coefficients.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreparedVerificationKey {
     /// The server index `i`.
@@ -213,19 +213,28 @@ pub struct KeyMaterial {
     pub shares: BTreeMap<u32, KeyShare>,
     /// Verification keys for all players `1..=n`.
     pub verification_keys: BTreeMap<u32, VerificationKey>,
-    /// Prepared forms of the verification keys, index-aligned with
-    /// [`Self::verification_keys`] — cached at keygen (and rebuilt on
-    /// proactive refresh) for the prepared robust-combine paths
-    /// ([`ThresholdScheme::combine_verified_prepared`],
-    /// [`ThresholdScheme::combine_batch_verified_prepared`],
-    /// [`ThresholdScheme::share_verify_prepared`]), which verify shares
-    /// against fully prepared pairing arguments.
-    pub prepared_vks: BTreeMap<u32, PreparedVerificationKey>,
     /// Qualified dealer set from the DKG (all players for dealer keygen).
     pub qualified: BTreeSet<u32>,
     /// Combined Pedersen commitments (needed for proactive refresh and
     /// share recovery).
     pub commitments: Vec<PedersenCommitment>,
+}
+
+impl KeyMaterial {
+    /// Prepared forms of [`Self::verification_keys`], index-aligned, for
+    /// the prepared robust-combine paths
+    /// ([`ThresholdScheme::combine_verified_prepared`],
+    /// [`ThresholdScheme::combine_batch_verified_prepared`],
+    /// [`ThresholdScheme::share_verify_prepared`]). Built on request —
+    /// `2n` `G2Prepared` line tables, ≈ 39 KB per player — by the caller
+    /// that will verify many shares under these keys; after a proactive
+    /// refresh the keys change and the map must be built again.
+    pub fn prepare_verification_keys(&self) -> BTreeMap<u32, PreparedVerificationKey> {
+        self.verification_keys
+            .iter()
+            .map(|(i, vk)| (*i, vk.prepare()))
+            .collect()
+    }
 }
 
 /// Errors from `Combine`.
@@ -424,13 +433,11 @@ impl ThresholdScheme {
                 )
             })
             .collect();
-        let prepared_vks = prepare_verification_keys(&verification_keys);
         Ok(KeyMaterial {
             params,
             public_key,
             shares,
             verification_keys,
-            prepared_vks,
             qualified: reference.qualified.clone(),
             commitments: reference.combined_commitments.clone(),
         })
@@ -491,13 +498,11 @@ impl ThresholdScheme {
             );
             shares.insert(i, KeyShare { index: i, sk });
         }
-        let prepared_vks = prepare_verification_keys(&verification_keys);
         KeyMaterial {
             params,
             public_key,
             shares,
             verification_keys,
-            prepared_vks,
             qualified: (1..=params.n as u32).collect(),
             commitments,
         }
@@ -525,7 +530,7 @@ impl ThresholdScheme {
     }
 
     /// [`Self::share_verify`] against a prepared verification key
-    /// ([`KeyMaterial::prepared_vks`]): all four `Ĝ`-side pairing
+    /// ([`KeyMaterial::prepare_verification_keys`]): all four `Ĝ`-side pairing
     /// arguments replay cached line coefficients.
     pub fn share_verify_prepared(
         &self,
@@ -660,7 +665,7 @@ impl ThresholdScheme {
     }
 
     /// [`Self::combine_verified`] against the prepared verification keys
-    /// cached in [`KeyMaterial::prepared_vks`]: the per-share filter runs
+    /// of [`KeyMaterial::prepare_verification_keys`]: the per-share filter runs
     /// [`Self::share_verify_prepared`], so every `Ĝ`-side pairing
     /// argument replays cached line coefficients.
     ///
@@ -712,13 +717,6 @@ impl ThresholdScheme {
         let h = self.hash_message(msg);
         pk.pk.verify(&self.prepared, &h, &sig.sig)
     }
-}
-
-/// Prepares every verification key in a map (used at keygen and refresh).
-pub(crate) fn prepare_verification_keys(
-    vks: &BTreeMap<u32, VerificationKey>,
-) -> BTreeMap<u32, PreparedVerificationKey> {
-    vks.iter().map(|(i, vk)| (*i, vk.prepare())).collect()
 }
 
 /// Errors from distributed key generation.
@@ -925,27 +923,29 @@ mod tests {
     fn prepared_paths_agree_with_plain_verification() {
         let (scheme, km) = dealer_setup(2, 5);
         let msg = b"prepared";
-        // Keygen populated the prepared keys, index-aligned.
-        assert_eq!(km.prepared_vks.len(), km.verification_keys.len());
+        // The prepared keys are index-aligned with the plain ones.
+        let prepared_vks = km.prepare_verification_keys();
+        assert_eq!(prepared_vks.len(), km.verification_keys.len());
         for (i, vk) in &km.verification_keys {
-            assert_eq!(km.prepared_vks[i].pk.key, vk.pk);
+            assert_eq!(prepared_vks[i].index, *i);
+            assert_eq!(prepared_vks[i].pk.key, vk.pk);
         }
         let partials: Vec<PartialSignature> = (1..=5u32)
             .map(|i| scheme.share_sign(&km.shares[&i], msg))
             .collect();
         for p in &partials {
             let plain = scheme.share_verify(&km.verification_keys[&p.index], msg, p);
-            let fast = scheme.share_verify_prepared(&km.prepared_vks[&p.index], msg, p);
+            let fast = scheme.share_verify_prepared(&prepared_vks[&p.index], msg, p);
             assert!(plain && fast);
             // Index mismatch rejected by both.
-            let other = &km.prepared_vks[&(p.index % 5 + 1)];
+            let other = &prepared_vks[&(p.index % 5 + 1)];
             assert!(!scheme.share_verify_prepared(other, msg, p));
         }
         // Corrupt partial rejected by both paths.
         let mut bad = partials[0];
         bad.sig.z = bad.sig.r;
         assert!(!scheme.share_verify(&km.verification_keys[&1], msg, &bad));
-        assert!(!scheme.share_verify_prepared(&km.prepared_vks[&1], msg, &bad));
+        assert!(!scheme.share_verify_prepared(&prepared_vks[&1], msg, &bad));
         // Full verification through the prepared public key.
         let sig = scheme.combine(&km.params, &partials[..3]).unwrap();
         let pk_prep = km.public_key.prepare();

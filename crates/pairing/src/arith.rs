@@ -397,7 +397,45 @@ macro_rules! impl_montgomery_field {
             /// Raises this element to an arbitrary little-endian limb
             /// exponent. Variable-time; must not be used with secret
             /// exponents in hostile environments.
+            ///
+            /// A 4-bit fixed window: 14 multiplications fill the table
+            /// `self^0..self^15`, then every nibble costs four squarings
+            /// and at most one multiplication (one per 4 bits, against
+            /// one per 2 for square-and-multiply). Every production
+            /// caller — [`Self::invert`], `Fp::sqrt`, both legs of
+            /// `Fp2::sqrt` — passes a full-width exponent, where the
+            /// table is repaid many times over.
             pub fn pow_vartime(&self, exp: &[u64]) -> Self {
+                let mut table = [Self::one(); 16];
+                table[1] = *self;
+                for i in 2..16 {
+                    table[i] = table[i - 1].mul(self);
+                }
+                let mut res = Self::one();
+                let mut started = false;
+                for e in exp.iter().rev() {
+                    for shift in (0..64).step_by(4).rev() {
+                        if started {
+                            res = res.square().square().square().square();
+                        }
+                        let digit = ((*e >> shift) & 0xf) as usize;
+                        if digit != 0 {
+                            res = if started {
+                                res.mul(&table[digit])
+                            } else {
+                                table[digit]
+                            };
+                            started = true;
+                        }
+                    }
+                }
+                res
+            }
+
+            /// Square-and-multiply exponentiation: the oracle the
+            /// windowed [`Self::pow_vartime`] is tested against.
+            #[cfg(test)]
+            pub(crate) fn pow_vartime_binary(&self, exp: &[u64]) -> Self {
                 let mut res = Self::one();
                 let mut started = false;
                 for e in exp.iter().rev() {

@@ -96,8 +96,10 @@ pub const FR_INV_EXP: [u64; 4] = [
 /// Mask for the top limb when sampling random `Fr` elements (255 bits).
 pub const FR_TOP_MASK: u64 = (1u64 << 63) - 1;
 
-// ===== Fp2 sqrt exponents (p ≡ 3 mod 4) =====
-/// `(p-3)/4`, first exponent of the complex-method square root in `Fp2`.
+// ===== Fp2 square root (p ≡ 3 mod 4) =====
+/// `(p-3)/4`: for `δ ∈ Fp`, `t = δ^((p-3)/4)` gives both `tδ = √(±δ)`
+/// and `t = ±1/(tδ)`, the second leg of the norm-method square root in
+/// `Fp2`.
 pub const FP2_SQRT_E1: [u64; 6] = [
     0xee7fbfffffffeaaa,
     0x07aaffffac54ffff,
@@ -106,14 +108,15 @@ pub const FP2_SQRT_E1: [u64; 6] = [
     0x92c6e9ed90d2eb35,
     0x0680447a8e5ff9a6,
 ];
-/// `(p-1)/2`, second exponent of the complex-method square root in `Fp2`.
-pub const FP2_SQRT_E2: [u64; 6] = [
-    0xdcff7fffffffd555,
-    0x0f55ffff58a9ffff,
-    0xb39869507b587b12,
-    0xb23ba5c279c2895f,
-    0x258dd3db21a5d66b,
-    0x0d0088f51cbff34d,
+/// `1/2 ∈ Fp` in **Montgomery form** (`(p+1)/2 · 2^384 mod p`), wrapped
+/// directly by `Fp2::sqrt`. Generated by `tools/gen_pairing_constants.py`.
+pub const FP_HALF: [u64; 6] = [
+    0x1804000000015554,
+    0x855000053ab00001,
+    0x633cb57c253c276f,
+    0x6e22d1ec31ebb502,
+    0xd3916126f2d14ca2,
+    0x17fbb8571a006596,
 ];
 
 // ===== Generators (canonical integer limbs, not Montgomery form) =====

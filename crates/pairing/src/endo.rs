@@ -89,6 +89,23 @@ fn neg_g2(p: &G2Affine) -> G2Affine {
 
 // --- G2: untwist-Frobenius-twist ---
 
+/// `[BLS_X]P` by plain double-and-add from the top bit: `BLS_X` has
+/// Hamming weight 6, so the chain is 63 doublings and 5 mixed additions
+/// — fewer group operations than a wNAF ladder, which pays 4 to build
+/// its table of odd multiples before the first digit. Valid on every
+/// curve point, not only the subgroup (`add_affine` handles the
+/// doubling and cancelling cases small-order points can reach).
+fn mul_by_bls_x(p: &G2Affine) -> G2Projective {
+    let mut acc = p.to_projective();
+    for i in (0..BLS_X.ilog2()).rev() {
+        acc = acc.double();
+        if (BLS_X >> i) & 1 == 1 {
+            acc = acc.add_affine(p);
+        }
+    }
+    acc
+}
+
 pub(crate) struct PsiG2 {
     /// Multiplier of the conjugated x-coordinate.
     pub(crate) cx: Fp2,
@@ -110,7 +127,7 @@ impl PsiG2 {
 
     /// `ψ(P) − [±BLS_X]P` vanishes exactly on the subgroup.
     fn holds_for(&self, p: &G2Affine) -> bool {
-        let xp = p.to_projective().mul_vartime_limbs(&[BLS_X]);
+        let xp = mul_by_bls_x(p);
         let xp = if self.negative_eigenvalue { -xp } else { xp };
         xp.add_affine(&neg_g2(&self.apply(p))).is_identity()
     }
@@ -285,6 +302,28 @@ mod tests {
                 assert!(p.is_on_curve());
                 return p;
             }
+        }
+    }
+
+    #[test]
+    fn sparse_bls_x_chain_matches_wnaf_ladder() {
+        use crate::constants::ORDER;
+        let mut r = rng();
+        let check = |p: G2Affine| {
+            let want = p.to_projective().mul_vartime_limbs(&[BLS_X]);
+            assert!(mul_by_bls_x(&p) == want, "[x]P diverged on {:?}", p);
+        };
+        check(G2Affine::identity());
+        check(G2Affine::generator());
+        for _ in 0..4 {
+            check(G2Projective::random(&mut r).to_affine());
+            let off = random_g2_curve_point(&mut r);
+            check(off);
+            // [r]P kills the subgroup component: what is left has order
+            // dividing the cofactor.
+            let torsion = off.to_projective().mul_vartime_limbs(&ORDER);
+            assert!(!torsion.is_identity() && !torsion.is_torsion_free());
+            check(torsion.to_affine());
         }
     }
 

@@ -233,6 +233,39 @@ mod tests {
     }
 
     #[test]
+    fn windowed_pow_matches_square_and_multiply() {
+        use rand::RngCore;
+        let mut r = rng();
+        let a = Fp::random(&mut r);
+        let mut exps: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0],
+            vec![1],
+            vec![0xf],
+            vec![0x10],
+            vec![u64::MAX],
+            // Leading-zero limbs (most significant end) and a zero limb
+            // in the middle.
+            vec![5, 0, 0],
+            vec![0, 0, 0, 0, 0, 0],
+            vec![0x8000_0000_0000_0000, 0, 1, 0],
+            FP_INV_EXP.to_vec(),
+            FP_SQRT_EXP.to_vec(),
+            FP2_SQRT_E1.to_vec(),
+        ];
+        for limbs in 1..=6usize {
+            for _ in 0..4 {
+                exps.push((0..limbs).map(|_| r.next_u64()).collect());
+            }
+        }
+        for exp in &exps {
+            assert_eq!(a.pow_vartime(exp), a.pow_vartime_binary(exp), "{:x?}", exp);
+        }
+        assert_eq!(Fp::zero().pow_vartime(&[0]), Fp::one());
+        assert_eq!(Fp::zero().pow_vartime(&FP_INV_EXP), Fp::zero());
+    }
+
+    #[test]
     fn fermat_little_theorem() {
         let mut r = rng();
         let a = Fp::random(&mut r);

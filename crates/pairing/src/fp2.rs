@@ -4,7 +4,7 @@
 //! `Ĝ` of the paper, where verification keys live). The cubic/sextic
 //! non-residue used by the higher tower levels is `ξ = 1 + u`.
 
-use crate::constants::{FP2_SQRT_E1, FP2_SQRT_E2};
+use crate::constants::{FP2_SQRT_E1, FP_HALF};
 use crate::fp::Fp;
 use crate::traits::Field;
 use rand::RngCore;
@@ -94,37 +94,60 @@ impl Fp2 {
         Fp2::new(self.c0.double(), self.c1.double())
     }
 
-    /// Multiplicative inverse, `None` for zero.
-    pub fn invert(&self) -> Option<Self> {
-        // 1/(c0 + c1 u) = (c0 - c1 u) / (c0^2 + c1^2); the norm sums two
-        // unreduced squares (< 2p² < p·R) under one Montgomery reduction.
+    /// The norm `c0² + c1²` down to `Fp`: two unreduced squares
+    /// (`< 2p² < p·R`) under one Montgomery reduction.
+    fn norm(&self) -> Fp {
         let mut wide = Fp::add_wide(
             &Fp::mul_wide(&self.c0.0, &self.c0.0),
             &Fp::mul_wide(&self.c1.0, &self.c1.0),
         );
-        let norm = Fp(Fp::montgomery_reduce(&mut wide));
-        norm.invert()
+        Fp(Fp::montgomery_reduce(&mut wide))
+    }
+
+    /// Multiplicative inverse, `None` for zero.
+    pub fn invert(&self) -> Option<Self> {
+        // 1/(c0 + c1 u) = (c0 - c1 u) / (c0^2 + c1^2).
+        self.norm()
+            .invert()
             .map(|inv| Fp2::new(self.c0 * inv, -(self.c1 * inv)))
     }
 
     /// Computes a square root, if one exists.
     ///
-    /// Uses the "complex method" valid for `p ≡ 3 mod 4`; the result is
+    /// The norm method for `p ≡ 3 mod 4`. A root `x0 + x1·u` of
+    /// `a0 + a1·u` satisfies `x0² − x1² = a0`, `2·x0·x1 = a1` and
+    /// `x0² + x1² = ±s` where `s² = a0² + a1²`; a non-residue norm
+    /// therefore means no root, found after one `Fp` exponentiation.
+    /// Otherwise put `δ = (a0 + s)/2` and `t = δ^((p−3)/4)`, so that
+    /// `r = tδ` squares to `±δ` and `r·t = ±1` with the same sign:
+    ///
+    /// * `δ` a residue: `x0 = r`, `x1 = a1/(2r) = a1·t/2`;
+    /// * `δ` a non-residue: `x1² = −δ`, so `x1 = r`,
+    ///   `x0 = a1/(2r) = −a1·t/2`.
+    ///
+    /// Two `Fp` exponentiations and no inversion. The result is
     /// verified before being returned, so `None` exactly characterizes
-    /// non-residues.
+    /// non-residues. Which of the two roots comes back is unspecified;
+    /// callers normalise the sign.
     pub fn sqrt(&self) -> Option<Self> {
         if self.is_zero() {
             return Some(*self);
         }
-        let a1 = self.pow_vartime(&FP2_SQRT_E1); // a^((p-3)/4)
-        let x0 = a1 * *self;
-        let alpha = a1 * x0; // a^((p-1)/2)
-        let cand = if alpha == -Fp2::one() {
-            // multiply by u (a square root of -1)
-            Fp2::new(-x0.c1, x0.c0)
+        let s = self.norm().sqrt()?;
+        let half = Fp(FP_HALF);
+        let mut delta = (self.c0 + s) * half;
+        if delta.is_zero() {
+            // s = −a0, which forces a1 = 0: the other sign of s gives
+            // δ = (a0 − s)/2 = a0 ≠ 0.
+            delta = self.c0;
+        }
+        let t = delta.pow_vartime(&FP2_SQRT_E1);
+        let r = t * delta;
+        let y = self.c1 * t * half;
+        let cand = if r.square() == delta {
+            Fp2::new(r, y)
         } else {
-            let b = (alpha + Fp2::one()).pow_vartime(&FP2_SQRT_E2);
-            b * x0
+            Fp2::new(-y, r)
         };
         if cand.square() == *self {
             Some(cand)
@@ -354,6 +377,135 @@ mod tests {
         }
         // About half of all elements are non-squares.
         assert!(rejected > 0, "expected at least one non-residue in sample");
+    }
+
+    /// `(p-1)/2`, second exponent of the complex-method square root.
+    const FP2_SQRT_E2: [u64; 6] = [
+        0xdcff7fffffffd555,
+        0x0f55ffff58a9ffff,
+        0xb39869507b587b12,
+        0xb23ba5c279c2895f,
+        0x258dd3db21a5d66b,
+        0x0d0088f51cbff34d,
+    ];
+
+    /// The complex-method square root (two `Fp2` exponentiations) that
+    /// shipped before the norm method: the oracle for [`Fp2::sqrt`].
+    fn sqrt_complex(a: &Fp2) -> Option<Fp2> {
+        if a.is_zero() {
+            return Some(*a);
+        }
+        let a1 = a.pow_vartime(&FP2_SQRT_E1); // a^((p-3)/4)
+        let x0 = a1 * *a;
+        let alpha = a1 * x0; // a^((p-1)/2)
+        let cand = if alpha == -Fp2::one() {
+            // multiply by u (a square root of -1)
+            Fp2::new(-x0.c1, x0.c0)
+        } else {
+            let b = (alpha + Fp2::one()).pow_vartime(&FP2_SQRT_E2);
+            b * x0
+        };
+        if cand.square() == *a {
+            Some(cand)
+        } else {
+            None
+        }
+    }
+
+    /// `sqrt` agrees with the oracle on `a`: same `Some`/`None`, roots
+    /// equal up to sign, and the root squares back to `a`.
+    fn assert_sqrt_matches_oracle(a: Fp2) -> Option<Fp2> {
+        let got = a.sqrt();
+        match (got, sqrt_complex(&a)) {
+            (Some(root), Some(want)) => {
+                assert_eq!(root.square(), a, "root of {:?}", a);
+                assert!(root == want || root == -want, "roots of {:?} differ", a);
+            }
+            (None, None) => {}
+            (got, want) => panic!("sqrt({:?}) = {:?}, oracle {:?}", a, got, want),
+        }
+        got
+    }
+
+    #[test]
+    fn half_constant_is_one_half() {
+        assert_eq!(Fp(FP_HALF).double(), Fp::one());
+    }
+
+    #[test]
+    fn sqrt_matches_complex_method_on_random_elements() {
+        let mut r = rng();
+        let (mut residues, mut non_residues) = (0, 0);
+        for _ in 0..40 {
+            let a = Fp2::random(&mut r);
+            match assert_sqrt_matches_oracle(a) {
+                Some(_) => residues += 1,
+                None => non_residues += 1,
+            }
+            let root = assert_sqrt_matches_oracle(a.square()).expect("squares have roots");
+            assert!(root == a || root == -a);
+        }
+        // About half of all elements are non-squares.
+        assert!(residues > 0 && non_residues > 0);
+    }
+
+    #[test]
+    fn sqrt_edge_cases() {
+        let u = Fp2::new(Fp::zero(), Fp::one());
+        assert_eq!(assert_sqrt_matches_oracle(Fp2::zero()), Some(Fp2::zero()));
+        let root = assert_sqrt_matches_oracle(Fp2::one()).unwrap();
+        assert!(root == Fp2::one() || root == -Fp2::one());
+        // -1 is a non-residue of Fp, so its roots are ±u.
+        let root = assert_sqrt_matches_oracle(-Fp2::one()).unwrap();
+        assert!(root == u || root == -u);
+
+        // c1 = 0: a residue c0 has its Fp root, a non-residue c0 the
+        // root sqrt(-c0)·u; both signs of the norm's root s = ±c0 occur
+        // (s is the residue of the pair), so the δ = 0 fallback runs.
+        let mut r = rng();
+        let (mut residues, mut non_residues) = (0, 0);
+        while residues < 4 || non_residues < 4 {
+            let c0 = Fp::random(&mut r);
+            let root = assert_sqrt_matches_oracle(Fp2::from_fp(c0)).expect("Fp embeds in squares");
+            if c0.sqrt().is_some() {
+                assert!(root.c1.is_zero());
+                residues += 1;
+            } else {
+                assert!(root.c0.is_zero());
+                non_residues += 1;
+            }
+        }
+
+        // c0 = 0: a purely imaginary element is a square iff its norm
+        // c1² is one, which it always is.
+        for _ in 0..8 {
+            let a = Fp2::new(Fp::zero(), Fp::random(&mut r));
+            assert!(assert_sqrt_matches_oracle(a).is_some());
+        }
+    }
+
+    #[test]
+    fn sqrt_with_non_residue_delta() {
+        // For a = x², the norm's root comes back as the residue of
+        // ±N(x); when N(x) = x0² + x1² is a non-residue that is -N(x),
+        // and δ = (a0 + s)/2 = -x1² is a non-residue too: the branch
+        // that swaps the roles of the two coordinates.
+        let mut r = rng();
+        let mut forced = 0;
+        while forced < 8 {
+            let x = Fp2::random(&mut r);
+            if x.c1.is_zero() || x.norm().sqrt().is_some() {
+                continue;
+            }
+            let a = x.square();
+            let s = a.norm().sqrt().expect("norm of a square");
+            let delta = (a.c0 + s) * Fp(FP_HALF);
+            assert_eq!(delta, -x.c1.square());
+            assert!(delta.sqrt().is_none());
+            let root = assert_sqrt_matches_oracle(a).expect("squares have roots");
+            assert!(root == x || root == -x);
+            forced += 1;
+        }
     }
 
     #[test]

@@ -158,6 +158,16 @@ mod tests {
     }
 
     #[test]
+    fn windowed_pow_matches_square_and_multiply() {
+        let mut r = rng();
+        let a = Fr::random_nonzero(&mut r);
+        let e = Fr::random(&mut r).to_le_bits();
+        for exp in [&[0u64][..], &[1], &[0, 0, 7, 0], &e, &FR_INV_EXP] {
+            assert_eq!(a.pow_vartime(exp), a.pow_vartime_binary(exp), "{:x?}", exp);
+        }
+    }
+
+    #[test]
     fn serde_roundtrip_is_canonical() {
         // Fr serde goes through bytes; spot-check via Debug formatting too.
         let a = Fr::from_u64(123456789);

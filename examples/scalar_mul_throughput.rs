@@ -17,12 +17,19 @@
 //!   doubling chain);
 //! * the end-to-end batch-verify path must not regress (report-only
 //!   row: its random-weight MSM and fixed-base muls ride the same
-//!   kernels).
+//!   kernels);
+//! * strict decoding of a compressed G2 point (square root, curve and
+//!   subgroup checks) ≤ 0.75× one GLS scalar multiplication of the same
+//!   run — a host-independent ratio that held ≈ 1.1× while `Fp2::sqrt`
+//!   was the complex method and sits near 0.55× on the norm method. The
+//!   `fp2_sqrt` / `g1_decompress` / `g2_decompress` rows are µs per
+//!   operation, with `before_us` from a run of this file at the parent
+//!   commit of that change.
 //!
 //! Run with: `cargo run --release --example scalar_mul_throughput`
 
 use borndist::core::ro::{PartialSignature, Signature, ThresholdScheme};
-use borndist::pairing::{Fr, G1Projective, G2Projective};
+use borndist::pairing::{Fp2, Fr, G1Affine, G1Projective, G2Affine, G2Projective};
 use borndist::shamir::ThresholdParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,6 +46,16 @@ const G1_VS_SCHOOLBOOK: f64 = 2.0;
 const G1_VS_WNAF: f64 = 1.25;
 const G2_VS_SCHOOLBOOK: f64 = 2.0;
 const G2_VS_WNAF: f64 = 1.4;
+/// Ceiling on `g2_decompress` per-op time over GLS `g2_scalar_mul`
+/// per-op time, both from this run.
+const G2_DECOMPRESS_VS_MUL: f64 = 0.75;
+
+/// Per-op µs of the decode rows at the parent commit of the norm-method
+/// `Fp2::sqrt` (complex-method sqrt, square-and-multiply `pow_vartime`,
+/// wNAF `[x]P`): medians of five runs of this file there, same host.
+const FP2_SQRT_BEFORE_US: f64 = 221.9;
+const G1_DECOMPRESS_BEFORE_US: f64 = 140.3;
+const G2_DECOMPRESS_BEFORE_US: f64 = 343.6;
 
 /// Median-of-`REPS` wall-clock milliseconds for `f`, plus the relative
 /// spread of the samples (stability signal for the gate).
@@ -70,6 +87,25 @@ impl Row {
     }
     fn vs_wnaf(&self) -> f64 {
         self.wnaf_ms / self.glv_ms
+    }
+}
+
+/// A single-operation row: µs per op now and at the parent commit.
+struct OpRow {
+    name: &'static str,
+    us: f64,
+    before_us: f64,
+    spread: f64,
+}
+
+/// Times `f` over every input (one sample = `inputs.len()` ops).
+fn bench_op<T>(name: &'static str, before_us: f64, inputs: &[T], mut f: impl FnMut(&T)) -> OpRow {
+    let (ms, spread) = time_ms(|| inputs.iter().for_each(&mut f));
+    OpRow {
+        name,
+        us: ms * 1e3 / inputs.len() as f64,
+        before_us,
+        spread,
     }
 }
 
@@ -159,6 +195,29 @@ fn main() {
         },
     );
 
+    // Strict point decoding, the receive side of every DKG broadcast:
+    // the Fp2 square root alone, then the full G1 and G2 decoders on
+    // the compressed forms of the points above.
+    let g1_bytes: Vec<[u8; 48]> = g1.iter().map(|p| p.to_affine().to_compressed()).collect();
+    let g2_affine: Vec<G2Affine> = g2.iter().map(|p| p.to_affine()).collect();
+    let g2_bytes: Vec<[u8; 96]> = g2_affine.iter().map(|p| p.to_compressed()).collect();
+    let y_squares: Vec<Fp2> = g2_affine.iter().map(|p| p.y().square()).collect();
+    for (p, y2) in g2_affine.iter().zip(y_squares.iter()) {
+        let y = y2.sqrt().expect("y² of a curve point is a square");
+        assert!(y == p.y() || y == -p.y(), "Fp2 sqrt diverged");
+    }
+    let op_rows = [
+        bench_op("fp2_sqrt", FP2_SQRT_BEFORE_US, &y_squares, |a| {
+            std::hint::black_box(a.sqrt());
+        }),
+        bench_op("g1_decompress", G1_DECOMPRESS_BEFORE_US, &g1_bytes, |b| {
+            std::hint::black_box(G1Affine::from_compressed(b).expect("valid G1 encoding"));
+        }),
+        bench_op("g2_decompress", G2_DECOMPRESS_BEFORE_US, &g2_bytes, |b| {
+            std::hint::black_box(G2Affine::from_compressed(b).expect("valid G2 encoding"));
+        }),
+    ];
+
     // End-to-end verify path (report-only): 32-signature batch verify,
     // whose random-weight MSM, fixed-base muls and pairing prep all sit
     // on the kernels above.
@@ -206,13 +265,25 @@ fn main() {
             r.vs_wnaf()
         );
     }
+    for r in &op_rows {
+        println!(
+            "   {:<16} {:>8.1}us/op (was {:.1}us)",
+            r.name, r.us, r.before_us
+        );
+    }
     println!(
         "   verify path: 32-sig batch verify {:.2}ms (report-only)",
         verify_ms
     );
 
-    let spread = rows.iter().map(|r| r.spread).fold(verify_spread, f64::max);
+    let spread = rows
+        .iter()
+        .map(|r| r.spread)
+        .chain(op_rows.iter().map(|r| r.spread))
+        .fold(verify_spread, f64::max);
     let enforced = spread <= STABLE_SPREAD;
+    let g2_mul_us = rows[1].glv_ms * 1e3 / MULS as f64;
+    let decompress_vs_mul = op_rows[2].us / g2_mul_us;
     let floors = [
         (
             "g1 vs schoolbook",
@@ -237,6 +308,12 @@ fn main() {
                 got
             );
         }
+        assert!(
+            decompress_vs_mul <= G2_DECOMPRESS_VS_MUL,
+            "acceptance: g2 decompress must be <= {}x one GLS g2 mul (got {:.2}x)",
+            G2_DECOMPRESS_VS_MUL,
+            decompress_vs_mul
+        );
     } else {
         println!(
             "   gate: sample spread {:.0}% > {:.0}% — floors recorded but not \
@@ -254,8 +331,13 @@ fn main() {
         REPS, MULS, spread
     ));
     json.push_str(&format!(
-        "  \"gate\": {{\"enforced\": {}, \"floors\": {{\"g1_vs_schoolbook\": {:.2}, \"g1_vs_wnaf\": {:.2}, \"g2_vs_schoolbook\": {:.2}, \"g2_vs_wnaf\": {:.2}}}}},\n",
-        enforced, G1_VS_SCHOOLBOOK, G1_VS_WNAF, G2_VS_SCHOOLBOOK, G2_VS_WNAF
+        "  \"gate\": {{\"enforced\": {}, \"floors\": {{\"g1_vs_schoolbook\": {:.2}, \"g1_vs_wnaf\": {:.2}, \"g2_vs_schoolbook\": {:.2}, \"g2_vs_wnaf\": {:.2}, \"g2_decompress_vs_g2_mul_max\": {:.2}}}}},\n",
+        enforced,
+        G1_VS_SCHOOLBOOK,
+        G1_VS_WNAF,
+        G2_VS_SCHOOLBOOK,
+        G2_VS_WNAF,
+        G2_DECOMPRESS_VS_MUL
     ));
     json.push_str("  \"rows\": [\n");
     for r in &rows {
@@ -268,6 +350,19 @@ fn main() {
             r.vs_schoolbook(),
             r.vs_wnaf()
         ));
+    }
+    for r in &op_rows {
+        json.push_str(&format!(
+            "    {{\"name\": \"{}\", \"us\": {:.1}, \"before_us\": {:.1}, \"speedup\": {:.2}",
+            r.name,
+            r.us,
+            r.before_us,
+            r.before_us / r.us
+        ));
+        if r.name == "g2_decompress" {
+            json.push_str(&format!(", \"vs_g2_scalar_mul\": {:.2}", decompress_vs_mul));
+        }
+        json.push_str("},\n");
     }
     json.push_str(&format!(
         "    {{\"name\": \"verify_path_batch32\", \"ms\": {:.3}}}\n  ]\n}}",

@@ -38,8 +38,9 @@ EXPECTED = {
         ["unit", "host_parallelism", "gate", "service"],
         ["n", "time_ms", "aux", "skipped"],
     ),
-    # Rows are heterogeneous (GLV comparisons plus a verify-path sample),
-    # so only `name` is required per row; headline() dispatches on shape.
+    # Rows are heterogeneous (GLV comparisons, per-op decode rows and a
+    # verify-path sample), so only `name` is required per row;
+    # headline() dispatches on shape.
     "scalar_mul": (["unit", "reps", "gate"], []),
     "service": (
         ["host_parallelism", "enforced", "amortization_ratio"],
@@ -84,6 +85,11 @@ def headline(stem: str, row: dict) -> str:
     if stem == "scalar_mul":
         if "glv_ms" in row:
             return f"glv {row['glv_ms']:.3f} ms ({row['vs_schoolbook']:.2f}x vs schoolbook)"
+        if "us" in row:
+            cell = f"{row['us']:.1f} us (was {row['before_us']:.1f}, {row['speedup']:.2f}x)"
+            if "vs_g2_scalar_mul" in row:
+                cell += f", {row['vs_g2_scalar_mul']:.2f}x one GLS g2 mul"
+            return cell
         return f"{row['ms']:.3f} ms"
     if stem == "service":
         return f"{row['ops']} ops, p99 {row['p99_ms']:.2f} ms"

@@ -9,6 +9,9 @@ matching the existing generator/Frobenius constants):
 * ``FROB1_GAMMA`` — the p-power Frobenius coefficients
   ``gamma_i = xi^(i(p-1)/6) in Fp2`` for ``i = 0..5``, with ``xi = 1 + u``
   the sextic non-residue of the tower.
+* ``FP_HALF`` — ``1/2 in Fp`` in *Montgomery* form (``(p+1)/2 * 2^384 mod
+  p``, the one constant here that is not canonical: ``Fp2::sqrt`` wraps
+  the limbs directly, with no conversion multiply on the decode path).
 * ``GLV_*`` — the 2-dimensional GLV lattice for the scalar decomposition
   in ``crates/pairing/src/glv.rs``: the eigenvalue ``lambda = X^2 - 1``
   of the cube-root-of-unity endomorphism on G1 (and its conjugate
@@ -80,6 +83,12 @@ def main():
             print(f"        [\n{body}\n        ],")
         print("    ],")
     print("];")
+    print()
+
+    # --- 1/2 in Fp for the norm-method square root in Fp2 (fp2.rs) ---
+    half = (p + 1) // 2
+    assert 2 * half % p == 1
+    print(fmt("pub const FP_HALF: [u64; 6]", half * (1 << 384) % p, 6))
     print()
 
     # --- GLV lattice for the G1 scalar decomposition (glv.rs) ---
