@@ -1,7 +1,6 @@
 //! Thread-count scaling of the multi-core execution layer: the same
-//! MSM / batch-verification workloads at 1, 2, 4 and 8 threads (the
-//! EXPERIMENTS.md scaling-curve companion to
-//! `examples/parallel_throughput.rs`).
+//! MSM / batch-verification workloads at 1, 2, 4 and 8 threads
+//! (EXPERIMENTS.md, "Thread-count scaling").
 
 use borndist_bench::bench_rng;
 use borndist_core::ro::{PartialSignature, Signature, ThresholdScheme};

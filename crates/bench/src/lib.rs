@@ -9,7 +9,7 @@ use borndist_shamir::ThresholdParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub mod load;
+pub mod gate;
 
 /// Deterministic RNG for reproducible benchmark inputs.
 pub fn bench_rng() -> StdRng {

@@ -202,7 +202,6 @@ impl AggregateScheme {
             width: 2,
             mode: SharingMode::Fresh,
             aggregate: Some(self.bases),
-            checks: Default::default(),
         };
         let (outputs, metrics) = dkg_session(
             &cfg,

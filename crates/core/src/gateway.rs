@@ -1,6 +1,6 @@
 //! The aggregation/verification gateway — sustained-throughput front
 //! door for [`AggregateScheme`] traffic (DESIGN.md §2 "Aggregation
-//! gateway & load harness").
+//! gateway").
 //!
 //! Clients submit independent `(public key, message, signature)` triples
 //! ([`VerifyRequest`]); the gateway buffers them *per epoch* and answers

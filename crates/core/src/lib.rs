@@ -23,7 +23,7 @@
 //! * [`gateway`] — the amortized verification front door: independent
 //!   verify requests buffered per epoch and answered with one randomized
 //!   multi-pairing, with bisection on poisoned buffers (DESIGN.md §2
-//!   "Aggregation gateway & load harness").
+//!   "Aggregation gateway").
 //!
 //! ## Quickstart
 //!

@@ -340,8 +340,8 @@ pub struct MuxOutcome {
     /// arrival for [`MuxCoordinator::with_intake`] — and closed when the
     /// verified `Done` signature retires the session. Queueing delay
     /// under the backpressure bound is therefore *included*: this is the
-    /// client-observed service time, the histogram the load harness and
-    /// the daemon front-end both summarize.
+    /// client-observed service time, the histogram the daemon front-end
+    /// summarizes.
     pub latencies: BTreeMap<u64, Duration>,
 }
 

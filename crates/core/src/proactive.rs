@@ -106,7 +106,6 @@ impl ProactiveDeployment {
             width: 2,
             mode: SharingMode::Refresh,
             aggregate: None,
-            checks: Default::default(),
         };
         let (outputs, metrics) = refresh::refresh_session(&cfg, behaviors, seed, transport)
             .map_err(ProactiveError::Network)?;

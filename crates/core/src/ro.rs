@@ -365,7 +365,6 @@ impl ThresholdScheme {
             width: 2,
             mode: SharingMode::Fresh,
             aggregate: None,
-            checks: Default::default(),
         }
     }
 
@@ -576,61 +575,6 @@ impl ThresholdScheme {
             .collect();
         Ok(Signature {
             sig: sign_derive(&weighted),
-        })
-    }
-
-    /// [`Self::combine`] with the interpolation MSM split into shards of
-    /// `shard_size` partials, derived in parallel and summed exactly in
-    /// the group — bit-identical output to [`Self::combine`] (group
-    /// addition is associative), but at `n = 1024` the combiner can fan
-    /// the work across cores instead of one serial Pippenger call.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::combine`].
-    pub fn combine_sharded(
-        &self,
-        params: &ThresholdParams,
-        partials: &[PartialSignature],
-        shard_size: usize,
-    ) -> Result<Signature, CombineError> {
-        if shard_size == 0 || partials.len() <= shard_size {
-            return self.combine(params, partials);
-        }
-        if partials.len() < params.reconstruction_size() {
-            return Err(CombineError::NotEnoughShares {
-                have: partials.len(),
-                need: params.reconstruction_size(),
-            });
-        }
-        let indices: Vec<u32> = partials.iter().map(|p| p.index).collect();
-        let coeffs = self
-            .lagrange
-            .at_zero(&indices)
-            .map_err(|_| CombineError::BadIndices)?;
-        let shards: Vec<(usize, usize)> = (0..partials.len())
-            .step_by(shard_size)
-            .map(|start| (start, (start + shard_size).min(partials.len())))
-            .collect();
-        let parts = borndist_parallel::par_map(&shards, |&(lo, hi)| {
-            let weighted: Vec<(Fr, &OneTimeSignature)> = coeffs[lo..hi]
-                .iter()
-                .copied()
-                .zip(partials[lo..hi].iter().map(|p| &p.sig))
-                .collect();
-            sign_derive(&weighted)
-        });
-        let mut z = G1Projective::identity();
-        let mut r = G1Projective::identity();
-        for part in &parts {
-            z = z.add_affine(&part.z);
-            r = r.add_affine(&part.r);
-        }
-        Ok(Signature {
-            sig: OneTimeSignature {
-                z: z.to_affine(),
-                r: r.to_affine(),
-            },
         })
     }
 

@@ -26,9 +26,7 @@ use borndist_dkg::{dkg_session, Behavior, DkgConfig, SharingMode};
 use borndist_grothsahai as gs;
 use borndist_lhsps::{DpParams, PreparedDpParams};
 use borndist_net::Metrics;
-use borndist_pairing::{
-    hash_to_g1, hash_to_g2, msm, sha256, Fr, G1Affine, G1Table, G2Affine, G2Projective,
-};
+use borndist_pairing::{hash_to_g1, hash_to_g2, msm, sha256, Fr, G1Affine, G1Table, G2Affine};
 use borndist_shamir::{
     LagrangeCache, PedersenBases, PedersenCommitment, Polynomial, ThresholdParams,
 };
@@ -222,7 +220,6 @@ impl StandardScheme {
             width: 1,
             mode: SharingMode::Fresh,
             aggregate: None,
-            checks: Default::default(),
         };
         let (outputs, metrics) = dkg_session(
             &cfg,
@@ -461,10 +458,6 @@ impl StandardScheme {
         }
     }
 }
-
-/// Silences an unused-import lint kept for doc links.
-#[allow(dead_code)]
-fn _doc_refs(_: G2Projective) {}
 
 #[cfg(test)]
 mod tests {

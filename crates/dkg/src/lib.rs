@@ -44,8 +44,8 @@ pub mod refresh;
 
 pub use messages::{AggregateWitness, DkgMessage};
 pub use player::{
-    dkg_players, dkg_session, standard_config, AggregateBases, Behavior, CheckStrategy, DkgAbort,
-    DkgConfig, DkgOutput, DkgPlayer, SharingMode, SimulatedRunResult,
+    dkg_players, dkg_session, standard_config, AggregateBases, Behavior, DkgAbort, DkgConfig,
+    DkgOutput, DkgPlayer, SharingMode, SimulatedRunResult,
 };
 pub use recovery::{recover_share, Helper, RecoveryError, RecoveryMessage};
 pub use refresh::{apply_refresh, apply_refresh_commitments, refresh_session, RefreshOutput};

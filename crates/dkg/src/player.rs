@@ -31,7 +31,6 @@
 use crate::messages::{AggregateWitness, DkgMessage};
 use borndist_net::{Delivered, Outgoing, PlayerId, Protocol, Recipient, RoundAction};
 use borndist_pairing::{msm, multi_pairing, Fr, G1Affine, G1Projective, G2Affine};
-use borndist_parallel::par_map;
 use borndist_shamir::{
     pedersen_check_verdicts, PedersenBases, PedersenCheck, PedersenCommitment, PedersenShare,
     PedersenSharing, ThresholdParams,
@@ -40,22 +39,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Below this many dealers the per-dealer checks run inline: the
-/// simulator drives all `n` players in one process, so spawning threads
-/// for a handful of sub-millisecond verifications costs more than it
-/// buys — the DKG analogue of the minimum-work guards in the pairing
-/// crate (`PAR_MIN_POINTS`, `MIN_PAIRS_PER_SHARD`).
-const PAR_MIN_DEALERS: usize = 8;
-
-/// [`par_map`] with the [`PAR_MIN_DEALERS`] small-input guard.
-fn par_map_dealers<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if items.len() < PAR_MIN_DEALERS {
-        items.iter().map(f).collect()
-    } else {
-        par_map(items, f)
-    }
-}
 
 /// Whether a run deals fresh random secrets or a proactive refresh
 /// (zero secrets, §3.3).
@@ -66,29 +49,6 @@ pub enum SharingMode {
     /// Proactive refresh: all constant terms are zero and every player
     /// checks `Ŵ_{ik0} = 1`.
     Refresh,
-}
-
-/// How a player executes its per-dealer share-bundle checks.
-///
-/// Both strategies implement the **same** accept/reject semantics — the
-/// batched path bisects a failing batch down to plain per-share leaves,
-/// so a forged share among hundreds of honest dealers gets the same
-/// verdict either way (up to the negligible `|checks|/r` weight-collision
-/// probability of small-exponent batching). Complaint traffic, qualified
-/// sets and outputs are therefore identical under both strategies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CheckStrategy {
-    /// Fold all structurally valid bundles of a round into **one**
-    /// randomized cross-dealer multi-scalar multiplication
-    /// ([`borndist_shamir::pedersen_check_verdicts`]). The committee-scale
-    /// default: `O(n·t)` points in one Pippenger call instead of `n`
-    /// small MSMs.
-    #[default]
-    BatchedMsm,
-    /// One Pedersen evaluation per `(dealer, sharing)` — the literal
-    /// §3.1 check, kept as the reference path and the baseline leg of
-    /// the `dkg_scaling` release gate.
-    PerDealer,
 }
 
 /// Extra parameters of the Appendix G aggregate-capable variant:
@@ -115,9 +75,6 @@ pub struct DkgConfig {
     pub mode: SharingMode,
     /// Enables the Appendix G witness broadcast (requires `width == 2`).
     pub aggregate: Option<AggregateBases>,
-    /// How per-dealer share checks are executed (verdict-identical
-    /// strategies; see [`CheckStrategy`]).
-    pub checks: CheckStrategy,
 }
 
 /// One bundle judgment: the dealer's broadcast commitments, the share
@@ -131,10 +88,16 @@ type BundleCheck<'a> = (
 
 /// Judges one share bundle per entry. Structural validity (bundle
 /// present, full width, shares addressed to the expected index) is
-/// decided outside the algebra; the algebraic checks then run per the
-/// configured [`CheckStrategy`]. The weights of the batched path come
-/// from `check_seed` — a stream separate from the dealing RNG, so the
-/// strategy choice never perturbs dealt messages or golden traffic.
+/// decided outside the algebra; every structurally valid bundle of the
+/// call then folds into **one** randomized cross-dealer multi-scalar
+/// multiplication ([`pedersen_check_verdicts`]: `O(n·t)` points in one
+/// Pippenger call instead of `n` small MSMs), which bisects a failing
+/// batch down to plain per-share leaves — so a forged share among
+/// hundreds of honest dealers gets the literal §3.1 verdict, up to the
+/// negligible `|checks|/r` weight-collision probability of
+/// small-exponent batching. The weights come from `check_seed` — a
+/// stream separate from the dealing RNG, so checking never perturbs
+/// dealt messages or golden traffic.
 fn judge_bundles(cfg: &DkgConfig, check_seed: u64, items: &[BundleCheck<'_>]) -> Vec<bool> {
     let mut verdicts: Vec<bool> = items
         .iter()
@@ -144,48 +107,32 @@ fn judge_bundles(cfg: &DkgConfig, check_seed: u64, items: &[BundleCheck<'_>]) ->
             })
         })
         .collect();
-    match cfg.checks {
-        CheckStrategy::PerDealer => {
-            let idx: Vec<usize> = (0..items.len()).collect();
-            par_map_dealers(&idx, |&j| {
-                verdicts[j]
-                    && items[j]
-                        .1
-                        .expect("structurally valid bundle is present")
-                        .iter()
-                        .zip(items[j].0.iter())
-                        .all(|(s, c)| c.verify_share(&cfg.bases, s))
-            })
+    let mut checks: Vec<PedersenCheck<'_>> = Vec::new();
+    let mut owner: Vec<usize> = Vec::new();
+    for (j, ((coms, bundle, _), ok)) in items.iter().zip(verdicts.iter()).enumerate() {
+        if !*ok {
+            continue;
         }
-        CheckStrategy::BatchedMsm => {
-            let mut checks: Vec<PedersenCheck<'_>> = Vec::new();
-            let mut owner: Vec<usize> = Vec::new();
-            for (j, ((coms, bundle, _), ok)) in items.iter().zip(verdicts.iter()).enumerate() {
-                if !*ok {
-                    continue;
-                }
-                for (s, c) in bundle
-                    .expect("structurally valid bundle is present")
-                    .iter()
-                    .zip(coms.iter())
-                {
-                    checks.push(PedersenCheck {
-                        commitment: c,
-                        share: *s,
-                    });
-                    owner.push(j);
-                }
-            }
-            let mut rng = StdRng::seed_from_u64(check_seed);
-            let leaves = pedersen_check_verdicts(&cfg.bases, &checks, &mut rng);
-            for (o, v) in owner.iter().zip(leaves) {
-                if !v {
-                    verdicts[*o] = false;
-                }
-            }
-            verdicts
+        for (s, c) in bundle
+            .expect("structurally valid bundle is present")
+            .iter()
+            .zip(coms.iter())
+        {
+            checks.push(PedersenCheck {
+                commitment: c,
+                share: *s,
+            });
+            owner.push(j);
         }
     }
+    let mut rng = StdRng::seed_from_u64(check_seed);
+    let leaves = pedersen_check_verdicts(&cfg.bases, &checks, &mut rng);
+    for (o, v) in owner.iter().zip(leaves) {
+        if !v {
+            verdicts[*o] = false;
+        }
+    }
+    verdicts
 }
 
 /// Fault-injection hooks. `Behavior::default()` is fully honest.
@@ -330,8 +277,8 @@ pub struct DkgPlayer {
     shares_from: BTreeMap<PlayerId, Vec<PedersenShare>>,
     complaints: BTreeMap<PlayerId, BTreeSet<PlayerId>>,
     answered: BTreeMap<(PlayerId, PlayerId), Vec<PedersenShare>>,
-    /// Seed of the batch-weight RNG stream — distinct from `rng` so the
-    /// check strategy never consumes dealing randomness. (Deterministic
+    /// Seed of the batch-weight RNG stream — distinct from `rng` so
+    /// share checking never consumes dealing randomness. (Deterministic
     /// seeding is a simulation affordance; a deployment would draw the
     /// batch weights from fresh entropy.)
     check_seed: u64,
@@ -609,9 +556,8 @@ impl DkgPlayer {
             .filter(|d| !self.globally_bad.contains(d) && !self.commitments.contains_key(d))
             .collect();
         self.globally_bad.extend(missing);
-        // Share verification across all dealers at once — one randomized
-        // cross-dealer MSM under `CheckStrategy::BatchedMsm`, per-dealer
-        // pure work fanned across threads under `PerDealer`.
+        // Share verification across all dealers at once: one randomized
+        // cross-dealer MSM.
         let dealers: Vec<PlayerId> = (1..=self.n() as PlayerId)
             .filter(|d| !self.globally_bad.contains(d))
             .collect();
@@ -698,9 +644,8 @@ impl DkgPlayer {
         // pre-filter (globally bad, missing broadcast, more than `t`
         // complaints) costs no algebra; the surviving complaint-answer
         // share checks are a pure function of the broadcast record and
-        // fold into one cross-dealer batch under
-        // `CheckStrategy::BatchedMsm` — zero MSMs in a complaint-free
-        // run.
+        // fold into one cross-dealer batch — zero MSMs in a
+        // complaint-free run.
         let no_complaints = BTreeSet::new();
         let survivors: Vec<PlayerId> = (1..=self.n() as PlayerId)
             .filter(|dealer| {
@@ -932,6 +877,53 @@ pub fn standard_config(
         width,
         mode: SharingMode::Fresh,
         aggregate: agg,
-        checks: CheckStrategy::default(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One `judge_bundles` call over every kind of bundle. A short bundle
+    /// and a bundle addressed to another index have no [`Behavior`] hook,
+    /// so no protocol test reaches them.
+    #[test]
+    fn judge_bundles_gives_each_bundle_its_own_verdict() {
+        let params = ThresholdParams::new(1, 4).unwrap();
+        let cfg = standard_config(params, 2, b"judge-bundles", false);
+        let mut rng = StdRng::seed_from_u64(0x1d6e);
+        let me: PlayerId = 3;
+        let dealt: Vec<Vec<PedersenSharing>> = (0..5)
+            .map(|_| {
+                (0..cfg.width)
+                    .map(|_| PedersenSharing::deal_random(&cfg.bases, params.t, &mut rng))
+                    .collect()
+            })
+            .collect();
+        let coms: Vec<Vec<PedersenCommitment>> = dealt
+            .iter()
+            .map(|d| d.iter().map(|s| s.commitment.clone()).collect())
+            .collect();
+        let bundle = |dealer: usize, index: PlayerId| -> Vec<PedersenShare> {
+            dealt[dealer].iter().map(|s| s.share_for(index)).collect()
+        };
+        let honest = bundle(0, me);
+        let mut forged = bundle(1, me);
+        forged[1].a += Fr::one();
+        let short = bundle(3, me)[..1].to_vec();
+        // Valid openings of dealer 4's commitments, at someone else's index.
+        let misaddressed = bundle(4, me + 1);
+        let items: Vec<BundleCheck<'_>> = vec![
+            (&coms[0], Some(&honest), me),
+            (&coms[1], Some(&forged), me),
+            (&coms[2], None, me),
+            (&coms[3], Some(&short), me),
+            (&coms[4], Some(&misaddressed), me),
+            (&coms[4], Some(&misaddressed), me + 1),
+        ];
+        assert_eq!(
+            judge_bundles(&cfg, 7, &items),
+            [true, false, false, false, false, true]
+        );
     }
 }

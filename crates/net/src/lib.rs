@@ -309,7 +309,7 @@ impl Wire for Metrics {
 ///
 /// Built once from raw `Duration` samples by [`Self::from_samples`];
 /// every layer that reports request latency (the mux coordinator's
-/// enqueue→response stamps, the service front-end, the load harness)
+/// enqueue→response stamps, the service front-end, the gate examples)
 /// summarizes through this one type so daemon-mode and in-process
 /// histograms come from the same code path. It crosses the service's
 /// client framing, so it carries a canonical encoding.

@@ -1,49 +1,42 @@
-//! Batch-verification throughput measurement (the acceptance gauge for
-//! the `core::batch` subsystem): verifies 64 signatures sequentially and
-//! as one randomized batch, on the §3 ROM scheme, the partial-signature
-//! path, the Appendix G aggregate statements, and the §4 standard-model
-//! scheme, then prints a JSON record (the BENCH_batch_verify.json
-//! trajectory point; prose summary in EXPERIMENTS.md).
+//! Batch-verification gate (`core::batch` and `core::gateway`): verifies
+//! signatures one by one and as one randomized batch, on the §3 ROM
+//! scheme, the partial-signature path, the Appendix G aggregate
+//! statements, the §4 standard-model scheme and the aggregation gateway
+//! (the `BENCH_batch_verify.json` record; prose in EXPERIMENTS.md).
+//!
+//! Floors: a batch of 64 ROM signatures is ≥ 3× sequential `verify`, and
+//! a warm gateway buffer of 64 is ≥ 3× per-signature `verify` on the
+//! same traffic.
 //!
 //! Run with: `cargo run --release --example batch_throughput`
 
+use borndist::core::gateway::{AggregationGateway, GatewayConfig, VerifyRequest};
 use borndist::core::ro::{PartialSignature, Signature, ThresholdScheme};
 use borndist::core::standard::{StandardScheme, StdPartialSignature, StdSignature};
 use borndist::core::{AggPublicKey, AggregateScheme};
 use borndist::shamir::ThresholdParams;
+use borndist_bench::gate::{Record, Row};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 const REPS: usize = 3;
 
-/// Median-of-`REPS` wall-clock milliseconds for `f`.
-fn time_ms<F: FnMut() -> bool>(mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let start = Instant::now();
-            assert!(f(), "measured path must accept valid input");
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[REPS / 2]
-}
-
-struct Row {
+/// Adds row `name`: the median-of-`REPS` time of `batched` against that
+/// of `sequential`, each of which must accept its (valid) input.
+fn compare<'a>(
+    record: &'a mut Record,
     name: &'static str,
-    k: usize,
-    sequential_ms: f64,
-    batch_ms: f64,
+    n: usize,
+    mut sequential: impl FnMut() -> bool,
+    mut batched: impl FnMut() -> bool,
+) -> &'a mut Row {
+    let accept = "measured path must accept valid input";
+    let sequential_ms = record.median_ms(REPS, || assert!(sequential(), "{}", accept));
+    let batched_ms = record.median_ms(REPS, || assert!(batched(), "{}", accept));
+    record.row(name, n, batched_ms).baseline(sequential_ms)
 }
 
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.sequential_ms / self.batch_ms
-    }
-}
-
-fn ro_rows(rng: &mut StdRng) -> Vec<Row> {
+fn ro_rows(record: &mut Record, rng: &mut StdRng) {
     let scheme = ThresholdScheme::new(b"batch-throughput");
     let params = ThresholdParams::new(5, 16).unwrap();
     let km = scheme.dealer_keygen(params, rng);
@@ -65,13 +58,19 @@ fn ro_rows(rng: &mut StdRng) -> Vec<Row> {
         .zip(sigs.iter())
         .map(|(m, s)| (m.as_slice(), s))
         .collect();
-    let sequential = time_ms(|| {
-        items
-            .iter()
-            .all(|(m, s)| scheme.verify(&km.public_key, m, s))
-    });
     let mut r2 = StdRng::seed_from_u64(1);
-    let batch = time_ms(|| scheme.batch_verify(&km.public_key, &items, &mut r2));
+    compare(
+        record,
+        "ro_signatures",
+        k,
+        || {
+            items
+                .iter()
+                .all(|(m, s)| scheme.verify(&km.public_key, m, s))
+        },
+        || scheme.batch_verify(&km.public_key, &items, &mut r2),
+    )
+    .floor(3.0, true);
 
     // Partial signatures: the Combine pre-filter workload.
     let km64 = scheme.dealer_keygen(ThresholdParams::new(20, 64).unwrap(), rng);
@@ -79,32 +78,21 @@ fn ro_rows(rng: &mut StdRng) -> Vec<Row> {
     let partials: Vec<PartialSignature> = (1..=64u32)
         .map(|i| scheme.share_sign(&km64.shares[&i], msg))
         .collect();
-    let seq_shares = time_ms(|| {
-        partials
-            .iter()
-            .all(|p| scheme.share_verify(&km64.verification_keys[&p.index], msg, p))
-    });
     let mut r3 = StdRng::seed_from_u64(2);
-    let batch_shares =
-        time_ms(|| scheme.batch_share_verify(&km64.verification_keys, msg, &partials, &mut r3));
-
-    vec![
-        Row {
-            name: "ro_signatures",
-            k,
-            sequential_ms: sequential,
-            batch_ms: batch,
+    compare(
+        record,
+        "ro_shares",
+        64,
+        || {
+            partials
+                .iter()
+                .all(|p| scheme.share_verify(&km64.verification_keys[&p.index], msg, p))
         },
-        Row {
-            name: "ro_shares",
-            k: 64,
-            sequential_ms: seq_shares,
-            batch_ms: batch_shares,
-        },
-    ]
+        || scheme.batch_share_verify(&km64.verification_keys, msg, &partials, &mut r3),
+    );
 }
 
-fn aggregate_row(rng: &mut StdRng) -> Row {
+fn aggregate_row(record: &mut Record, rng: &mut StdRng) {
     let scheme = AggregateScheme::new(b"batch-throughput-agg");
     let params = ThresholdParams::new(1, 4).unwrap();
     let l = 16usize;
@@ -123,15 +111,14 @@ fn aggregate_row(rng: &mut StdRng) -> Row {
         .iter()
         .map(|(pk, m, _)| (pk.clone(), m.clone()))
         .collect();
-    let sequential = time_ms(|| scheme.aggregate_verify(&statements, &agg));
     let mut r2 = StdRng::seed_from_u64(3);
-    let batch = time_ms(|| scheme.aggregate_verify_batched(&statements, &agg, &mut r2));
-    Row {
-        name: "aggregate_statements",
-        k: l,
-        sequential_ms: sequential,
-        batch_ms: batch,
-    }
+    compare(
+        record,
+        "aggregate_statements",
+        l,
+        || scheme.aggregate_verify(&statements, &agg),
+        || scheme.aggregate_verify_batched(&statements, &agg, &mut r2),
+    );
 }
 
 /// The paper's compressed certification-chain shape: a chain of `l`
@@ -139,7 +126,7 @@ fn aggregate_row(rng: &mut StdRng) -> Row {
 /// verifier collapses same-key pairing slots, so the product costs
 /// `2a + 2` pairings instead of `2l + 2` — this row measures that
 /// collapse against the per-statement reference on identical inputs.
-fn aggregate_chain_row(rng: &mut StdRng) -> Row {
+fn aggregate_chain_row(record: &mut Record, rng: &mut StdRng) {
     let scheme = AggregateScheme::new(b"batch-throughput-agg-chain");
     let params = ThresholdParams::new(1, 4).unwrap();
     let (l, authorities) = (16usize, 4usize);
@@ -161,18 +148,17 @@ fn aggregate_chain_row(rng: &mut StdRng) -> Row {
         .iter()
         .map(|(pk, m, _)| (pk.clone(), m.clone()))
         .collect();
-    let sequential = time_ms(|| scheme.aggregate_verify(&statements, &agg));
     let mut r2 = StdRng::seed_from_u64(5);
-    let batch = time_ms(|| scheme.aggregate_verify_batched(&statements, &agg, &mut r2));
-    Row {
-        name: "aggregate_chain_4auth",
-        k: l,
-        sequential_ms: sequential,
-        batch_ms: batch,
-    }
+    compare(
+        record,
+        "aggregate_chain_4auth",
+        l,
+        || scheme.aggregate_verify(&statements, &agg),
+        || scheme.aggregate_verify_batched(&statements, &agg, &mut r2),
+    );
 }
 
-fn standard_row(rng: &mut StdRng) -> Row {
+fn standard_row(record: &mut Record, rng: &mut StdRng) {
     let scheme = StandardScheme::new(b"batch-throughput-std");
     let params = ThresholdParams::new(1, 4).unwrap();
     let km = scheme.dealer_keygen(params, rng);
@@ -192,63 +178,85 @@ fn standard_row(rng: &mut StdRng) -> Row {
         .zip(sigs.iter())
         .map(|(m, s)| (m.as_slice(), s))
         .collect();
-    let sequential = time_ms(|| {
-        items
-            .iter()
-            .all(|(m, s)| scheme.verify(&km.public_key, m, s))
-    });
     let mut r2 = StdRng::seed_from_u64(4);
-    let batch = time_ms(|| scheme.batch_verify(&km.public_key, &items, &mut r2));
-    Row {
-        name: "standard_signatures",
+    compare(
+        record,
+        "standard_signatures",
         k,
-        sequential_ms: sequential,
-        batch_ms: batch,
-    }
+        || {
+            items
+                .iter()
+                .all(|(m, s)| scheme.verify(&km.public_key, m, s))
+        },
+        || scheme.batch_verify(&km.public_key, &items, &mut r2),
+    );
+}
+
+/// The aggregation gateway's steady state — one randomized multi-pairing
+/// per 64-request buffer from 4 authorities, keys warm — against
+/// per-signature `verify` on one buffer of the same traffic.
+fn gateway_row(record: &mut Record, rng: &mut StdRng) {
+    let scheme = AggregateScheme::new(b"batch-throughput-gateway");
+    let params = ThresholdParams::new(1, 4).unwrap();
+    let keys: Vec<_> = (0..4).map(|_| scheme.dealer_keygen(params, rng)).collect();
+    let batch = 64usize;
+    // One warmup buffer (it pays the key preparation and the Appendix G
+    // key equations) plus one buffer per timed rep.
+    let requests: Vec<VerifyRequest> = (0..((REPS + 1) * batch) as u64)
+        .map(|id| {
+            let (pk, km) = &keys[id as usize % keys.len()];
+            let msg = format!("gateway message {}", id).into_bytes();
+            let partials: Vec<PartialSignature> = (1..=2u32)
+                .map(|j| scheme.share_sign(pk, &km.shares[&j], &msg))
+                .collect();
+            let sig = scheme.combine(&params, &partials).unwrap();
+            VerifyRequest {
+                id,
+                epoch: 0,
+                pk: pk.clone(),
+                msg,
+                sig,
+            }
+        })
+        .collect();
+    let first_buffer = requests[..batch].to_vec();
+    let config = GatewayConfig {
+        max_batch: batch,
+        ..GatewayConfig::default()
+    };
+    let mut gateway = AggregationGateway::new(scheme.clone(), config, StdRng::seed_from_u64(6));
+    let mut requests = requests.into_iter();
+    // The size trigger must answer each buffer whole.
+    let mut submit_buffer = || {
+        let verdicts: Vec<_> = requests
+            .by_ref()
+            .take(batch)
+            .flat_map(|r| gateway.submit(r))
+            .collect();
+        verdicts.len() == batch && verdicts.iter().all(|v| v.valid)
+    };
+    assert!(submit_buffer(), "warmup buffer must be accepted");
+    compare(
+        record,
+        "gateway_buffer_64",
+        batch,
+        || {
+            first_buffer
+                .iter()
+                .all(|r| scheme.verify(&r.pk, &r.msg, &r.sig))
+        },
+        submit_buffer,
+    )
+    .floor(3.0, true);
 }
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    let mut rows = ro_rows(&mut rng);
-    rows.push(aggregate_row(&mut rng));
-    rows.push(aggregate_chain_row(&mut rng));
-    rows.push(standard_row(&mut rng));
-
-    println!(
-        "== batch verification throughput (median of {} reps) ==",
-        REPS
-    );
-    for r in &rows {
-        println!(
-            "   {:<22} k={:<3} sequential {:>9.2} ms   batch {:>8.2} ms   speedup {:>5.1}x",
-            r.name,
-            r.k,
-            r.sequential_ms,
-            r.batch_ms,
-            r.speedup()
-        );
-    }
-    let headline = &rows[0];
-    assert!(
-        headline.speedup() >= 3.0,
-        "acceptance: batch of 64 must be >= 3x sequential (got {:.1}x)",
-        headline.speedup()
-    );
-
-    // Machine-readable record (BENCH_batch_verify.json).
-    let mut json = String::from("{\n  \"bench\": \"batch_verify\",\n  \"unit\": \"ms\",\n");
-    json.push_str(&format!("  \"reps\": {},\n  \"rows\": [\n", REPS));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"k\": {}, \"sequential_ms\": {:.3}, \"batch_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            r.name,
-            r.k,
-            r.sequential_ms,
-            r.batch_ms,
-            r.speedup(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}");
-    println!("\n{}", json);
+    let mut record = Record::new("batch_verify");
+    ro_rows(&mut record, &mut rng);
+    aggregate_row(&mut record, &mut rng);
+    aggregate_chain_row(&mut record, &mut rng);
+    standard_row(&mut record, &mut rng);
+    gateway_row(&mut record, &mut rng);
+    record.finish();
 }

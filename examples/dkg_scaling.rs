@@ -1,112 +1,41 @@
-//! Large-committee scaling gauge (the acceptance gate for the n = 128
-//! to 1024 push): measures the cross-dealer batched Pedersen check
-//! against the per-dealer baseline, a full n = 128 DKG session under
-//! both [`CheckStrategy`] settings, the `n = 512` session on hosts that
-//! can afford it, and the `n = 1024` combine path (Lagrange cache +
-//! sharded interpolation MSM). Prints a JSON record
-//! (the `BENCH_dkg_scaling.json` trajectory point; prose table E12 in
-//! EXPERIMENTS.md).
+//! Large-committee scaling gate (n = 128 to 1024): the cross-dealer
+//! batched Pedersen check against the per-share `verify_share` loop, one
+//! full n = 128 DKG session over `Lockstep`, and the n = 1024 combine
+//! path (Lagrange cache cold vs warm, one interpolation MSM) — the
+//! `BENCH_dkg_scaling.json` record; prose table E12 in EXPERIMENTS.md.
 //!
-//! Acceptance gates:
+//! Floor: the 128-dealer batched verdict pass is ≥ 1.3× the per-share
+//! loop (core-count independent: both sides are single MSM streams).
 //!
-//! * the 128-dealer batched verdict pass must be **≥ 1.3× faster** than
-//!   the per-dealer loop — enforced on every host (the ratio is
-//!   core-count independent: both sides are single MSM streams);
-//! * the full n = 128 batched DKG session must be no slower than the
-//!   per-dealer session — enforced only when
-//!   `std::thread::available_parallelism() ≥ 4` (the CI runners), since
-//!   on a loaded 1-core container the two ~minute-long runs are at the
-//!   mercy of the scheduler.
-//!
-//! Correctness cross-checks (always on, every host): batched verdicts
-//! equal per-dealer verdicts including a forged share; both strategies
-//! produce identical DKG outputs and byte-identical traffic; sharded
-//! combine equals the one-shot combine bit-for-bit.
+//! Correctness cross-checks: batched verdicts equal the per-share loop
+//! including a forged share; the n = 128 session finishes with all 128
+//! dealers qualified at every player; the n = 1024 signature verifies.
 //!
 //! Run with: `cargo run --release --example dkg_scaling`
 
 use borndist::core::ro::{PartialSignature, ThresholdScheme};
-use borndist::dkg::{dkg_session, standard_config, CheckStrategy, DkgOutput};
+use borndist::dkg::{dkg_session, standard_config};
 use borndist::net::TransportKind;
 use borndist::shamir::{pedersen_check_verdicts, PedersenCheck, PedersenSharing, ThresholdParams};
+use borndist_bench::gate::{once_ms, Record};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 const REPS: usize = 5;
-const GATE_THREADS: usize = 4;
-/// Floor on the shamir-level batched-vs-per-dealer verdict speedup
-/// (enforced on every host).
-const GATE_MIN_CHECK_SPEEDUP: f64 = 1.3;
-/// Floor on the session-level batched-vs-per-dealer speedup (enforced
-/// only on hosts with `>= GATE_THREADS` hardware threads).
-const GATE_MIN_SESSION_SPEEDUP: f64 = 1.0;
-
-/// Median-of-`REPS` wall-clock milliseconds for `f`.
-fn time_ms<F: FnMut()>(mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[REPS / 2]
-}
-
-/// One wall-clock millisecond sample (for the minute-scale session runs
-/// where `REPS` repetitions would be prohibitive).
-fn time_once_ms<F: FnOnce()>(f: F) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-struct Row {
-    name: &'static str,
-    n: usize,
-    baseline_ms: f64,
-    batched_ms: f64,
-    skipped: bool,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.baseline_ms / self.batched_ms
-    }
-}
-
-/// Runs one DKG session (all honest) under the given check strategy and
-/// returns the sorted outputs plus traffic metrics.
-fn session(
-    params: ThresholdParams,
-    checks: CheckStrategy,
-    seed: u64,
-) -> (Vec<DkgOutput>, borndist::net::Metrics) {
-    let mut cfg = standard_config(params, 2, b"borndist/dkg-scaling", false);
-    cfg.checks = checks;
-    let (outputs, metrics) = dkg_session(&cfg, &BTreeMap::new(), seed, &TransportKind::Lockstep)
-        .expect("scaling session must complete");
-    let outputs: Vec<DkgOutput> = outputs
-        .into_values()
-        .map(|o| o.expect("honest player must not abort"))
-        .collect();
-    (outputs, metrics)
-}
+/// Floor on the batched-vs-per-share verdict speedup at 128 dealers.
+const MIN_CHECK_SPEEDUP: f64 = 1.3;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(0xdc4_5ca1e);
-    let host = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut rows: Vec<Row> = Vec::new();
+    let mut record = Record::new("dkg_scaling");
 
     // --- leg A: 128-dealer batched Pedersen verdicts (the gate) ---
     // One receiving player's round-1 workload at n = 128, t = 16: one
-    // share check per dealer, judged per-dealer vs folded into a single
-    // cross-dealer MSM. The receiver sits at a representative committee
+    // share check per dealer, judged share by share vs folded into a
+    // single cross-dealer MSM. The receiver sits at a representative committee
     // index (97): checks evaluate commitments at powers of the player's
-    // own index, so a low index would hand the per-dealer baseline
+    // own index, so a low index would hand the per-share baseline
     // unrepresentatively small scalars.
     let t = 16usize;
     let dealers = 128usize;
@@ -129,87 +58,54 @@ fn main() {
     // Verdict agreement, including a forged share among the 128.
     let mut forged = checks.clone();
     forged[41].share.a += borndist::pairing::Fr::one();
-    let per_dealer: Vec<bool> = forged
+    let per_share: Vec<bool> = forged
         .iter()
         .map(|c| c.commitment.verify_share(&cfg_a.bases, &c.share))
         .collect();
     let mut check_rng = StdRng::seed_from_u64(11);
     let batched = pedersen_check_verdicts(&cfg_a.bases, &forged, &mut check_rng);
     assert_eq!(
-        batched, per_dealer,
-        "batched verdicts must equal the per-dealer loop"
+        batched, per_share,
+        "batched verdicts must equal the per-share loop"
     );
     assert!(!batched[41] && batched.iter().filter(|v| **v).count() == dealers - 1);
 
-    let baseline_ms = time_ms(|| {
+    let per_share_ms = record.median_ms(REPS, || {
         for c in &checks {
             assert!(c.commitment.verify_share(&cfg_a.bases, &c.share));
         }
     });
     let mut check_rng = StdRng::seed_from_u64(13);
-    let batched_ms = time_ms(|| {
+    let batched_ms = record.median_ms(REPS, || {
         let verdicts = pedersen_check_verdicts(&cfg_a.bases, &checks, &mut check_rng);
         assert!(verdicts.iter().all(|v| *v));
     });
-    rows.push(Row {
-        name: "pedersen_checks_128_dealers",
-        n: dealers,
-        baseline_ms,
-        batched_ms,
-        skipped: false,
-    });
+    record
+        .row("pedersen_checks_128_dealers", dealers, batched_ms)
+        .baseline(per_share_ms)
+        .floor(MIN_CHECK_SPEEDUP, true);
 
-    // --- leg B: full n = 128 DKG session, both strategies ---
-    let params_128 = ThresholdParams::new(4, 128).unwrap();
-    let mut out_batched: Vec<DkgOutput> = Vec::new();
-    let batched_session_ms = time_once_ms(|| {
-        let (o, _) = session(params_128, CheckStrategy::BatchedMsm, 0x5ca1e);
-        out_batched = o;
-    });
-    let mut out_per_dealer: Vec<DkgOutput> = Vec::new();
-    let mut metrics_pd = None;
-    let per_dealer_session_ms = time_once_ms(|| {
-        let (o, m) = session(params_128, CheckStrategy::PerDealer, 0x5ca1e);
-        out_per_dealer = o;
-        metrics_pd = Some(m);
-    });
-    assert_eq!(out_batched.len(), 128, "all 128 players must finish");
-    assert!(
-        out_batched.iter().all(|o| o.qualified.len() == 128),
-        "honest run must qualify every dealer"
+    // --- leg B: one full n = 128 DKG session (all honest, Lockstep) ---
+    let cfg_b = standard_config(
+        ThresholdParams::new(4, 128).unwrap(),
+        2,
+        b"borndist/dkg-scaling",
+        false,
     );
-    assert_eq!(
-        out_batched, out_per_dealer,
-        "check strategies must produce identical outputs at n = 128"
-    );
-    rows.push(Row {
-        name: "dkg_session_n128",
-        n: 128,
-        baseline_ms: per_dealer_session_ms,
-        batched_ms: batched_session_ms,
-        skipped: false,
+    let (session, session_ms) = once_ms(|| {
+        dkg_session(&cfg_b, &BTreeMap::new(), 0x5ca1e, &TransportKind::Lockstep)
+            .expect("scaling session must complete")
     });
-
-    // --- leg C: n = 512 session (hosts with >= GATE_THREADS only) ---
-    let run_512 = host >= GATE_THREADS;
-    let mut n512_ms = 0.0;
-    if run_512 {
-        let params_512 = ThresholdParams::new(2, 512).unwrap();
-        n512_ms = time_once_ms(|| {
-            let (o, _) = session(params_512, CheckStrategy::BatchedMsm, 0x512);
-            assert_eq!(o.len(), 512);
-            assert!(o.iter().all(|out| out.qualified.len() == 512));
-        });
+    let (outputs, metrics) = session;
+    assert_eq!(outputs.len(), 128, "all 128 players must finish");
+    for out in outputs.values() {
+        let out = out.as_ref().expect("honest player must not abort");
+        assert_eq!(out.qualified.len(), 128, "honest run qualifies everyone");
     }
-    rows.push(Row {
-        name: "dkg_session_n512",
-        n: 512,
-        baseline_ms: 0.0,
-        batched_ms: n512_ms,
-        skipped: !run_512,
-    });
+    assert!(metrics.messages > 0);
+    record.row("dkg_session_n128", 128, session_ms);
 
-    // --- leg D: n = 1024 combine — Lagrange cache + sharded MSM ---
+    // --- leg C: n = 1024 combine — Lagrange cache + interpolation MSM ---
     let scheme = ThresholdScheme::new(b"dkg-scaling/combine");
     let params_1024 = ThresholdParams::new(341, 1024).unwrap();
     let km = scheme.dealer_keygen(params_1024, &mut rng);
@@ -217,153 +113,21 @@ fn main() {
     let partials: Vec<PartialSignature> = (1..=1024u32)
         .map(|i| scheme.share_sign(&km.shares[&i], msg))
         .collect();
-    // Cold vs warm Lagrange coefficients over the full 1024-index set.
-    let indices: Vec<u32> = (1..=1024u32).collect();
+    // Cold (Lagrange coefficients over all 1024 indices derived inside
+    // the call) vs warm (coefficients cached, the interpolation MSM only).
     scheme.lagrange_cache().clear();
-    let lagrange_cold_ms = time_once_ms(|| {
-        std::hint::black_box(scheme.lagrange_cache().at_zero(&indices)).unwrap();
-    });
-    let lagrange_warm_ms = time_ms(|| {
-        std::hint::black_box(scheme.lagrange_cache().at_zero(&indices)).unwrap();
-    });
-    rows.push(Row {
-        name: "lagrange_at_zero_n1024",
-        n: 1024,
-        baseline_ms: lagrange_cold_ms,
-        batched_ms: lagrange_warm_ms,
-        skipped: false,
-    });
-    // One-shot vs sharded interpolation (cache warm for both).
-    let one_shot = scheme.combine(&params_1024, &partials).unwrap();
-    let sharded = scheme
-        .combine_sharded(&params_1024, &partials, 128)
-        .unwrap();
-    assert!(
-        one_shot.sig.z == sharded.sig.z && one_shot.sig.r == sharded.sig.r,
-        "sharded combine must be bit-identical to combine"
-    );
-    assert!(scheme.verify(&km.public_key, msg, &sharded));
-    let combine_ms = time_ms(|| {
+    let (signature, cold_ms) = once_ms(|| scheme.combine(&params_1024, &partials).unwrap());
+    assert!(scheme.verify(&km.public_key, msg, &signature));
+    let warm_ms = record.median_ms(REPS, || {
         std::hint::black_box(scheme.combine(&params_1024, &partials).unwrap());
     });
-    let sharded_ms = time_ms(|| {
-        std::hint::black_box(
-            scheme
-                .combine_sharded(&params_1024, &partials, 128)
-                .unwrap(),
-        );
+    record
+        .row("combine_n1024_warm_vs_cold", 1024, warm_ms)
+        .baseline(cold_ms);
+    let verify_ms = record.median_ms(REPS, || {
+        assert!(scheme.verify(&km.public_key, msg, &signature));
     });
-    rows.push(Row {
-        name: "combine_n1024_shard128",
-        n: 1024,
-        baseline_ms: combine_ms,
-        batched_ms: sharded_ms,
-        skipped: false,
-    });
+    record.row("verify_n1024", 1024, verify_ms);
 
-    // --- leg E: strategy parity at n = 16 (outputs + traffic bytes) ---
-    let params_16 = ThresholdParams::new(5, 16).unwrap();
-    let mut parity = None;
-    let batched_16_ms = time_once_ms(|| {
-        parity = Some(session(params_16, CheckStrategy::BatchedMsm, 0xe5));
-    });
-    let (o_b, m_b) = parity.expect("batched n=16 session");
-    let mut parity = None;
-    let per_dealer_16_ms = time_once_ms(|| {
-        parity = Some(session(params_16, CheckStrategy::PerDealer, 0xe5));
-    });
-    let (o_p, m_p) = parity.expect("per-dealer n=16 session");
-    rows.push(Row {
-        name: "dkg_session_n16",
-        n: 16,
-        baseline_ms: per_dealer_16_ms,
-        batched_ms: batched_16_ms,
-        skipped: false,
-    });
-    assert_eq!(o_b, o_p, "strategy parity: outputs must match at n = 16");
-    assert!(
-        m_b.same_traffic(&m_p),
-        "strategy parity: traffic must be byte-identical"
-    );
-    // The n = 128 per-dealer run above reuses the same seed as the
-    // batched run; its metrics must match a batched rerun's bytes too —
-    // already implied by identical outputs over a deterministic
-    // transport, so just sanity-check the metrics exist.
-    assert!(metrics_pd.expect("per-dealer metrics").messages > 0);
-
-    println!(
-        "== dkg scaling (median of {} reps for sub-second legs, host parallelism {}) ==",
-        REPS, host
-    );
-    println!(
-        "   {:<28} {:>6} {:>12} {:>12}  speedup",
-        "leg", "n", "baseline", "batched"
-    );
-    for r in &rows {
-        if r.skipped {
-            println!(
-                "   {:<28} {:>6} {:>12} {:>12}  (skipped: host < {} threads)",
-                r.name, r.n, "-", "-", GATE_THREADS
-            );
-        } else {
-            println!(
-                "   {:<28} {:>6} {:>10.2}ms {:>10.2}ms  {:>6.2}x",
-                r.name,
-                r.n,
-                r.baseline_ms,
-                r.batched_ms,
-                r.speedup()
-            );
-        }
-    }
-
-    let check_speedup = rows[0].speedup();
-    assert!(
-        check_speedup >= GATE_MIN_CHECK_SPEEDUP,
-        "acceptance: 128-dealer batched verdicts must be >= {}x the per-dealer loop (got {:.2}x)",
-        GATE_MIN_CHECK_SPEEDUP,
-        check_speedup
-    );
-    let session_speedup = rows[1].speedup();
-    let enforced = host >= GATE_THREADS;
-    if enforced {
-        assert!(
-            session_speedup >= GATE_MIN_SESSION_SPEEDUP,
-            "acceptance: batched n=128 session must be >= {}x the per-dealer session (got {:.2}x)",
-            GATE_MIN_SESSION_SPEEDUP,
-            session_speedup
-        );
-    } else {
-        println!(
-            "   gate: host has {} hardware thread(s) < {} — session-level floor not enforced \
-             (the {}x check-level floor above was still enforced)",
-            host, GATE_THREADS, GATE_MIN_CHECK_SPEEDUP
-        );
-    }
-
-    // Machine-readable record (BENCH_dkg_scaling.json).
-    let mut json = String::from("{\n  \"bench\": \"dkg_scaling\",\n  \"unit\": \"ms\",\n");
-    json.push_str(&format!(
-        "  \"reps\": {},\n  \"host_parallelism\": {},\n",
-        REPS, host
-    ));
-    json.push_str(&format!(
-        "  \"gate\": {{\"leg\": \"pedersen_checks_128_dealers\", \"min_speedup\": {:.1}, \"enforced\": true, \"speedup\": {:.2}, \"session_min_speedup\": {:.1}, \"session_enforced\": {}, \"session_speedup\": {:.2}}},\n",
-        GATE_MIN_CHECK_SPEEDUP, check_speedup, GATE_MIN_SESSION_SPEEDUP, enforced, session_speedup
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"baseline_ms\": {:.3}, \"batched_ms\": {:.3}, \"speedup\": {:.2}, \"skipped\": {}}}{}\n",
-            r.name,
-            r.n,
-            r.baseline_ms,
-            r.batched_ms,
-            if r.skipped { 0.0 } else { r.speedup() },
-            r.skipped,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}");
-    println!("\n{}", json);
+    record.finish();
 }

@@ -1,12 +1,10 @@
-//! Pairing-engine throughput measurement (the acceptance gauge for the
-//! ISSUE 3 optimal-ate rewrite): times the production ate engine against
+//! Pairing-engine gate: times the production optimal-ate engine against
 //! the retained Tate reference on single pairings and on the scheme's
 //! 4-pairing verification product, plus the prepared-argument replay
-//! path, then prints a JSON record (the BENCH_pairing_engine.json
-//! trajectory point; prose summary in EXPERIMENTS.md).
+//! path (the `BENCH_pairing_engine.json` record; prose in
+//! EXPERIMENTS.md).
 //!
-//! Aborts unless the ate engine is ≥ 3× faster than the Tate reference
-//! on a single pairing — the release-mode CI job runs this gate.
+//! Floor: the ate engine is ≥ 3× the Tate reference on a single pairing.
 //!
 //! Run with: `cargo run --release --example pairing_throughput`
 
@@ -14,40 +12,21 @@ use borndist::pairing::{
     multi_pairing, multi_pairing_prepared, multi_pairing_tate, pairing, pairing_tate, Fr, G1Affine,
     G1Projective, G2Affine, G2Prepared, G2Projective, Gt,
 };
+use borndist_bench::gate::Record;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 const REPS: usize = 3;
 const ITERS: usize = 20;
 
-/// Median-of-`REPS` wall-clock milliseconds for `ITERS` runs of `f`.
-fn time_ms<F: FnMut() -> Gt>(mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let start = Instant::now();
-            let mut acc = Gt::identity();
-            for _ in 0..ITERS {
-                acc = f();
-            }
-            assert!(!acc.is_identity(), "measured pairing must be non-trivial");
-            start.elapsed().as_secs_f64() * 1e3 / ITERS as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[REPS / 2]
-}
-
-struct Row {
-    name: &'static str,
-    ate_ms: f64,
-    reference_ms: f64,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.reference_ms / self.ate_ms
-    }
+/// Median-of-`REPS` milliseconds per call of `f` over `ITERS` calls.
+fn per_call_ms(record: &mut Record, mut f: impl FnMut() -> Gt) -> f64 {
+    let sample_ms = record.median_ms(REPS, || {
+        for _ in 0..ITERS {
+            assert!(!f().is_identity(), "measured pairing must be non-trivial");
+        }
+    });
+    sample_ms / ITERS as f64
 }
 
 fn main() {
@@ -78,55 +57,21 @@ fn main() {
     assert!(multi_pairing(&[(&ap, &q), (&nap, &q)]).is_identity());
     assert!(multi_pairing_tate(&[(&ap, &q), (&nap, &q)]).is_identity());
 
-    let single = Row {
-        name: "single_pairing",
-        ate_ms: time_ms(|| pairing(&p, &q)),
-        reference_ms: time_ms(|| pairing_tate(&p, &q)),
-    };
-    let product = Row {
-        name: "product_of_4",
-        ate_ms: time_ms(|| multi_pairing(&refs)),
-        reference_ms: time_ms(|| multi_pairing_tate(&refs)),
-    };
-    let prepared_row = Row {
-        name: "product_of_4_prepared",
-        ate_ms: time_ms(|| multi_pairing_prepared(&prepared)),
-        reference_ms: product.ate_ms, // reference: the live ate product
-    };
-    let rows = [single, product, prepared_row];
+    let mut record = Record::new("pairing_engine");
+    let ate_ms = per_call_ms(&mut record, || pairing(&p, &q));
+    let tate_ms = per_call_ms(&mut record, || pairing_tate(&p, &q));
+    let ate4_ms = per_call_ms(&mut record, || multi_pairing(&refs));
+    let tate4_ms = per_call_ms(&mut record, || multi_pairing_tate(&refs));
+    let prepared4_ms = per_call_ms(&mut record, || multi_pairing_prepared(&prepared));
 
-    println!("== pairing engine throughput (median of {} reps) ==", REPS);
-    for r in &rows {
-        println!(
-            "   {:<24} ate {:>8.3} ms   reference {:>8.3} ms   speedup {:>5.1}x",
-            r.name,
-            r.ate_ms,
-            r.reference_ms,
-            r.speedup()
-        );
-    }
-    assert!(
-        rows[0].speedup() >= 3.0,
-        "acceptance: optimal-ate pairing must be >= 3x the Tate reference (got {:.1}x)",
-        rows[0].speedup()
-    );
-
-    // Machine-readable record (BENCH_pairing_engine.json).
-    let mut json = String::from("{\n  \"bench\": \"pairing_engine\",\n  \"unit\": \"ms\",\n");
-    json.push_str(&format!(
-        "  \"reps\": {},\n  \"iters\": {},\n  \"rows\": [\n",
-        REPS, ITERS
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ate_ms\": {:.3}, \"reference_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            r.name,
-            r.ate_ms,
-            r.reference_ms,
-            r.speedup(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}");
-    println!("\n{}", json);
+    record
+        .row("single_pairing", 1, ate_ms)
+        .baseline(tate_ms)
+        .floor(3.0, true);
+    record.row("product_of_4", 4, ate4_ms).baseline(tate4_ms);
+    // Baseline: the live ate product above.
+    record
+        .row("product_of_4_prepared", 4, prepared4_ms)
+        .baseline(ate4_ms);
+    record.finish();
 }
