@@ -4,24 +4,42 @@
 //! The §3 scheme's signing is non-interactive — a signer needs only its
 //! share and the message — so the network shape is minimal: each signer
 //! sends its [`PartialSignature`] over the private channel to a
-//! designated combiner, which verifies shares as they arrive
-//! (`Share-Verify`), combines the first `t+1` valid ones, and broadcasts
-//! the resulting [`Signature`]. Everyone verifies the broadcast against
-//! the public key and finishes.
+//! designated combiner, which combines the first `t+1` it holds and
+//! broadcasts the resulting [`Signature`].
+//!
+//! The combiner is **optimistic** (one private `Combiner`, the only
+//! combine path of both [`SigningPlayer`] and [`MuxSignerPlayer`]):
+//! partials are collected *unverified*, the combined signature is verified once
+//! against the public key, and `Share-Verify` runs only when that check
+//! fails — which is what the paper's public share verifiability is for:
+//! naming the culprit, not taxing every honest partial. Offenders go
+//! into the session's `rejected` set (their retransmissions are then
+//! dropped without a pairing) and the survivors are recombined, so only
+//! a verified signature is ever broadcast and a Byzantine signer buys at
+//! most one fallback per session.
+//!
+//! Who verifies the broadcast depends on who *uses* it. A
+//! [`SigningPlayer`]'s output is the signature, so it verifies
+//! `Combined`. A [`MuxSignerPlayer`] outputs nothing: to it, `Done` from
+//! the session's own combiner only means "stop retransmitting" and is
+//! taken unverified, while a `Done` from anyone else is ignored. The
+//! [`MuxCoordinator`] verifies every `Done` before a client sees it.
 //!
 //! Two properties matter here:
 //!
 //! * **loss tolerance** — signers *re-send* their partial every round
-//!   until they see a valid combined signature, so the protocol
-//!   terminates over a lossy [`borndist_net::DeliveryPolicy`] (the
-//!   private links may drop; the combined-signature broadcast is
-//!   reliable by the model). That is the whole retransmission story: no
-//!   acks, no sequence numbers, because partial signatures are
-//!   idempotent and deterministic.
+//!   until the combiner's broadcast arrives, so the protocol terminates
+//!   over a lossy [`borndist_net::DeliveryPolicy`] (the private links may
+//!   drop; the combined-signature broadcast is reliable by the model).
+//!   That is the whole retransmission story: no acks, no sequence
+//!   numbers, because partial signatures are idempotent and
+//!   deterministic.
 //! * **byte discipline** — like the DKG, players decode-validate-then-
-//!   process: a malformed frame is ignored exactly like a dropped one,
-//!   and a partial signature that fails `Share-Verify` is discarded, so
-//!   Byzantine signers can delay nothing and forge nothing.
+//!   process: a malformed frame is ignored exactly like a dropped one, a
+//!   partial is collected only under its sender's own index and a known
+//!   verification key, and an invalid one is caught by the combined
+//!   check and discarded by name, so Byzantine signers can delay a
+//!   session by one fallback and forge nothing.
 
 use crate::ro::{
     KeyShare, PartialSignature, PublicKey, Signature, ThresholdScheme, VerificationKey,
@@ -70,22 +88,139 @@ impl Wire for SignMessage {
     }
 }
 
-/// One participant of a networked signing run.
-pub struct SigningPlayer {
+/// What every signing player knows about the committee it signs in.
+struct Committee {
     scheme: ThresholdScheme,
     params: ThresholdParams,
     public_key: PublicKey,
     vks: BTreeMap<u32, VerificationKey>,
-    combiner: PlayerId,
+    /// Pairing checks the combiners of this player ran.
+    #[cfg(test)]
+    calls: std::sync::Arc<CombinerCalls>,
+}
+
+#[cfg(test)]
+#[derive(Default)]
+struct CombinerCalls {
+    /// `Verify` calls on a combined signature.
+    verifies: std::sync::atomic::AtomicUsize,
+    /// `Share-Verify` calls made by fallbacks.
+    fallback_checks: std::sync::atomic::AtomicUsize,
+}
+
+/// The combiner's side of one signing session: collects partials
+/// unverified, combines the first `t+1`, verifies the *combined*
+/// signature, and falls back to `Share-Verify` only when that fails.
+struct Combiner {
+    /// Partials held, by signer index (the first one per index wins).
+    held: BTreeMap<u32, PartialSignature>,
+    /// Held indices known valid: the combiner's own partial and the
+    /// survivors of a fallback, which a later fallback does not re-check.
+    vouched: BTreeSet<u32>,
+    /// Indices `Share-Verify` rejected. Nothing from them is collected
+    /// again, so a rejected signer's retransmissions cost no pairing.
+    rejected: BTreeSet<u32>,
+}
+
+impl Combiner {
+    fn new(own: PartialSignature) -> Self {
+        Combiner {
+            held: BTreeMap::from([(own.index, own)]),
+            vouched: BTreeSet::from([own.index]),
+            rejected: BTreeSet::new(),
+        }
+    }
+
+    /// Collects `psig`, unverified, if `from` sent it under its own
+    /// index, that index has a verification key and was not rejected.
+    fn offer(&mut self, committee: &Committee, from: PlayerId, psig: &PartialSignature) {
+        if psig.index == from
+            && committee.vks.contains_key(&psig.index)
+            && !self.rejected.contains(&psig.index)
+        {
+            self.held.entry(psig.index).or_insert(*psig);
+        }
+    }
+
+    fn combine_first(&self, committee: &Committee) -> Option<Signature> {
+        let quorum = committee.params.reconstruction_size();
+        if self.held.len() < quorum {
+            return None;
+        }
+        let first: Vec<PartialSignature> = self.held.values().take(quorum).copied().collect();
+        Some(
+            committee
+                .scheme
+                .combine(&committee.params, &first)
+                .expect("t+1 partials at distinct verification-key indices"),
+        )
+    }
+
+    fn verified(committee: &Committee, msg: &[u8], sig: Signature) -> Option<Signature> {
+        #[cfg(test)]
+        committee
+            .calls
+            .verifies
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        committee
+            .scheme
+            .verify(&committee.public_key, msg, &sig)
+            .then_some(sig)
+    }
+
+    /// The session's signature once `t+1` valid partials are held,
+    /// `None` until then. Whatever is returned has passed `Verify`.
+    fn try_combine(&mut self, committee: &Committee, msg: &[u8]) -> Option<Signature> {
+        let sig = self.combine_first(committee)?;
+        if let Some(sig) = Self::verified(committee, msg, sig) {
+            return Some(sig);
+        }
+        // Some held partial is invalid: Share-Verify names which. Every
+        // failed combine rejects at least one signer for good, so a
+        // Byzantine signer forces at most one pass through here.
+        let offenders: Vec<u32> = self
+            .held
+            .iter()
+            .filter(|(index, psig)| {
+                if self.vouched.contains(index) {
+                    return false;
+                }
+                #[cfg(test)]
+                committee
+                    .calls
+                    .fallback_checks
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                !committee
+                    .scheme
+                    .share_verify(&committee.vks[index], msg, psig)
+            })
+            .map(|(index, _)| *index)
+            .collect();
+        for index in &offenders {
+            self.held.remove(index);
+        }
+        self.rejected.extend(offenders);
+        self.vouched = self.held.keys().copied().collect();
+        let sig = self.combine_first(committee)?;
+        Self::verified(committee, msg, sig)
+    }
+}
+
+/// One participant of a networked signing run.
+pub struct SigningPlayer {
+    committee: Committee,
+    combiner_id: PlayerId,
     id: PlayerId,
     msg: Vec<u8>,
     /// This player's own partial (computed once; signing is
     /// deterministic, so retransmissions are byte-identical).
     own_partial: PartialSignature,
-    /// Valid partials collected so far (combiner role).
-    collected: BTreeMap<u32, PartialSignature>,
-    /// Set once the combined signature is broadcast/seen.
-    broadcasted: bool,
+    /// The combiner role, on the one player that has it.
+    combiner: Option<Combiner>,
+    /// Combiner only: the signature it verified and broadcast. It is
+    /// this player's output one round later, when everyone else's
+    /// copy of the broadcast arrives.
+    combined: Option<Signature>,
 }
 
 impl SigningPlayer {
@@ -101,49 +236,22 @@ impl SigningPlayer {
     ) -> Self {
         let own_partial = scheme.share_sign(share, &msg);
         let id = share.index;
-        let mut collected = BTreeMap::new();
-        if id == combiner {
-            collected.insert(id, own_partial);
-        }
         SigningPlayer {
-            scheme,
-            params,
-            public_key,
-            vks,
-            combiner,
+            committee: Committee {
+                scheme,
+                params,
+                public_key,
+                vks,
+                #[cfg(test)]
+                calls: Default::default(),
+            },
+            combiner_id: combiner,
             id,
             msg,
             own_partial,
-            collected,
-            broadcasted: false,
+            combiner: (id == combiner).then(|| Combiner::new(own_partial)),
+            combined: None,
         }
-    }
-
-    fn absorb(&mut self, inbox: &[Delivered<SignMessage>]) -> Option<Signature> {
-        for d in inbox {
-            // Decode-validate-then-process: malformed frames are treated
-            // exactly like lost ones (the sender will retransmit).
-            match &d.msg {
-                Ok(SignMessage::Combined(sig))
-                    if d.broadcast && self.scheme.verify(&self.public_key, &self.msg, sig) =>
-                {
-                    return Some(*sig);
-                }
-                Ok(SignMessage::Partial(p))
-                    if !d.broadcast
-                        && self.id == self.combiner
-                        && p.index == d.from
-                        && self
-                            .vks
-                            .get(&p.index)
-                            .is_some_and(|vk| self.scheme.share_verify(vk, &self.msg, p)) =>
-                {
-                    self.collected.insert(p.index, *p);
-                }
-                _ => {}
-            }
-        }
-        None
     }
 }
 
@@ -156,31 +264,49 @@ impl Protocol for SigningPlayer {
         _round: usize,
         inbox: &[Delivered<SignMessage>],
     ) -> RoundAction<SignMessage, Signature> {
-        if let Some(sig) = self.absorb(inbox) {
+        if let Some(sig) = self.combined {
             return RoundAction::Finish(sig);
         }
-        let mut out = Vec::new();
-        if self.id == self.combiner {
-            if !self.broadcasted && self.collected.len() >= self.params.reconstruction_size() {
-                let partials: Vec<PartialSignature> = self.collected.values().copied().collect();
-                let sig = self
-                    .scheme
-                    .combine(&self.params, &partials)
-                    .expect("collected >= t+1 verified partials");
-                self.broadcasted = true;
-                // The broadcast reaches the combiner itself next round,
-                // which is when it finishes (uniform exit path).
-                out.push(Outgoing {
-                    to: Recipient::Broadcast,
-                    msg: SignMessage::Combined(sig),
-                });
+        for d in inbox {
+            // Decode-validate-then-process: malformed frames are treated
+            // exactly like lost ones (the sender will retransmit).
+            match &d.msg {
+                // This player's output is the signature, so it checks
+                // the broadcast itself, whoever sent it.
+                Ok(SignMessage::Combined(sig))
+                    if d.broadcast
+                        && self.committee.scheme.verify(
+                            &self.committee.public_key,
+                            &self.msg,
+                            sig,
+                        ) =>
+                {
+                    return RoundAction::Finish(*sig);
+                }
+                Ok(SignMessage::Partial(p)) if !d.broadcast => {
+                    if let Some(combiner) = &mut self.combiner {
+                        combiner.offer(&self.committee, d.from, p);
+                    }
+                }
+                _ => {}
             }
-        } else {
+        }
+        let mut out = Vec::new();
+        match &mut self.combiner {
+            Some(combiner) => {
+                if let Some(sig) = combiner.try_combine(&self.committee, &self.msg) {
+                    self.combined = Some(sig);
+                    out.push(Outgoing {
+                        to: Recipient::Broadcast,
+                        msg: SignMessage::Combined(sig),
+                    });
+                }
+            }
             // Retransmit until the combined signature arrives.
-            out.push(Outgoing {
-                to: Recipient::Private(self.combiner),
+            None => out.push(Outgoing {
+                to: Recipient::Private(self.combiner_id),
                 msg: SignMessage::Partial(self.own_partial),
-            });
+            }),
         }
         RoundAction::Continue(out)
     }
@@ -323,14 +449,22 @@ impl Wire for MuxMessage {
     }
 }
 
-/// What a multiplexed run returns per player: every combined signature
-/// the player observed, keyed by session id, plus (coordinator only)
-/// the in-flight high-water mark the backpressure bound was measured
-/// at and the per-request service latencies.
+/// What a multiplexed run returns per player. The coordinator's carries
+/// every combined signature (it verified each one), the in-flight
+/// high-water mark the backpressure bound was measured at and the
+/// per-request service latencies; a signer's carries how many sessions
+/// it saw through and whom it rejected as a combiner.
 #[derive(Clone, Debug, Default)]
 pub struct MuxOutcome {
-    /// Verified combined signatures by session id.
+    /// Verified combined signatures by session id. Empty for signer
+    /// players: they verify no `Done`, so they report none.
     pub signatures: BTreeMap<u64, Signature>,
+    /// Number of sessions this player saw finish.
+    pub finished: usize,
+    /// Sessions in which this player, as combiner, had to fall back to
+    /// `Share-Verify`, with the signer indices it rejected. Empty in an
+    /// all-honest run.
+    pub rejected: BTreeMap<u64, BTreeSet<u32>>,
     /// Maximum number of sessions that were simultaneously in flight
     /// (0 for signer players — only the coordinator opens sessions).
     pub high_water: usize,
@@ -345,14 +479,12 @@ pub struct MuxOutcome {
     pub latencies: BTreeMap<u64, Duration>,
 }
 
-/// Per-session signer state.
+/// A signer's state for one session still in flight.
 struct MuxSession {
     msg: Vec<u8>,
     own_partial: PartialSignature,
-    /// Valid partials collected so far (this session's combiner only).
-    collected: BTreeMap<u32, PartialSignature>,
-    broadcasted: bool,
-    done: Option<Signature>,
+    /// The combiner role, if this player has it for this session.
+    combiner: Option<Combiner>,
 }
 
 /// The session combiner rotates deterministically over the signer set,
@@ -366,16 +498,18 @@ fn combiner_of(signer_ids: &[PlayerId], session: u64) -> PlayerId {
 /// session the coordinator opens, combining those sessions it is the
 /// rotating combiner for. Loss tolerance is per session, identical to
 /// [`SigningPlayer`]: partials are retransmitted every round until the
-/// session's `Done` broadcast arrives.
+/// session's `Done` broadcast arrives from its combiner.
 pub struct MuxSignerPlayer {
-    scheme: ThresholdScheme,
-    params: ThresholdParams,
-    public_key: PublicKey,
-    vks: BTreeMap<u32, VerificationKey>,
+    committee: Committee,
     share: KeyShare,
     signer_ids: Vec<PlayerId>,
     id: PlayerId,
+    /// Sessions in flight.
     sessions: BTreeMap<u64, MuxSession>,
+    /// Finished sessions, reduced to their ids: all that is still needed
+    /// is that a duplicated `Open` does not restart one.
+    finished: BTreeSet<u64>,
+    rejected: BTreeMap<u64, BTreeSet<u32>>,
     shutdown: bool,
 }
 
@@ -393,69 +527,69 @@ impl MuxSignerPlayer {
         signer_ids.sort_unstable();
         let id = share.index;
         MuxSignerPlayer {
-            scheme,
-            params,
-            public_key,
-            vks,
+            committee: Committee {
+                scheme,
+                params,
+                public_key,
+                vks,
+                #[cfg(test)]
+                calls: Default::default(),
+            },
             share,
             signer_ids,
             id,
             sessions: BTreeMap::new(),
+            finished: BTreeSet::new(),
+            rejected: BTreeMap::new(),
             shutdown: false,
+        }
+    }
+
+    fn finish(&mut self, session: u64) {
+        if self.sessions.remove(&session).is_some() {
+            self.finished.insert(session);
         }
     }
 
     fn absorb(&mut self, inbox: &[Delivered<MuxMessage>]) {
         for d in inbox {
             // Decode-validate-then-process: malformed frames are ignored
-            // like lost ones; invalid partials are discarded after
-            // Share-Verify.
+            // like lost ones.
             match &d.msg {
                 Ok(MuxMessage::Open { session, msg }) if d.broadcast => {
-                    if self.sessions.contains_key(session) {
+                    if self.finished.contains(session) || self.sessions.contains_key(session) {
                         continue;
                     }
-                    let own_partial = self.scheme.share_sign(&self.share, msg);
-                    let mut collected = BTreeMap::new();
-                    if combiner_of(&self.signer_ids, *session) == self.id {
-                        collected.insert(self.id, own_partial);
-                    }
+                    let own_partial = self.committee.scheme.share_sign(&self.share, msg);
+                    let combines = combiner_of(&self.signer_ids, *session) == self.id;
                     self.sessions.insert(
                         *session,
                         MuxSession {
                             msg: msg.clone(),
                             own_partial,
-                            collected,
-                            broadcasted: false,
-                            done: None,
+                            combiner: combines.then(|| Combiner::new(own_partial)),
                         },
                     );
                 }
                 Ok(MuxMessage::Partial { session, psig }) if !d.broadcast => {
-                    let combiner = combiner_of(&self.signer_ids, *session);
-                    if combiner != self.id || psig.index != d.from {
-                        continue;
-                    }
-                    let Some(state) = self.sessions.get_mut(session) else {
-                        continue;
-                    };
-                    if state.done.is_none()
-                        && self
-                            .vks
-                            .get(&psig.index)
-                            .is_some_and(|vk| self.scheme.share_verify(vk, &state.msg, psig))
+                    if let Some(MuxSession {
+                        combiner: Some(combiner),
+                        ..
+                    }) = self.sessions.get_mut(session)
                     {
-                        state.collected.insert(psig.index, *psig);
+                        combiner.offer(&self.committee, d.from, psig);
                     }
                 }
-                Ok(MuxMessage::Done { session, sig }) if d.broadcast => {
-                    if let Some(state) = self.sessions.get_mut(session) {
-                        if state.done.is_none()
-                            && self.scheme.verify(&self.public_key, &state.msg, sig)
-                        {
-                            state.done = Some(*sig);
-                        }
-                    }
+                // Unverified on purpose: a signer outputs no signature,
+                // so `Done` only tells it to stop retransmitting, and
+                // only the session's combiner may say so. A combiner
+                // lying here stalls its own session — which it could
+                // already do by staying silent — and the coordinator's
+                // check keeps the lie from any client.
+                Ok(MuxMessage::Done { session, .. })
+                    if d.broadcast && d.from == combiner_of(&self.signer_ids, *session) =>
+                {
+                    self.finish(*session);
                 }
                 Ok(MuxMessage::Shutdown) if d.broadcast => self.shutdown = true,
                 _ => {}
@@ -477,52 +611,51 @@ impl Protocol for MuxSignerPlayer {
         if self.shutdown {
             // The coordinator only shuts down once every opened session
             // is done, so nothing in flight is abandoned here.
-            let signatures = self
-                .sessions
-                .iter()
-                .filter_map(|(s, st)| st.done.map(|sig| (*s, sig)))
-                .collect();
             return RoundAction::Finish(MuxOutcome {
-                signatures,
-                high_water: 0,
-                latencies: BTreeMap::new(),
+                finished: self.finished.len(),
+                rejected: std::mem::take(&mut self.rejected),
+                ..MuxOutcome::default()
             });
         }
         let mut out = Vec::new();
-        let quorum = self.params.reconstruction_size();
-        for (session, state) in self.sessions.iter_mut() {
-            if state.done.is_some() {
-                continue;
-            }
-            let combiner = combiner_of(&self.signer_ids, *session);
-            if combiner == self.id {
-                if !state.broadcasted && state.collected.len() >= quorum {
-                    let partials: Vec<PartialSignature> =
-                        state.collected.values().copied().collect();
-                    let sig = self
-                        .scheme
-                        .combine(&self.params, &partials)
-                        .expect("collected >= t+1 verified partials");
-                    state.broadcasted = true;
-                    out.push(Outgoing {
-                        to: Recipient::Broadcast,
-                        msg: MuxMessage::Done {
-                            session: *session,
-                            sig,
-                        },
-                    });
-                }
-            } else {
+        let MuxSignerPlayer {
+            committee,
+            signer_ids,
+            sessions,
+            finished,
+            rejected,
+            ..
+        } = self;
+        sessions.retain(|session, state| {
+            let Some(combiner) = &mut state.combiner else {
                 // Retransmit until this session's Done arrives.
                 out.push(Outgoing {
-                    to: Recipient::Private(combiner),
+                    to: Recipient::Private(combiner_of(signer_ids, *session)),
                     msg: MuxMessage::Partial {
                         session: *session,
                         psig: state.own_partial,
                     },
                 });
+                return true;
+            };
+            let Some(sig) = combiner.try_combine(committee, &state.msg) else {
+                return true;
+            };
+            if !combiner.rejected.is_empty() {
+                rejected.insert(*session, std::mem::take(&mut combiner.rejected));
             }
-        }
+            out.push(Outgoing {
+                to: Recipient::Broadcast,
+                msg: MuxMessage::Done {
+                    session: *session,
+                    sig,
+                },
+            });
+            // What this player broadcasts it has itself verified: the
+            // session is finished here, without waiting for the echo.
+            finished.insert(*session);
+            false
+        });
         RoundAction::Continue(out)
     }
 
@@ -641,7 +774,9 @@ impl Protocol for MuxCoordinator {
     ) -> RoundAction<MuxMessage, MuxOutcome> {
         if self.closing {
             return RoundAction::Finish(MuxOutcome {
+                finished: self.done.len(),
                 signatures: std::mem::take(&mut self.done),
+                rejected: BTreeMap::new(),
                 high_water: self.high_water,
                 latencies: std::mem::take(&mut self.latencies),
             });
@@ -1092,5 +1227,535 @@ mod tests {
         for (i, sig) in &completions {
             assert!(scheme.verify(&km.public_key, format!("live {}", i).as_bytes(), sig));
         }
+    }
+
+    // -----------------------------------------------------------------
+    // Byzantine signers against the optimistic combiner.
+    // -----------------------------------------------------------------
+
+    type Tamper<M> = Box<dyn FnMut(&mut Vec<Outgoing<M>>) + Send>;
+
+    /// A Byzantine player: the honest `inner` runs, then `tamper`
+    /// rewrites what it is about to send.
+    struct Forger<P: Protocol> {
+        inner: P,
+        tamper: Tamper<P::Message>,
+    }
+
+    impl<P: Protocol> Protocol for Forger<P> {
+        type Message = P::Message;
+        type Output = P::Output;
+
+        fn round(
+            &mut self,
+            round: usize,
+            inbox: &[Delivered<P::Message>],
+        ) -> RoundAction<P::Message, P::Output> {
+            match self.inner.round(round, inbox) {
+                RoundAction::Continue(mut out) => {
+                    (self.tamper)(&mut out);
+                    RoundAction::Continue(out)
+                }
+                finish => finish,
+            }
+        }
+
+        fn id(&self) -> PlayerId {
+            self.inner.id()
+        }
+    }
+
+    const DECOY: &[u8] = b"not the message being signed";
+
+    /// [`setup`] at other parameters.
+    fn setup_tn(t: usize, n: usize) -> (ThresholdScheme, crate::ro::KeyMaterial) {
+        let scheme = ThresholdScheme::new(b"netsign-tests");
+        let mut r = StdRng::seed_from_u64(0x517);
+        let km = scheme.dealer_keygen(ThresholdParams::new(t, n).unwrap(), &mut r);
+        (scheme, km)
+    }
+
+    /// Well-formed, decodable, and invalid for every message but `DECOY`.
+    fn forged_partial(
+        scheme: &ThresholdScheme,
+        km: &crate::ro::KeyMaterial,
+        index: u32,
+    ) -> PartialSignature {
+        scheme.share_sign(&km.shares[&index], DECOY)
+    }
+
+    /// The one signature an all-honest run produces (uniqueness).
+    fn honest_signature(
+        scheme: &ThresholdScheme,
+        km: &crate::ro::KeyMaterial,
+        msg: &[u8],
+    ) -> Signature {
+        let partials: Vec<PartialSignature> = (1..=km.params.reconstruction_size() as u32)
+            .map(|i| scheme.share_sign(&km.shares[&i], msg))
+            .collect();
+        scheme.combine(&km.params, &partials).unwrap()
+    }
+
+    fn delivered<M>(from: PlayerId, broadcast: bool, msg: M) -> Delivered<M> {
+        Delivered {
+            from,
+            broadcast,
+            msg: Ok(msg),
+        }
+    }
+
+    fn load(counter: &std::sync::atomic::AtomicUsize) -> usize {
+        counter.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// One `SigningPlayer` run with every partial of `forgers` forged.
+    /// Returns the outputs and the pairing checks the combiner ran.
+    fn sign_with_forgers(
+        scheme: &ThresholdScheme,
+        km: &crate::ro::KeyMaterial,
+        msg: &[u8],
+        forgers: &[u32],
+        combiner: PlayerId,
+        transport: &TransportKind,
+    ) -> (BTreeMap<PlayerId, Signature>, std::sync::Arc<CombinerCalls>) {
+        let calls = std::sync::Arc::new(CombinerCalls::default());
+        let players: Vec<BoxedPlayer<SignMessage, Signature>> = km
+            .shares
+            .keys()
+            .map(|id| {
+                let mut player = SigningPlayer::new(
+                    scheme.clone(),
+                    km.params,
+                    km.public_key.clone(),
+                    km.verification_keys.clone(),
+                    &km.shares[id],
+                    combiner,
+                    msg.to_vec(),
+                );
+                player.committee.calls = calls.clone();
+                if !forgers.contains(id) {
+                    return Box::new(player) as _;
+                }
+                let forged = forged_partial(scheme, km, *id);
+                Box::new(Forger {
+                    inner: player,
+                    tamper: Box::new(move |out| {
+                        for o in out {
+                            if let SignMessage::Partial(p) = &mut o.msg {
+                                *p = forged;
+                            }
+                        }
+                    }),
+                }) as _
+            })
+            .collect();
+        let (outputs, _) = run_protocol(transport, players, 200).unwrap();
+        (outputs, calls)
+    }
+
+    /// One mux run with every partial of `forgers` forged, each forger
+    /// also broadcasting a garbage `Done` for every session it is not
+    /// the combiner of. Returns every player's outcome and the pairing
+    /// checks all combiners ran.
+    fn mux_with_forgers(
+        scheme: &ThresholdScheme,
+        km: &crate::ro::KeyMaterial,
+        requests: &[(u64, Vec<u8>)],
+        forgers: &[u32],
+        transport: &TransportKind,
+    ) -> (
+        BTreeMap<PlayerId, MuxOutcome>,
+        std::sync::Arc<CombinerCalls>,
+    ) {
+        let calls = std::sync::Arc::new(CombinerCalls::default());
+        let signer_ids: Vec<PlayerId> = km.shares.keys().copied().collect();
+        let garbage = honest_signature(scheme, km, DECOY);
+        let mut players: Vec<BoxedPlayer<MuxMessage, MuxOutcome>> = signer_ids
+            .iter()
+            .map(|id| {
+                let mut player = MuxSignerPlayer::new(
+                    scheme.clone(),
+                    km.params,
+                    km.public_key.clone(),
+                    km.verification_keys.clone(),
+                    km.shares[id].clone(),
+                    signer_ids.clone(),
+                );
+                player.committee.calls = calls.clone();
+                if !forgers.contains(id) {
+                    return Box::new(player) as _;
+                }
+                let forged = forged_partial(scheme, km, *id);
+                Box::new(Forger {
+                    inner: player,
+                    tamper: Box::new(move |out| {
+                        let mut lies = Vec::new();
+                        for o in out.iter_mut() {
+                            if let MuxMessage::Partial { session, psig } = &mut o.msg {
+                                *psig = forged;
+                                lies.push(Outgoing {
+                                    to: Recipient::Broadcast,
+                                    msg: MuxMessage::Done {
+                                        session: *session,
+                                        sig: garbage,
+                                    },
+                                });
+                            }
+                        }
+                        out.extend(lies);
+                    }),
+                }) as _
+            })
+            .collect();
+        players.push(Box::new(MuxCoordinator::with_requests(
+            99,
+            scheme.clone(),
+            km.public_key.clone(),
+            3,
+            requests.to_vec(),
+        )));
+        let (outputs, _) = run_protocol(transport, players, 400).unwrap();
+        (outputs, calls)
+    }
+
+    fn requests(count: u64) -> Vec<(u64, Vec<u8>)> {
+        (0..count)
+            .map(|i| (i, format!("byzantine {}", i).into_bytes()))
+            .collect()
+    }
+
+    /// Checks a forged mux run: every request carries the signature an
+    /// all-honest run produces, only forgers are ever named, and — when
+    /// `exact` (no loss, so every partial reaches every combiner) — each
+    /// session names every forger but its own combiner.
+    fn assert_mux_outcome(
+        scheme: &ThresholdScheme,
+        km: &crate::ro::KeyMaterial,
+        requests: &[(u64, Vec<u8>)],
+        forgers: &[u32],
+        outputs: &BTreeMap<PlayerId, MuxOutcome>,
+        exact: bool,
+    ) {
+        let signer_ids: Vec<PlayerId> = km.shares.keys().copied().collect();
+        let coordinator = &outputs[&99];
+        assert_eq!(coordinator.signatures.len(), requests.len());
+        for (session, msg) in requests {
+            assert_eq!(
+                coordinator.signatures[session],
+                honest_signature(scheme, km, msg)
+            );
+        }
+        let mut named: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
+        for id in &signer_ids {
+            let outcome = &outputs[id];
+            assert!(outcome.signatures.is_empty(), "signers verify no Done");
+            assert_eq!(outcome.finished, requests.len());
+            for (session, rejected) in &outcome.rejected {
+                assert_eq!(*id, combiner_of(&signer_ids, *session));
+                named.insert(*session, rejected.clone());
+            }
+        }
+        for (session, _) in requests {
+            let combiner = combiner_of(&signer_ids, *session);
+            let expected: BTreeSet<u32> =
+                forgers.iter().copied().filter(|f| *f != combiner).collect();
+            let got = named.remove(session).unwrap_or_default();
+            if exact {
+                assert_eq!(got, expected, "session {}", session);
+            } else {
+                assert!(got.is_subset(&expected), "session {}: {:?}", session, got);
+            }
+        }
+    }
+
+    #[test]
+    fn honest_runs_pay_one_verify_per_session_and_no_share_verify() {
+        let (scheme, km) = setup();
+        let msg = b"all honest";
+        let (out, calls) = sign_with_forgers(&scheme, &km, msg, &[], 2, &TransportKind::Lockstep);
+        let expected = honest_signature(&scheme, &km, msg);
+        assert!(out.values().all(|sig| *sig == expected));
+        assert_eq!(load(&calls.verifies), 1);
+        assert_eq!(load(&calls.fallback_checks), 0);
+
+        let requests = requests(6);
+        let (outputs, calls) =
+            mux_with_forgers(&scheme, &km, &requests, &[], &TransportKind::Lockstep);
+        assert_mux_outcome(&scheme, &km, &requests, &[], &outputs, true);
+        assert_eq!(load(&calls.verifies), requests.len());
+        assert_eq!(load(&calls.fallback_checks), 0);
+    }
+
+    #[test]
+    fn a_forger_inside_the_first_quorum_is_named_and_the_signature_is_unchanged() {
+        // Index 1 is the lowest, so its partial is always among the
+        // first t+1 the combiner holds.
+        let (scheme, km) = setup();
+        let msg = b"one forger";
+        let expected = honest_signature(&scheme, &km, msg);
+        let (out, calls) = sign_with_forgers(&scheme, &km, msg, &[1], 4, &TransportKind::Lockstep);
+        assert_eq!(out.len(), 4);
+        assert!(out.values().all(|sig| *sig == expected));
+        // One failed combine, Share-Verify over the three partials the
+        // combiner did not make itself, one recombine.
+        assert_eq!(load(&calls.verifies), 2);
+        assert_eq!(load(&calls.fallback_checks), 3);
+        let lossy = TransportKind::Channel(DeliveryPolicy::lossy(0x10551, 0.4));
+        let (out, _) = sign_with_forgers(&scheme, &km, msg, &[1], 4, &lossy);
+        assert!(out.values().all(|sig| *sig == expected));
+
+        let requests = requests(6);
+        let (outputs, calls) =
+            mux_with_forgers(&scheme, &km, &requests, &[1], &TransportKind::Lockstep);
+        assert_mux_outcome(&scheme, &km, &requests, &[1], &outputs, true);
+        // Sessions 0 and 4 are the forger's own to combine: nothing to
+        // reject there. The other four each pay one fallback.
+        assert_eq!(load(&calls.verifies), 2 + 4 * 2);
+        assert_eq!(load(&calls.fallback_checks), 4 * 3);
+        let (outputs, _) = mux_with_forgers(&scheme, &km, &requests, &[1], &lossy);
+        assert_mux_outcome(&scheme, &km, &requests, &[1], &outputs, false);
+    }
+
+    #[test]
+    fn t_forgers_are_all_named_and_no_honest_signer_is() {
+        let (scheme, km) = setup_tn(2, 5);
+        let msg = b"t forgers";
+        let expected = honest_signature(&scheme, &km, msg);
+        let lossy = TransportKind::Channel(DeliveryPolicy::lossy(0x70551, 0.3));
+        for transport in [TransportKind::Lockstep, lossy.clone()] {
+            let (out, _) = sign_with_forgers(&scheme, &km, msg, &[1, 2], 5, &transport);
+            assert_eq!(out.len(), 5);
+            assert!(out.values().all(|sig| *sig == expected));
+        }
+        let requests = requests(5);
+        let (outputs, _) =
+            mux_with_forgers(&scheme, &km, &requests, &[1, 2], &TransportKind::Lockstep);
+        assert_mux_outcome(&scheme, &km, &requests, &[1, 2], &outputs, true);
+        let (outputs, _) = mux_with_forgers(&scheme, &km, &requests, &[1, 2], &lossy);
+        assert_mux_outcome(&scheme, &km, &requests, &[1, 2], &outputs, false);
+    }
+
+    #[test]
+    fn a_rejected_signer_costs_no_further_pairing_and_strays_are_never_collected() {
+        let (scheme, km) = setup();
+        let msg = b"driven by hand";
+        let mut combiner = SigningPlayer::new(
+            scheme.clone(),
+            km.params,
+            km.public_key.clone(),
+            km.verification_keys.clone(),
+            &km.shares[&4],
+            4,
+            msg.to_vec(),
+        );
+        let partial = |i: u32| scheme.share_sign(&km.shares[&i], msg);
+        let sends_nothing = |action| match action {
+            RoundAction::Continue(out) => assert!(out.is_empty()),
+            RoundAction::Finish(_) => panic!("finished early"),
+        };
+        let held = |p: &SigningPlayer| -> Vec<u32> {
+            p.combiner.as_ref().unwrap().held.keys().copied().collect()
+        };
+
+        // A valid partial under somebody else's index, and one under an
+        // index with no verification key: never collected.
+        let unknown = PartialSignature {
+            index: 7,
+            ..partial(3)
+        };
+        sends_nothing(combiner.round(
+            0,
+            &[
+                delivered(2, false, SignMessage::Partial(partial(3))),
+                delivered(7, false, SignMessage::Partial(unknown)),
+            ],
+        ));
+        assert_eq!(held(&combiner), [4]);
+        assert_eq!(load(&combiner.committee.calls.verifies), 0);
+
+        // The forgery completes a quorum, fails the combined check and
+        // is named by the fallback.
+        let forged = forged_partial(&scheme, &km, 1);
+        sends_nothing(combiner.round(1, &[delivered(1, false, SignMessage::Partial(forged))]));
+        assert_eq!(held(&combiner), [4]);
+        assert_eq!(
+            combiner.combiner.as_ref().unwrap().rejected,
+            BTreeSet::from([1])
+        );
+        assert_eq!(load(&combiner.committee.calls.verifies), 1);
+        assert_eq!(load(&combiner.committee.calls.fallback_checks), 1);
+
+        // Its retransmissions — even a now-valid one — cost nothing.
+        sends_nothing(combiner.round(
+            2,
+            &[
+                delivered(1, false, SignMessage::Partial(forged)),
+                delivered(1, false, SignMessage::Partial(partial(1))),
+            ],
+        ));
+        assert_eq!(held(&combiner), [4]);
+        assert_eq!(load(&combiner.committee.calls.verifies), 1);
+        assert_eq!(load(&combiner.committee.calls.fallback_checks), 1);
+
+        // An honest partial finishes the job.
+        let expected = honest_signature(&scheme, &km, msg);
+        match combiner.round(3, &[delivered(2, false, SignMessage::Partial(partial(2)))]) {
+            RoundAction::Continue(out) => {
+                assert_eq!(out.len(), 1);
+                assert_eq!(out[0].msg, SignMessage::Combined(expected));
+            }
+            RoundAction::Finish(_) => panic!("finished before broadcasting"),
+        }
+        assert_eq!(load(&combiner.committee.calls.verifies), 2);
+        assert_eq!(load(&combiner.committee.calls.fallback_checks), 1);
+        assert!(matches!(
+            combiner.round(4, &[]),
+            RoundAction::Finish(sig) if sig == expected
+        ));
+    }
+
+    #[test]
+    fn only_the_sessions_combiner_can_tell_a_signer_it_is_done() {
+        let (scheme, km) = setup();
+        let signer = |id: u32| {
+            MuxSignerPlayer::new(
+                scheme.clone(),
+                km.params,
+                km.public_key.clone(),
+                km.verification_keys.clone(),
+                km.shares[&id].clone(),
+                vec![1, 2, 3, 4],
+            )
+        };
+        let msg = b"session one".to_vec();
+        let open = || {
+            delivered(
+                9,
+                true,
+                MuxMessage::Open {
+                    session: 1,
+                    msg: msg.clone(),
+                },
+            )
+        };
+        let done_from = |from: PlayerId| {
+            delivered(
+                from,
+                true,
+                MuxMessage::Done {
+                    session: 1,
+                    sig: honest_signature(&scheme, &km, DECOY),
+                },
+            )
+        };
+        let sent = |action: RoundAction<MuxMessage, MuxOutcome>| match action {
+            RoundAction::Continue(out) => {
+                out.into_iter().map(|o| (o.to, o.msg)).collect::<Vec<_>>()
+            }
+            RoundAction::Finish(_) => panic!("finished early"),
+        };
+
+        // Session 1 is combined by player 2; player 3 only signs.
+        let mut three = signer(3);
+        let retransmission = sent(three.round(0, &[open()]));
+        assert!(matches!(
+            retransmission[..],
+            [(
+                Recipient::Private(2),
+                MuxMessage::Partial { session: 1, .. }
+            )]
+        ));
+        // A Done from anybody else changes nothing ...
+        assert_eq!(sent(three.round(1, &[done_from(1)])), retransmission);
+        // ... the combiner's ends the session, unverified, and leaves
+        // neither the message nor a partial behind; a replayed Open does
+        // not bring it back.
+        assert!(sent(three.round(2, &[done_from(2)])).is_empty());
+        assert!(three.sessions.is_empty());
+        assert_eq!(three.finished, BTreeSet::from([1]));
+        assert!(sent(three.round(3, &[open()])).is_empty());
+        assert!(three.sessions.is_empty());
+        match three.round(4, &[delivered(9, true, MuxMessage::Shutdown)]) {
+            RoundAction::Finish(outcome) => {
+                assert!(outcome.signatures.is_empty());
+                assert_eq!(outcome.finished, 1);
+                assert!(outcome.rejected.is_empty());
+            }
+            RoundAction::Continue(_) => panic!("ignored Shutdown"),
+        }
+
+        // At the combiner, strays are never collected, and its own
+        // broadcast finishes the session on the spot.
+        let partial = |i: u32| scheme.share_sign(&km.shares[&i], &msg);
+        let mut two = signer(2);
+        let stray = |from: PlayerId, index: u32, like: u32| {
+            delivered(
+                from,
+                false,
+                MuxMessage::Partial {
+                    session: 1,
+                    psig: PartialSignature {
+                        index,
+                        ..partial(like)
+                    },
+                },
+            )
+        };
+        assert!(sent(two.round(0, &[open()])).is_empty());
+        assert!(sent(two.round(1, &[stray(3, 4, 4), stray(7, 7, 3)])).is_empty());
+        let held: Vec<u32> = two.sessions[&1]
+            .combiner
+            .as_ref()
+            .unwrap()
+            .held
+            .keys()
+            .copied()
+            .collect();
+        assert_eq!(held, [2]);
+        let out = sent(two.round(2, &[stray(3, 3, 3)]));
+        assert_eq!(
+            out,
+            [(
+                Recipient::Broadcast,
+                MuxMessage::Done {
+                    session: 1,
+                    sig: honest_signature(&scheme, &km, &msg),
+                }
+            )]
+        );
+        assert!(two.sessions.is_empty());
+        assert_eq!(two.finished, BTreeSet::from([1]));
+    }
+
+    #[test]
+    fn the_coordinator_releases_only_a_done_that_verifies() {
+        let (scheme, km) = setup();
+        let (req_tx, req_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let mut coordinator = MuxCoordinator::with_intake(
+            9,
+            scheme.clone(),
+            km.public_key.clone(),
+            4,
+            req_rx,
+            done_tx,
+        );
+        let msg = b"session five".to_vec();
+        req_tx.send((5u64, msg.clone())).unwrap();
+        assert!(matches!(
+            coordinator.round(0, &[]),
+            RoundAction::Continue(out) if out.len() == 1
+        ));
+        let done = |from: PlayerId, sig: Signature| {
+            delivered(from, true, MuxMessage::Done { session: 5, sig })
+        };
+        // Garbage — from a bystander or from session 5's own combiner
+        // (player 2) — never reaches the client.
+        let garbage = honest_signature(&scheme, &km, DECOY);
+        let _ = coordinator.round(1, &[done(1, garbage), done(2, garbage)]);
+        assert!(done_rx.try_recv().is_err());
+        let sig = honest_signature(&scheme, &km, &msg);
+        let _ = coordinator.round(2, &[done(2, sig)]);
+        assert_eq!(done_rx.try_recv().unwrap(), (5, sig));
     }
 }

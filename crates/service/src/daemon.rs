@@ -91,8 +91,8 @@ fn run_mesh<M: Wire, O>(
 
 /// One signing node, start to finish: DKG over the TCP mesh, local key
 /// assembly, then the signing mesh until the front-end shuts the
-/// deployment down. Returns the number of sessions this node observed
-/// completing.
+/// deployment down. Returns the number of sessions this node saw
+/// finish.
 pub fn run_player(top: &Topology, id: PlayerId) -> Result<usize, ServiceError> {
     let n = top.params.n as PlayerId;
     let scheme = ThresholdScheme::new(&top.domain);
@@ -119,7 +119,7 @@ pub fn run_player(top: &Topology, id: PlayerId) -> Result<usize, ServiceError> {
         Topology::peers(top.sign_base, id, n + 1),
         SIGN_ROUND_BUDGET,
     )?;
-    Ok(outcome.mux.signatures.len())
+    Ok(outcome.mux.finished)
 }
 
 /// The front-end: joins the signing mesh as node `n+1`, accepts one
@@ -203,6 +203,7 @@ pub fn run_frontend(top: &Topology, client_listener: TcpListener) -> Result<(), 
     drop(responses_tx);
 
     let (client, _) = client_listener.accept()?;
+    client.set_nodelay(true)?;
     let mut client_out = client.try_clone()?;
 
     // Receive timestamps of in-flight verify requests, stamped by the
@@ -411,6 +412,7 @@ pub fn run_smoke(top: &Topology, requests: u64) -> Result<(), ServiceError> {
         .ok_or_else(|| proto(format!("bad front-end banner: {:?}", line)))?;
 
     let mut client = TcpStream::connect(("127.0.0.1", port))?;
+    client.set_nodelay(true)?;
     let mut client_in = client.try_clone()?;
 
     // Verification traffic for the gateway: `verify_count` signatures

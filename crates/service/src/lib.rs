@@ -139,9 +139,9 @@ pub struct ReadyInfo {
 /// Per-node output of a signing-mesh run.
 #[derive(Debug, Default)]
 pub struct ServiceOutcome {
-    /// The multiplexed-signing outcome (signatures observed; the
-    /// front-end additionally carries the backpressure high-water
-    /// mark).
+    /// The multiplexed-signing outcome (the front-end's carries the
+    /// verified signatures and the backpressure high-water mark; a
+    /// player's only counts the sessions it saw finish).
     pub mux: MuxOutcome,
     /// Front-end only: the merged `Ready` information.
     pub ready: Option<ReadyInfo>,
@@ -613,13 +613,16 @@ impl Wire for ClientResponse {
     }
 }
 
-/// Writes one `u32`-length-prefixed [`Wire`] frame.
+/// Writes one `u32`-length-prefixed [`Wire`] frame with a single
+/// `write_all`: prefix and payload handed over separately are two TCP
+/// segments, and the second waits out the peer's delayed ACK.
 pub fn write_frame<T: Wire, W: Write>(w: &mut W, value: &T) -> std::io::Result<()> {
-    let bytes = value.encode();
-    let len = u32::try_from(bytes.len())
+    let mut frame = vec![0u8; 4];
+    value.encode_to(&mut frame);
+    let len = u32::try_from(frame.len() - 4)
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&bytes)?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -826,6 +829,40 @@ mod tests {
         // Oversized declared length is rejected before allocation.
         let huge = (MAX_CLIENT_FRAME as u32 + 1).to_be_bytes();
         assert!(read_frame::<ClientRequest, _>(&mut huge.as_slice()).is_err());
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Counts `write` calls; accepts whatever it is handed.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let req = ClientRequest::Sign {
+            id: 7,
+            msg: b"one segment".to_vec(),
+        };
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &req).unwrap();
+        assert_eq!(w.writes, 1);
+        let payload = req.encode();
+        let mut expected = (payload.len() as u32).to_be_bytes().to_vec();
+        expected.extend_from_slice(&payload);
+        assert_eq!(w.bytes, expected);
+        write_frame(&mut w, &ClientRequest::Shutdown).unwrap();
+        assert_eq!(w.writes, 2);
     }
 
     #[test]

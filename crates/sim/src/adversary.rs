@@ -1,6 +1,8 @@
 //! The adaptive adversary: broadcast observation, corruption decisions,
 //! and the player wrapper that enacts them.
 
+use borndist_core::netsign::{MuxMessage, MuxOutcome, MuxSignerPlayer};
+use borndist_core::ro::{PartialSignature, Signature};
 use borndist_dkg::{Behavior, DkgAbort, DkgConfig, DkgMessage, DkgOutput, DkgPlayer};
 use borndist_net::{BoxedPlayer, Delivered, Outgoing, PlayerId, Protocol, Recipient, RoundAction};
 use std::collections::{BTreeMap, BTreeSet};
@@ -286,4 +288,49 @@ pub fn adaptive_dkg_players(
             )) as _
         })
         .collect()
+}
+
+/// A Byzantine signing node: the honest [`MuxSignerPlayer`] runs, but
+/// every partial signature it sends is replaced by `forged`, and — with
+/// `lie` set — each one is accompanied by a broadcast `Done` carrying
+/// that signature for a session this player does not combine.
+pub(crate) struct ForgingSigner {
+    pub(crate) inner: MuxSignerPlayer,
+    pub(crate) forged: PartialSignature,
+    pub(crate) lie: Option<Signature>,
+}
+
+impl Protocol for ForgingSigner {
+    type Message = MuxMessage;
+    type Output = MuxOutcome;
+
+    fn round(
+        &mut self,
+        round: usize,
+        inbox: &[Delivered<MuxMessage>],
+    ) -> RoundAction<MuxMessage, MuxOutcome> {
+        let mut out = match self.inner.round(round, inbox) {
+            RoundAction::Continue(out) => out,
+            finish => return finish,
+        };
+        let mut lies = Vec::new();
+        for o in out.iter_mut() {
+            if let MuxMessage::Partial { session, psig } = &mut o.msg {
+                *psig = self.forged;
+                lies.extend(self.lie.map(|sig| Outgoing {
+                    to: Recipient::Broadcast,
+                    msg: MuxMessage::Done {
+                        session: *session,
+                        sig,
+                    },
+                }));
+            }
+        }
+        out.extend(lies);
+        RoundAction::Continue(out)
+    }
+
+    fn id(&self) -> PlayerId {
+        self.inner.id()
+    }
 }

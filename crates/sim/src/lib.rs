@@ -1,6 +1,6 @@
 //! # borndist-sim
 //!
-//! Scripted **adaptive-adversary** scenarios for the DKG: an
+//! Scripted **adaptive-adversary** scenarios, chiefly for the DKG: an
 //! [`Adversary`] watches the reliable broadcast channel as the protocol
 //! runs and picks up to `t` players to corrupt *mid-protocol*, based on
 //! what it observed — the adversary model under which the paper proves
@@ -12,6 +12,14 @@
 //! (protocol completes, honest players agree, honest shares verify,
 //! corruption budget respected, traffic parity where determinism is
 //! promised) that CI gates on per scenario.
+//!
+//! A fifth scenario, `forged-partials`, turns the same harness on the
+//! signing mesh ([`borndist_core::netsign`]): up to `t` Byzantine
+//! signers forge every partial signature they send, one of them also
+//! forges the `Done` broadcast, and the criteria are the paper's
+//! robustness promises — every session completes with the one valid
+//! signature, and the combiner's `Share-Verify` fallback names exactly
+//! the forgers.
 //!
 //! Adaptivity is implemented without breaking determinism: every
 //! observation the adversary conditions on comes from the broadcast

@@ -1,11 +1,18 @@
-//! The scenario matrix: named adversarial DKG runs with
-//! machine-checkable success criteria, one CI gate per scenario.
+//! The scenario matrix: named adversarial runs (four of the DKG, one of
+//! the signing mesh) with machine-checkable success criteria, one CI
+//! gate per scenario.
 
 use crate::adversary::{
-    adaptive_dkg_players, Adversary, AdversaryScript, CorruptAction, CorruptionRule,
+    adaptive_dkg_players, Adversary, AdversaryScript, CorruptAction, CorruptionRule, ForgingSigner,
 };
+use borndist_core::netsign::{
+    run_mux_sign, MuxCoordinator, MuxMessage, MuxOutcome, MuxSignerPlayer,
+};
+use borndist_core::ro::{PartialSignature, ThresholdScheme};
 use borndist_dkg::{dkg_session, standard_config, Behavior, DkgAbort, DkgConfig, DkgOutput};
-use borndist_net::{run_protocol, DeliveryPolicy, Metrics, Outage, PlayerId, TransportKind};
+use borndist_net::{
+    run_protocol, BoxedPlayer, DeliveryPolicy, Metrics, Outage, PlayerId, TransportKind,
+};
 use borndist_pairing::G2Affine;
 use borndist_shamir::{PedersenShare, ThresholdParams};
 use std::collections::{BTreeMap, BTreeSet};
@@ -16,6 +23,7 @@ pub const SCENARIOS: &[&str] = &[
     "adaptive-corruption",
     "complaint-flood",
     "churn",
+    "forged-partials",
 ];
 
 /// One machine-checked success criterion of a scenario run.
@@ -175,6 +183,7 @@ pub fn run_scenario(name: &str, seed: u64) -> Result<ScenarioReport, String> {
         "adaptive-corruption" => adaptive_corruption(seed),
         "complaint-flood" => complaint_flood(seed),
         "churn" => churn(seed),
+        "forged-partials" => forged_partials(seed),
         other => Err(format!(
             "unknown scenario {:?}; known: {:?}",
             other, SCENARIOS
@@ -483,6 +492,158 @@ fn churn(seed: u64) -> Result<ScenarioReport, String> {
         t,
         corrupted: vec![],
         qualified,
+        criteria,
+    })
+}
+
+/// Byzantine signers against the optimistic combiner. A committee born
+/// by `Dist-Keygen` serves ten signing sessions over a duplicating,
+/// reordering network while `t` signers (the two lowest indices, so
+/// their partials are always among the first `t+1` a combiner holds)
+/// forge every partial they send, and one of them also broadcasts a
+/// forged `Done` for every session. Each honest combiner's first combine
+/// must fail, its `Share-Verify` fallback must name exactly the forgers,
+/// and the client-side outcome must be indistinguishable from an
+/// all-honest run: signatures are unique.
+fn forged_partials(seed: u64) -> Result<ScenarioReport, String> {
+    let (t, n) = (2, 5);
+    let scheme = ThresholdScheme::new(b"borndist/sim/scenario");
+    let params = ThresholdParams::new(t, n).expect("valid scenario parameters");
+    let (km, _) = scheme
+        .keygen_session(params, &BTreeMap::new(), seed, &TransportKind::Lockstep)
+        .map_err(|e| e.to_string())?;
+    let signers: Vec<PlayerId> = (1..=n as PlayerId).collect();
+    let coordinator = n as PlayerId + 1;
+    let forgers: BTreeSet<PlayerId> = (1..=t as PlayerId).collect();
+    let requests: Vec<(u64, Vec<u8>)> = (0..10u64)
+        .map(|i| (i, format!("forged-partials request {}", i).into_bytes()))
+        .collect();
+    let (honest, _) = run_mux_sign(
+        &scheme,
+        &km,
+        &requests,
+        &signers,
+        coordinator,
+        4,
+        &TransportKind::Lockstep,
+        200,
+    )
+    .map_err(|e| e.to_string())?;
+
+    // Well-formed group elements that verify for no request: partials
+    // and a combined signature over a message nobody asked for.
+    let decoy = b"forged-partials decoy";
+    let decoys: Vec<PartialSignature> = signers
+        .iter()
+        .map(|id| scheme.share_sign(&km.shares[id], decoy))
+        .collect();
+    let lie = scheme
+        .combine(&km.params, &decoys)
+        .map_err(|e| format!("decoy signature: {:?}", e))?;
+    let mut players: Vec<BoxedPlayer<MuxMessage, MuxOutcome>> = signers
+        .iter()
+        .zip(&decoys)
+        .map(|(id, forged)| {
+            let inner = MuxSignerPlayer::new(
+                scheme.clone(),
+                km.params,
+                km.public_key.clone(),
+                km.verification_keys.clone(),
+                km.shares[id].clone(),
+                signers.clone(),
+            );
+            if forgers.contains(id) {
+                Box::new(ForgingSigner {
+                    inner,
+                    forged: *forged,
+                    lie: (*id == 1).then_some(lie),
+                }) as _
+            } else {
+                Box::new(inner) as _
+            }
+        })
+        .collect();
+    players.push(Box::new(MuxCoordinator::with_requests(
+        coordinator,
+        scheme.clone(),
+        km.public_key.clone(),
+        4,
+        requests.clone(),
+    )));
+    let policy = DeliveryPolicy {
+        seed,
+        duplicate_rate: 0.25,
+        reorder: true,
+        ..DeliveryPolicy::default()
+    };
+    let (outputs, _) =
+        run_protocol(&TransportKind::Channel(policy), players, 200).map_err(|e| e.to_string())?;
+
+    let served = &outputs[&coordinator].signatures;
+    let unfinished: Vec<PlayerId> = signers
+        .iter()
+        .filter(|id| outputs[id].finished != requests.len())
+        .copied()
+        .collect();
+    // No link drops anything, so every combiner holds every forger's
+    // partial when it first combines: session `s`, combined by signer
+    // `s mod n`, must name every forger but that combiner itself.
+    let mut misnamed = Vec::new();
+    let mut honest_named = BTreeSet::new();
+    for (session, _) in &requests {
+        let combiner = signers[(session % n as u64) as usize];
+        let expected: BTreeSet<PlayerId> =
+            forgers.iter().copied().filter(|f| *f != combiner).collect();
+        let named = outputs[&combiner]
+            .rejected
+            .get(session)
+            .cloned()
+            .unwrap_or_default();
+        honest_named.extend(named.difference(&forgers).copied());
+        if named != expected {
+            misnamed.push((*session, named));
+        }
+    }
+    let criteria = vec![
+        Criterion {
+            name: "completes",
+            pass: served.len() == requests.len() && unfinished.is_empty(),
+            detail: format!(
+                "{} of {} sessions signed; signers with open sessions: {:?}",
+                served.len(),
+                requests.len(),
+                unfinished
+            ),
+        },
+        Criterion {
+            name: "signatures-unchanged",
+            pass: *served == honest.signatures,
+            detail: "every session returns the signature of the all-honest run".to_string(),
+        },
+        Criterion {
+            name: "forgers-named",
+            pass: misnamed.is_empty(),
+            detail: if misnamed.is_empty() {
+                format!(
+                    "every combiner rejected exactly {:?} (less itself)",
+                    forgers
+                )
+            } else {
+                format!("sessions naming the wrong set: {:?}", misnamed)
+            },
+        },
+        Criterion {
+            name: "no-honest-signer-named",
+            pass: honest_named.is_empty(),
+            detail: format!("honest indices rejected: {:?}", honest_named),
+        },
+    ];
+    Ok(ScenarioReport {
+        name: "forged-partials".into(),
+        n,
+        t,
+        corrupted: forgers.into_iter().collect(),
+        qualified: km.qualified.iter().copied().collect(),
         criteria,
     })
 }

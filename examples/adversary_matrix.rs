@@ -9,6 +9,7 @@
 //! cargo run --release --example adversary_matrix -- adaptive-corruption
 //! cargo run --release --example adversary_matrix -- complaint-flood
 //! cargo run --release --example adversary_matrix -- churn
+//! cargo run --release --example adversary_matrix -- forged-partials
 //! cargo run --release --example adversary_matrix            # all
 //! ```
 
