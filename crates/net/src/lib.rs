@@ -15,47 +15,48 @@
 //! [`Delivered::msg`], so protocols treat malformed traffic as
 //! first-class misbehavior rather than panicking.
 //!
-//! Three interchangeable transports drive the players:
+//! There is **one round engine** — the `Node` of [`mesh`]: a player,
+//! the frames parked for its future rounds, its sender-side [`Metrics`]
+//! and its [`DeliveryPolicy`] fault streams — and a transport is
+//! nothing but a link that moves the [`mesh::Envelope`]s it emits.
+//! [`TransportKind`] names the three ways to run it:
 //!
-//! * [`LockstepTransport`] — the faithful idealized model (formerly
-//!   `Simulator`): synchronous rounds on one thread, reliable delivery;
-//! * [`ChannelTransport`] — one OS thread per player, frames crossing
-//!   `mpsc` channels, with a deterministic fault-injection
-//!   [`DeliveryPolicy`] (per-link drop, duplication, reordering,
-//!   partitions, crash-restart outages, frame tampering);
-//! * [`ReactorTransport`] — one player per engine over real
-//!   `std::net::TcpStream` sockets, so a run can span OS processes and
-//!   machines; each player is **one event loop and zero extra threads**
-//!   (`poll(2)` on Linux, adaptive readiness scan elsewhere), which is
-//!   what scales to n=512+ meshes. [`TransportKind::TcpReactor`] runs a
-//!   whole player set as an in-process mesh on `127.0.0.1` for tests.
+//! * `Lockstep` — the in-memory link, every player on the caller's
+//!   thread: the faithful idealized model (formerly `Simulator`),
+//!   synchronous rounds, reliable delivery;
+//! * `Channel` — the same link, each player on its own worker thread,
+//!   under a deterministic fault-injection [`DeliveryPolicy`] (per-link
+//!   drop, duplication, reordering, partitions, crash-restart outages,
+//!   frame tampering);
+//! * `TcpReactor` — the socket link: [`ReactorTransport`] runs one
+//!   player over real `std::net::TcpStream` sockets, so a run can span
+//!   OS processes and machines; each player is **one event loop and
+//!   zero extra threads** (`poll(2)` on Linux, adaptive readiness scan
+//!   elsewhere), which is what scales to n=512+ meshes. The variant
+//!   runs a whole player set as an in-process `127.0.0.1` mesh.
 //!
-//! The in-process transports share one router, and the socket
-//! transport's round engine ([`mesh`]) meters identically (sender-side,
-//! real frame lengths, before fault injection), so traffic metering
-//! ([`Metrics`]) agrees by construction: experiment E5's byte counts
-//! are the exact frame lengths on the wire, whichever transport runs
-//! the protocol.
+//! Metering (sender-side, real frame lengths, before fault injection),
+//! fault draws and inbox order (ascending sender id, then the policy's
+//! receiver-side shuffle) all happen inside the engine, so [`Metrics`]
+//! and every inbox agree across links by construction: experiment E5's
+//! byte counts are the exact frame lengths on the wire, whichever link
+//! carries the protocol.
 //! Byzantine behavior is expressed by registering a *different* state
 //! machine (or behavior-hooked player) for a corrupted player;
 //! unreliable-network behavior by the policy — both in one runtime.
 //! Failures from every layer unify in [`Error`] (see `error.rs`).
 
-mod channel;
 mod error;
 pub mod frame;
-mod lockstep;
+mod inproc;
 pub mod mesh;
 mod policy;
 pub mod reactor;
 mod ready;
-mod router;
 
 pub use borndist_pairing::codec::{CodecError, Wire};
-pub use channel::ChannelTransport;
 pub use error::{Error, TcpError};
 pub use frame::{decode_frame, encode_frame, WIRE_VERSION};
-pub use lockstep::LockstepTransport;
 pub use mesh::MAX_ENVELOPE_BYTES;
 pub use policy::{DeliveryPolicy, Outage, Partition, Tamper, TamperRule};
 pub use reactor::{
@@ -63,7 +64,7 @@ pub use reactor::{
 };
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// 1-based player identifier (index `0` is reserved, matching the
 /// secret-sharing convention).
@@ -140,7 +141,7 @@ pub trait Protocol {
 }
 
 /// A boxed protocol player, as every transport consumes them
-/// (`Send` so the channel transport can move it onto its own thread).
+/// (`Send` so a transport can seat it on a thread of its own).
 pub type BoxedPlayer<M, O> = Box<dyn Protocol<Message = M, Output = O> + Send>;
 
 /// Size of a value on the wire.
@@ -164,7 +165,7 @@ impl<T: Wire> WireSize for T {
 /// Traffic statistics collected by the transports.
 ///
 /// Byte counts are **real encoded frame lengths** (version byte
-/// included), metered sender-side by the shared router — identical
+/// included), metered sender-side by the one round engine — identical
 /// between transports for the same protocol run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
@@ -203,8 +204,8 @@ impl Metrics {
     }
 
     /// Merges per-player metrics (each covering one player's sends, as
-    /// the socket transport produces) into the global view the in-process
-    /// transports meter directly: counters sum, per-round vectors sum
+    /// the round engine meters them) into the global view of a run:
+    /// counters sum, per-round vectors sum
     /// elementwise (padding short runs with zero rounds), and the
     /// wall-clock samples take the slowest player (rounds overlap in
     /// real time, they don't concatenate).
@@ -240,6 +241,13 @@ impl Metrics {
         }
         merged.active_rounds = merged.per_round.iter().filter(|(m, _)| *m > 0).count();
         merged
+    }
+
+    /// Records the wall-clock samples of the round just driven.
+    pub(crate) fn finish_round(&mut self, round_start: Instant, run_start: Instant) {
+        self.total_rounds += 1;
+        self.per_round_elapsed.push(round_start.elapsed());
+        self.elapsed = run_start.elapsed();
     }
 }
 
@@ -466,13 +474,16 @@ impl std::error::Error for SimError {}
 
 /// Which transport to run a protocol over — how callers up the stack
 /// (DKG drivers, examples, benchmarks) select a runtime without caring
-/// about its mechanics.
+/// about its mechanics (one round engine, three ways to carry it).
 #[derive(Clone, Debug, Default)]
 pub enum TransportKind {
-    /// [`LockstepTransport`]: the idealized synchronous model.
+    /// The in-memory link, every player on the caller's thread (and
+    /// under the caller's parallelism setting), reliable delivery: the
+    /// idealized synchronous model of §2.1.
     #[default]
     Lockstep,
-    /// [`ChannelTransport`] with the given fault policy.
+    /// The in-memory link, each player on its own worker thread, with
+    /// the given fault policy.
     Channel(DeliveryPolicy),
     /// An in-process mesh of [`ReactorTransport`]s over real loopback
     /// sockets (one thread, one event loop and one ephemeral
@@ -483,28 +494,25 @@ pub enum TransportKind {
     TcpReactor(DeliveryPolicy),
 }
 
-/// Runs a set of players over the selected transport to completion.
+/// Runs a set of players over the selected transport to completion,
+/// returning the outputs by player id and the run's merged [`Metrics`].
+/// A player whose `round` panics fails the run with that panic.
 ///
 /// # Errors
 ///
-/// See [`LockstepTransport::run`] / [`ChannelTransport::run`] /
-/// [`ReactorTransport::run`]; everything unifies into [`Error`].
+/// [`SimError::DuplicatePlayer`]; [`SimError::RoundLimitExceeded`]
+/// (naming the unfinished players — under a lossy policy, protocols
+/// without retransmission may legitimately exhaust the budget);
+/// [`SimError::UnknownRecipient`] on a misaddressed private frame; over
+/// sockets also what [`ReactorTransport::connect`] can fail with.
 pub fn run_protocol<M: Wire + Clone, O: Send>(
     kind: &TransportKind,
     players: Vec<BoxedPlayer<M, O>>,
     max_rounds: usize,
 ) -> Result<(BTreeMap<PlayerId, O>, Metrics), Error> {
     match kind {
-        TransportKind::Lockstep => {
-            let mut transport = LockstepTransport::new(players)?;
-            let outputs = transport.run(max_rounds)?;
-            Ok((outputs, transport.into_metrics()))
-        }
-        TransportKind::Channel(policy) => {
-            let mut transport = ChannelTransport::new(players, policy.clone())?;
-            let outputs = transport.run(max_rounds)?;
-            Ok((outputs, transport.metrics().clone()))
-        }
+        TransportKind::Lockstep => inproc::run_on_caller(players, max_rounds),
+        TransportKind::Channel(policy) => inproc::run_on_workers(players, policy, max_rounds),
         TransportKind::TcpReactor(policy) => run_tcp_reactor_loopback_with(
             players,
             TcpOptions::with_policy(policy.clone()),
@@ -575,10 +583,50 @@ mod tests {
             .collect()
     }
 
+    /// A one-off player from a closure: `round(round, inbox)`.
+    struct Toy<F>(PlayerId, F);
+
+    impl<O, F: FnMut(usize, &[Delivered<u64>]) -> RoundAction<u64, O>> Protocol for Toy<F> {
+        type Message = u64;
+        type Output = O;
+        fn round(&mut self, round: usize, inbox: &[Delivered<u64>]) -> RoundAction<u64, O> {
+            (self.1)(round, inbox)
+        }
+        fn id(&self) -> PlayerId {
+            self.0
+        }
+    }
+
+    fn toy<O>(
+        id: PlayerId,
+        round: impl FnMut(usize, &[Delivered<u64>]) -> RoundAction<u64, O> + Send + 'static,
+    ) -> BoxedPlayer<u64, O> {
+        Box::new(Toy(id, round))
+    }
+
+    /// `run_protocol` over the in-memory link with every player on this
+    /// thread; the only failures it can meet are protocol-level.
+    fn lockstep<O: Send>(
+        players: Vec<BoxedPlayer<u64, O>>,
+        max_rounds: usize,
+    ) -> Result<(BTreeMap<PlayerId, O>, Metrics), SimError> {
+        run_protocol(&TransportKind::Lockstep, players, max_rounds).map_err(|e| match e {
+            Error::Sim(e) => e,
+            other => panic!("unexpected error: {}", other),
+        })
+    }
+
+    /// `run_protocol` over the in-memory link with a worker per player.
+    fn channel(
+        players: Vec<BoxedPlayer<u64, u64>>,
+        policy: DeliveryPolicy,
+    ) -> (BTreeMap<PlayerId, u64>, Metrics) {
+        run_protocol(&TransportKind::Channel(policy), players, 10).unwrap()
+    }
+
     #[test]
     fn broadcast_reaches_everyone_once() {
-        let mut sim = LockstepTransport::new(summers(4)).unwrap();
-        let out = sim.run(10).unwrap();
+        let (out, _) = lockstep(summers(4), 10).unwrap();
         // Everyone saw the 4 broadcasts (1+2+3+4 = 10); player 1 also got
         // the 4 private messages 101+102+103+104 = 410.
         assert_eq!(out[&2], 10);
@@ -588,9 +636,7 @@ mod tests {
 
     #[test]
     fn metrics_count_messages_and_rounds() {
-        let mut sim = LockstepTransport::new(summers(4)).unwrap();
-        sim.run(10).unwrap();
-        let m = sim.metrics();
+        let (_, m) = lockstep(summers(4), 10).unwrap();
         // Round 0: 4 broadcasts; round 1: 4 private; round 2: none.
         // Each u64 frame is 1 version byte + 8 payload bytes.
         assert_eq!(m.messages, 8);
@@ -608,12 +654,10 @@ mod tests {
 
     #[test]
     fn channel_transport_agrees_with_lockstep() {
-        let mut lockstep = LockstepTransport::new(summers(5)).unwrap();
-        let out_l = lockstep.run(10).unwrap();
-        let mut channel = ChannelTransport::new(summers(5), DeliveryPolicy::reliable()).unwrap();
-        let out_c = channel.run(10).unwrap();
+        let (out_l, metrics_l) = lockstep(summers(5), 10).unwrap();
+        let (out_c, metrics_c) = channel(summers(5), DeliveryPolicy::reliable());
         assert_eq!(out_l, out_c);
-        assert!(lockstep.metrics().same_traffic(channel.metrics()));
+        assert!(metrics_l.same_traffic(&metrics_c));
     }
 
     #[test]
@@ -686,47 +730,19 @@ mod tests {
 
     #[test]
     fn metrics_roundtrip_on_the_wire() {
-        let mut sim = LockstepTransport::new(summers(4)).unwrap();
-        sim.run(10).unwrap();
-        let m = sim.metrics().clone();
+        let (_, m) = lockstep(summers(4), 10).unwrap();
         let decoded = Metrics::decode_exact(&m.encode()).unwrap();
         assert_eq!(decoded, m);
     }
 
     #[test]
     fn round_limit_reports_unfinished_players() {
-        struct Forever(PlayerId);
-        impl Protocol for Forever {
-            type Message = u64;
-            type Output = ();
-            fn round(&mut self, _r: usize, _i: &[Delivered<u64>]) -> RoundAction<u64, ()> {
-                RoundAction::Continue(vec![])
-            }
-            fn id(&self) -> PlayerId {
-                self.0
-            }
-        }
-        struct Immediate(PlayerId);
-        impl Protocol for Immediate {
-            type Message = u64;
-            type Output = ();
-            fn round(&mut self, _r: usize, _i: &[Delivered<u64>]) -> RoundAction<u64, ()> {
-                RoundAction::Finish(())
-            }
-            fn id(&self) -> PlayerId {
-                self.0
-            }
-        }
+        let forever = |id| toy(id, |_, _| RoundAction::Continue(vec![]));
+        let immediate = |id| toy(id, |_, _| RoundAction::Finish(()));
         // Players 2 and 4 never finish — the error names exactly them.
-        let players: Vec<BoxedPlayer<u64, ()>> = vec![
-            Box::new(Immediate(1)),
-            Box::new(Forever(2)),
-            Box::new(Immediate(3)),
-            Box::new(Forever(4)),
-        ];
-        let mut sim = LockstepTransport::new(players).unwrap();
+        let players = vec![immediate(1), forever(2), immediate(3), forever(4)];
         assert_eq!(
-            sim.run(5),
+            lockstep(players, 5),
             Err(SimError::RoundLimitExceeded {
                 limit: 5,
                 unfinished: vec![2, 4],
@@ -741,30 +757,21 @@ mod tests {
             Box::new(Summer { id: 1, seen: 0 }),
         ];
         assert!(matches!(
-            LockstepTransport::new(players),
+            lockstep(players, 10),
             Err(SimError::DuplicatePlayer(1))
         ));
     }
 
     #[test]
     fn unknown_recipient_detected() {
-        struct Misaddressed;
-        impl Protocol for Misaddressed {
-            type Message = u64;
-            type Output = ();
-            fn round(&mut self, _r: usize, _i: &[Delivered<u64>]) -> RoundAction<u64, ()> {
-                RoundAction::Continue(vec![Outgoing {
-                    to: Recipient::Private(99),
-                    msg: 0,
-                }])
-            }
-            fn id(&self) -> PlayerId {
-                1
-            }
-        }
-        let mut sim: LockstepTransport<u64, ()> =
-            LockstepTransport::new(vec![Box::new(Misaddressed)]).unwrap();
-        assert_eq!(sim.run(3), Err(SimError::UnknownRecipient(99)));
+        let misaddressed = toy(1, |_, _| {
+            RoundAction::<u64, ()>::Continue(vec![Outgoing {
+                to: Recipient::Private(99),
+                msg: 0,
+            }])
+        });
+        let sim = lockstep(vec![misaddressed], 3);
+        assert_eq!(sim, Err(SimError::UnknownRecipient(99)));
     }
 
     #[test]
@@ -773,47 +780,26 @@ mod tests {
         // broadcasting afterwards. Their frames must never be queued
         // into player 1's inbox (it would silently leak memory and mask
         // protocol bugs) — and 2 and 3 must still hear each other.
-        struct EarlyOut;
-        impl Protocol for EarlyOut {
-            type Message = u64;
-            type Output = u64;
-            fn round(&mut self, _r: usize, inbox: &[Delivered<u64>]) -> RoundAction<u64, u64> {
-                assert!(inbox.is_empty(), "finished player must receive nothing");
-                RoundAction::Finish(0)
-            }
-            fn id(&self) -> PlayerId {
-                1
-            }
-        }
-        struct Chatter {
-            id: PlayerId,
-            heard: u64,
-        }
-        impl Protocol for Chatter {
-            type Message = u64;
-            type Output = u64;
-            fn round(&mut self, round: usize, inbox: &[Delivered<u64>]) -> RoundAction<u64, u64> {
-                self.heard += inbox.iter().filter(|d| d.msg.is_ok()).count() as u64;
+        let early_out = toy(1, |_, inbox| {
+            assert!(inbox.is_empty(), "finished player must receive nothing");
+            RoundAction::Finish(0)
+        });
+        let chatter = |id| {
+            let mut heard = 0;
+            toy(id, move |round, inbox| {
+                heard += inbox.iter().filter(|d| d.msg.is_ok()).count() as u64;
                 if round == 3 {
-                    RoundAction::Finish(self.heard)
+                    RoundAction::Finish(heard)
                 } else {
                     RoundAction::Continue(vec![Outgoing {
                         to: Recipient::Broadcast,
                         msg: round as u64,
                     }])
                 }
-            }
-            fn id(&self) -> PlayerId {
-                self.id
-            }
-        }
-        let players: Vec<BoxedPlayer<u64, u64>> = vec![
-            Box::new(EarlyOut),
-            Box::new(Chatter { id: 2, heard: 0 }),
-            Box::new(Chatter { id: 3, heard: 0 }),
-        ];
-        let mut sim = LockstepTransport::new(players).unwrap();
-        let out = sim.run(10).unwrap();
+            })
+        };
+        let players = vec![early_out, chatter(2), chatter(3)];
+        let (out, metrics) = lockstep(players, 10).unwrap();
         // Rounds 0..=2 each had 2 broadcasts; every chatter hears both
         // (its own included) in rounds 1..=3.
         assert_eq!(out[&2], 6);
@@ -822,7 +808,7 @@ mod tests {
         // not 3: total messages is 6, and byte totals match 2 frames of
         // 9 bytes per active round — the metering sees sends, while
         // player 1's inbox assertion above proves non-delivery.
-        assert_eq!(sim.metrics().messages, 6);
+        assert_eq!(metrics.messages, 6);
     }
 
     #[test]
@@ -850,8 +836,7 @@ mod tests {
             seed: 9,
             ..DeliveryPolicy::default()
         };
-        let mut channel = ChannelTransport::new(summers(4), policy).unwrap();
-        let out = channel.run(10).unwrap();
+        let (out, _) = channel(summers(4), policy);
         assert_eq!(out[&1], 10);
         assert_eq!(out[&2], 10);
     }
@@ -868,12 +853,11 @@ mod tests {
             }],
             ..DeliveryPolicy::default()
         };
-        let mut channel = ChannelTransport::new(summers(4), policy).unwrap();
-        let out = channel.run(10).unwrap();
+        let (out, metrics) = channel(summers(4), policy);
         assert_eq!(out[&3], 10 - 2 + 1000);
         // Metering is sender-side: byte totals are unchanged by the
         // in-flight corruption.
-        assert_eq!(channel.metrics().bytes, 8 * 9);
+        assert_eq!(metrics.bytes, 8 * 9);
     }
 
     #[test]
@@ -884,13 +868,8 @@ mod tests {
             seed: 4,
             ..DeliveryPolicy::default()
         };
-        let run = |policy: DeliveryPolicy| {
-            let mut channel = ChannelTransport::new(summers(4), policy).unwrap();
-            let out = channel.run(10).unwrap();
-            (out, channel.metrics().clone())
-        };
-        let (out1, m1) = run(policy.clone());
-        let (out2, m2) = run(policy);
+        let (out1, m1) = channel(summers(4), policy.clone());
+        let (out2, m2) = channel(summers(4), policy);
         assert_eq!(out1, out2);
         assert!(m1.same_traffic(&m2));
         // Every private message to player 1 was duplicated.
@@ -912,8 +891,100 @@ mod tests {
             }],
             ..DeliveryPolicy::default()
         };
-        let mut channel = ChannelTransport::new(summers(4), policy).unwrap();
-        let out = channel.run(10).unwrap();
+        let (out, _) = channel(summers(4), policy);
         assert_eq!(out[&1], 10);
+    }
+
+    /// What a scribe was delivered, in delivery order.
+    type Transcript = Vec<(PlayerId, Option<u64>)>;
+
+    /// Four order-sensitive players registered in *descending* id
+    /// order: for three rounds each sends one value privately to every
+    /// player (itself included) and broadcasts it, and outputs the
+    /// transcript of everything delivered. The `armed` one panics in
+    /// round 1 instead.
+    fn scribes(armed: Option<PlayerId>) -> Vec<BoxedPlayer<u64, Transcript>> {
+        let scribe = |id: PlayerId| {
+            let mut log = Transcript::new();
+            toy(id, move |round, inbox| {
+                if armed == Some(id) && round == 1 {
+                    panic!("player {} went off in round 1", id);
+                }
+                log.extend(inbox.iter().map(|d| (d.from, d.ok().copied())));
+                if round == 3 {
+                    return RoundAction::Finish(std::mem::take(&mut log));
+                }
+                let msg = round as u64 * 10 + u64::from(id);
+                let everyone = (1..=4).map(Recipient::Private);
+                let sends = everyone.chain([Recipient::Broadcast]);
+                RoundAction::Continue(sends.map(|to| Outgoing { to, msg }).collect())
+            })
+        };
+        (1..=4).rev().map(scribe).collect()
+    }
+
+    #[test]
+    fn links_agree_whatever_the_registration_order() {
+        let run = |kind: TransportKind| run_protocol(&kind, scribes(None), 10).unwrap();
+        let (out_l, metrics_l) = run(TransportKind::Lockstep);
+        let (out_c, metrics_c) = run(TransportKind::Channel(DeliveryPolicy::reliable()));
+        assert_eq!(out_l, out_c);
+        assert!(metrics_l.same_traffic(&metrics_c));
+        // Inboxes are assembled in ascending sender id on every
+        // transport, whatever order the players were registered in.
+        let senders: Vec<PlayerId> = out_l[&1][..8].iter().map(|(from, _)| *from).collect();
+        assert_eq!(senders, [1, 1, 2, 2, 3, 3, 4, 4]);
+
+        let policy = DeliveryPolicy {
+            seed: 11,
+            drop_rate: 0.2,
+            duplicate_rate: 0.3,
+            reorder: true,
+            tamper: vec![TamperRule {
+                round: 1,
+                from: 3,
+                kind: Tamper::FlipPayloadBit,
+            }],
+            ..DeliveryPolicy::default()
+        };
+        let (out_c, metrics_c) = run(TransportKind::Channel(policy.clone()));
+        let (out_r, metrics_r) = run(TransportKind::TcpReactor(policy));
+        assert_eq!(out_c, out_r);
+        assert!(metrics_c.same_traffic(&metrics_r));
+        // The faults bit, and metering is sender-side all the same.
+        assert_ne!(out_c, out_l);
+        assert!(metrics_c.same_traffic(&metrics_l));
+    }
+
+    #[test]
+    fn a_panicking_player_fails_the_run_on_every_transport() {
+        for kind in [
+            TransportKind::Lockstep,
+            TransportKind::Channel(DeliveryPolicy::reliable()),
+            TransportKind::TcpReactor(DeliveryPolicy::reliable()),
+        ] {
+            // The runner holds `done` until it returns or unwinds, so
+            // a hang (the failure this guards against) trips the
+            // timeout instead of wedging the suite.
+            let (done, gone) = std::sync::mpsc::channel::<()>();
+            let run_kind = kind.clone();
+            let runner = std::thread::spawn(move || {
+                let _done = done;
+                run_protocol(&run_kind, scribes(Some(2)), 10).map(drop)
+            });
+            assert_eq!(
+                gone.recv_timeout(Duration::from_secs(10)),
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected),
+                "{:?} hung on a panicking player",
+                kind
+            );
+            let panic = runner.join().expect_err("the run must panic");
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some("player 2 went off in round 1"),
+                "{:?} surfaces the player's own message",
+                kind
+            );
+        }
     }
 }

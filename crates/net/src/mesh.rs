@@ -1,18 +1,25 @@
-//! Shared socket-mesh machinery: the handshake/framing envelope, the
-//! incremental (partial-read / partial-write) frame codecs, and the
-//! round engine the socket transport drives.
+//! The one round engine, and the envelope it speaks: the
+//! handshake/framing [`Envelope`], the incremental (partial-read /
+//! partial-write) frame codecs of the socket link, and `Node` — one
+//! player, its parked frames and barrier verdicts, its sender-side
+//! [`Metrics`] and its [`DeliveryPolicy`] fault streams.
 //!
-//! [`crate::reactor::ReactorTransport`] only decides *how bytes move*;
-//! everything that decides *which* frames exist — metering, fault
-//! injection, parking, barriers — lives here, and draws from the same
-//! [`DeliveryPolicy`] RNG streams as the in-process router. That is the
-//! transport-parity argument: a socket run cannot disagree with a
-//! [`crate::ChannelTransport`] run on a [`crate::Metrics`] byte.
+//! A transport only decides *how envelopes move* (the in-memory link
+//! hands them over between rounds, [`crate::reactor::ReactorTransport`]
+//! writes them to sockets); everything that decides *which* frames
+//! exist and what a player sees — metering, tampering, drop/duplicate
+//! draws, inbox order and reorder shuffle, non-delivery to finished
+//! players — happens in `Node::turn`, the only caller of
+//! [`crate::Protocol::round`]. That is the transport-parity argument:
+//! no two transports can disagree on a [`crate::Metrics`] byte or an
+//! inbox, because neither computes them.
 
 use crate::error::{Error, TcpError};
-use crate::frame::{decode_frame, encode_frame};
+use crate::frame::encode_frame;
 use crate::policy::DeliveryPolicy;
-use crate::{Delivered, Metrics, Outgoing, PlayerId, Recipient, SimError};
+use crate::{
+    BoxedPlayer, Delivered, Metrics, Outgoing, PlayerId, Recipient, RoundAction, SimError,
+};
 use borndist_pairing::codec::{CodecError, Wire};
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -304,9 +311,9 @@ pub(crate) struct Parked {
     pub frame: Vec<u8>,
 }
 
-/// The per-player round-engine state of a socket transport:
-/// frames parked for future barriers, the per-peer `EndRound`
-/// watermark, and the finished/gone verdicts.
+/// What one player knows of its mesh: frames parked for future
+/// rounds, the per-peer `EndRound` watermark (the socket link's
+/// barrier), and the finished/gone verdicts.
 pub(crate) struct RoundState {
     /// Frames parked for a future round's barrier.
     pub pending: BTreeMap<u32, Vec<Parked>>,
@@ -336,50 +343,16 @@ impl RoundState {
     }
 
     /// The live peers, in id order.
-    pub fn live_peers(&self) -> Vec<PlayerId> {
-        self.closed
-            .keys()
-            .filter(|p| self.live(**p))
-            .copied()
-            .collect()
-    }
-
-    /// Assembles round `round`'s inbox: everything parked at the
-    /// barrier, sorted into the canonical pre-shuffle order (ascending
-    /// sender id — matching the in-process transports' registration
-    /// order), then shuffled receiver-side from the shared per-(receiver,
-    /// deliver-round) stream — draw-for-draw identical to the router's
-    /// per-inbox Fisher–Yates.
-    pub fn take_inbox<M: Wire>(
-        &mut self,
-        round: usize,
-        me: PlayerId,
-        policy: &DeliveryPolicy,
-    ) -> Vec<Delivered<M>> {
-        let mut parked = self.pending.remove(&(round as u32)).unwrap_or_default();
-        parked.sort_by_key(|p| p.from);
-        if policy.reorder {
-            let mut rng = policy.reorder_rng(round, me);
-            for i in (1..parked.len()).rev() {
-                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                parked.swap(i, j);
-            }
-        }
-        parked
-            .into_iter()
-            .map(|p| Delivered {
-                from: p.from,
-                broadcast: p.broadcast,
-                msg: decode_frame(&p.frame),
-            })
-            .collect()
+    pub fn live_peers(&self) -> impl Iterator<Item = PlayerId> + '_ {
+        self.closed.keys().copied().filter(|p| self.live(*p))
     }
 
     /// Absorbs one post-handshake envelope from `from` while this
     /// player sits at round `r32`. A round-`pr` payload belongs to the
     /// round-`pr + 1` inbox (sent in `pr`, delivered at the next
     /// barrier); frames for rounds already closed here — a straggler
-    /// after a timeout verdict — are dropped.
+    /// after a timeout verdict — are dropped, and so is a frame whose
+    /// peer-supplied round has no successor.
     pub fn note_envelope(&mut self, from: PlayerId, env: Envelope, r32: u32) {
         match env {
             Envelope::Payload {
@@ -387,8 +360,8 @@ impl RoundState {
                 broadcast,
                 frame,
             } => {
-                if pr >= r32 {
-                    self.pending.entry(pr + 1).or_default().push(Parked {
+                if let Some(deliver) = pr.checked_add(1).filter(|_| pr >= r32) {
+                    self.pending.entry(deliver).or_default().push(Parked {
                         from,
                         broadcast,
                         frame,
@@ -418,101 +391,159 @@ impl RoundState {
     }
 }
 
-/// Routes one round's outgoing messages: metering (sender-side, real
-/// encoded lengths, **before** tampering), fault injection in emission
-/// order from the shared sender RNG, local parking of self-deliveries,
-/// and fan-out through `send` — `send(peer, env)` returns `false` when
-/// the peer's socket is dead, which marks it gone.
-///
-/// The drop / duplicate / tamper decisions are drawn exactly as the
-/// in-process router draws them, so the schedule and every metered byte
-/// are identical by construction.
-#[allow(clippy::too_many_arguments)] // the full per-round routing context
-pub(crate) fn route_outgoing<M: Wire>(
-    me: PlayerId,
-    round: usize,
-    outgoing: Vec<Outgoing<M>>,
-    policy: &DeliveryPolicy,
-    send_rng: &mut StdRng,
-    state: &mut RoundState,
-    metrics: &mut Metrics,
-    send: &mut dyn FnMut(PlayerId, &Envelope) -> bool,
-) -> Result<(), Error> {
-    let r32 = round as u32;
-    let mut round_msgs = 0usize;
-    let mut round_bytes = 0usize;
-    for out in outgoing {
-        let mut frame = encode_frame(&out.msg);
-        // Meter sender-side at the real encoded length, before fault
-        // injection — identical to the shared router.
-        round_msgs += 1;
-        round_bytes += frame.len();
-        *metrics.bytes_by_player.entry(me).or_insert(0) += frame.len();
-        policy.tamper_frame(round, me, &mut frame);
+/// The round engine of one player: the state machine, what it knows of
+/// its mesh, its sender-side metrics, and the policy with this sender's
+/// fault stream. Every transport seats its players on `Node`s.
+pub(crate) struct Node<M, O> {
+    player: BoxedPlayer<M, O>,
+    pub id: PlayerId,
+    policy: DeliveryPolicy,
+    send_rng: StdRng,
+    pub state: RoundState,
+    /// This player's sends only — merge across the mesh with
+    /// [`Metrics::merge`] for the global view.
+    pub metrics: Metrics,
+}
 
-        match out.to {
-            Recipient::Broadcast => {
-                state.pending.entry(r32 + 1).or_default().push(Parked {
-                    from: me,
-                    broadcast: true,
-                    frame: frame.clone(),
-                });
-                let env = Envelope::Payload {
-                    round: r32,
-                    broadcast: true,
-                    frame,
-                };
-                for pid in state.live_peers() {
-                    if !send(pid, &env) {
-                        state.gone.insert(pid);
-                    }
-                }
+impl<M: Wire, O> Node<M, O> {
+    pub fn new<I: IntoIterator<Item = PlayerId>>(
+        player: BoxedPlayer<M, O>,
+        peers: I,
+        policy: DeliveryPolicy,
+    ) -> Self {
+        let id = player.id();
+        Node {
+            player,
+            id,
+            send_rng: policy.sender_rng(id),
+            policy,
+            state: RoundState::new(peers),
+            metrics: Metrics::default(),
+        }
+    }
+
+    /// Plays `round`: opens the inbox parked for it — canonical order
+    /// (ascending sender id, emission order within a sender, duplicates
+    /// adjacent), then one receiver-side Fisher–Yates pass over the
+    /// per-(receiver, deliver-round) stream when the policy reorders —
+    /// decodes each frame through `decode`, advances the player and, if
+    /// it continues, routes what it sent through `send` (see
+    /// [`Self::route`]). Returns the output once the player finishes.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnknownRecipient`] on a misaddressed private frame.
+    pub fn turn(
+        &mut self,
+        round: usize,
+        decode: &mut dyn FnMut(Vec<u8>) -> Result<M, CodecError>,
+        send: &mut dyn FnMut(PlayerId, &Envelope) -> bool,
+    ) -> Result<Option<O>, Error> {
+        let mut parked = self
+            .state
+            .pending
+            .remove(&(round as u32))
+            .unwrap_or_default();
+        parked.sort_by_key(|p| p.from);
+        if self.policy.reorder {
+            let mut rng = self.policy.reorder_rng(round, self.id);
+            for i in (1..parked.len()).rev() {
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                parked.swap(i, j);
             }
-            Recipient::Private(to) => {
-                if to != me && !state.closed.contains_key(&to) {
-                    return Err(SimError::UnknownRecipient(to).into());
-                }
-                if !policy.link_up(round, me, to) {
-                    continue;
-                }
-                let dropped = DeliveryPolicy::chance(send_rng, policy.drop_rate);
-                let duplicated =
-                    !dropped && DeliveryPolicy::chance(send_rng, policy.duplicate_rate);
-                if dropped {
-                    continue;
-                }
-                let copies = if duplicated { 2 } else { 1 };
-                for _ in 0..copies {
-                    if to == me {
-                        state.pending.entry(r32 + 1).or_default().push(Parked {
-                            from: me,
-                            broadcast: false,
-                            frame: frame.clone(),
-                        });
-                    } else if state.live(to) {
-                        let env = Envelope::Payload {
-                            round: r32,
-                            broadcast: false,
-                            frame: frame.clone(),
-                        };
-                        if !send(to, &env) {
-                            state.gone.insert(to);
-                        }
-                    }
-                    // A private frame to a finished peer is metered but
-                    // silently dropped — its recipient legitimately
-                    // left.
-                }
+        }
+        let inbox: Vec<Delivered<M>> = parked
+            .into_iter()
+            .map(|p| Delivered {
+                from: p.from,
+                broadcast: p.broadcast,
+                msg: decode(p.frame),
+            })
+            .collect();
+        match self.player.round(round, &inbox) {
+            RoundAction::Finish(out) => {
+                self.metrics.per_round.push((0, 0));
+                Ok(Some(out))
+            }
+            RoundAction::Continue(outgoing) => {
+                self.route(round, outgoing, send)?;
+                Ok(None)
             }
         }
     }
-    metrics.messages += round_msgs;
-    metrics.bytes += round_bytes;
-    metrics.per_round.push((round_msgs, round_bytes));
-    if round_msgs > 0 {
-        metrics.active_rounds += 1;
+
+    /// Routes one round's outgoing messages: metering (sender-side,
+    /// real encoded lengths, **before** tampering), fault injection in
+    /// emission order from this sender's RNG, local parking of
+    /// self-deliveries, and fan-out through `send` — `send(peer, env)`
+    /// returns `false` when the link to the peer is dead, which marks
+    /// it gone.
+    fn route(
+        &mut self,
+        round: usize,
+        outgoing: Vec<Outgoing<M>>,
+        send: &mut dyn FnMut(PlayerId, &Envelope) -> bool,
+    ) -> Result<(), Error> {
+        let (me, policy, state) = (self.id, &self.policy, &mut self.state);
+        let r32 = round as u32;
+        let (mut msgs, mut bytes) = (0, 0);
+        for out in outgoing {
+            let mut frame = encode_frame(&out.msg);
+            msgs += 1;
+            bytes += frame.len();
+            // Tampering models a garbage-emitting *sender*: applied
+            // before fan-out, so every receiver of a broadcast sees the
+            // identical corrupted frame.
+            policy.tamper_frame(round, me, &mut frame);
+
+            let (broadcast, recipients) = match out.to {
+                // The broadcast channel is reliable by assumption
+                // (§2.1): exactly-once delivery to every live player,
+                // the policy's private-link loss faults do not apply.
+                Recipient::Broadcast => {
+                    let everyone = std::iter::once(me).chain(state.live_peers());
+                    (true, everyone.collect())
+                }
+                Recipient::Private(to) => {
+                    if to != me && !state.closed.contains_key(&to) {
+                        return Err(SimError::UnknownRecipient(to).into());
+                    }
+                    if !policy.link_up(round, me, to) {
+                        continue;
+                    }
+                    let dropped = DeliveryPolicy::chance(&mut self.send_rng, policy.drop_rate);
+                    let duplicated = !dropped
+                        && DeliveryPolicy::chance(&mut self.send_rng, policy.duplicate_rate);
+                    if dropped {
+                        continue;
+                    }
+                    (false, vec![to; if duplicated { 2 } else { 1 }])
+                }
+            };
+            let env = Envelope::Payload {
+                round: r32,
+                broadcast,
+                frame,
+            };
+            for to in recipients {
+                if to == me {
+                    state.note_envelope(me, env.clone(), r32);
+                } else if state.live(to) && !send(to, &env) {
+                    state.gone.insert(to);
+                }
+                // A private frame to a finished peer is metered but
+                // silently dropped — its recipient legitimately left.
+            }
+        }
+        if msgs > 0 {
+            *self.metrics.bytes_by_player.entry(me).or_insert(0) += bytes;
+            self.metrics.active_rounds += 1;
+        }
+        self.metrics.messages += msgs;
+        self.metrics.bytes += bytes;
+        self.metrics.per_round.push((msgs, bytes));
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -687,10 +718,26 @@ mod tests {
             },
             3,
         );
-        assert_eq!(state.pending.get(&1).map_or(0, Vec::len), 1);
-        let inbox: Vec<Delivered<u64>> = state.take_inbox(1, 9, &DeliveryPolicy::reliable());
+        let inbox = &state.pending[&1];
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].from, 2);
         assert!(inbox[0].broadcast);
+    }
+
+    /// `Envelope::decode` accepts any `u32` round, so a hostile peer can
+    /// send one with no successor: the frame is dropped — not parked
+    /// under a wrapped key nothing ever frees, and no overflow panic on
+    /// the reactor thread.
+    #[test]
+    fn payload_round_without_successor_is_dropped() {
+        let mut state = RoundState::new([2]);
+        let hostile = Envelope::Payload {
+            round: u32::MAX,
+            broadcast: false,
+            frame: vec![1],
+        };
+        let decoded = Envelope::decode_exact(&hostile.encode()).unwrap();
+        state.note_envelope(2, decoded, 0);
+        assert!(state.pending.is_empty());
     }
 }

@@ -102,10 +102,11 @@ pub struct Outage {
     pub until_round: usize,
 }
 
-/// Deterministic fault injection for a [`crate::ChannelTransport`] run.
+/// Deterministic fault injection for a protocol run.
 ///
-/// The default policy is fully reliable (what [`crate::LockstepTransport`]
-/// always provides); each field switches on one failure mode.
+/// The default policy is fully reliable (what
+/// [`crate::TransportKind::Lockstep`] always provides); each field
+/// switches on one failure mode.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DeliveryPolicy {
     /// Seed of the fault RNG (drops, duplicates and reorder shuffles).
@@ -185,8 +186,9 @@ impl DeliveryPolicy {
     /// injection schedule from this same stream — one decision drawn per
     /// private frame the sender emits on an administratively-up link, in
     /// emission order — so a faulted run injects the identical schedule
-    /// whether the players share a process ([`crate::ChannelTransport`])
-    /// or sit behind real sockets ([`crate::ReactorTransport`]).
+    /// whether the players share a process
+    /// ([`crate::TransportKind::Channel`]) or sit behind real sockets
+    /// ([`crate::ReactorTransport`]).
     pub fn sender_rng(&self, id: PlayerId) -> StdRng {
         StdRng::seed_from_u64(self.seed ^ (0x7c9_0000_0000u64 | u64::from(id)).rotate_left(17))
     }

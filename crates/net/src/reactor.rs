@@ -45,24 +45,20 @@
 //!
 //! ## Fault injection and metering
 //!
-//! All routing, metering, fault injection and barrier logic is the
-//! [`crate::mesh`] round engine — the reactor moves bytes, it never
-//! decides which frames exist. The same [`DeliveryPolicy`] drives fault
-//! injection, applied sender-side exactly like the in-process router
-//! and drawn from the same per-sender and per-inbox streams
-//! ([`DeliveryPolicy::sender_rng`], [`DeliveryPolicy::reorder_rng`]), so
-//! a run's merged [`Metrics`] (see [`Metrics::merge`]) are
-//! **byte-identical** to the same protocol over
-//! [`crate::ChannelTransport`] — the cross-transport parity gate CI
-//! enforces, lossy runs included.
+//! All routing, metering, fault injection and inbox assembly is the
+//! [`crate::mesh`] round engine — the reactor holds one `Node` and
+//! moves its envelopes; it never decides which frames exist. The
+//! in-memory link seats the same engine, so a run's merged [`Metrics`]
+//! (see [`Metrics::merge`]) are **byte-identical** to the same protocol
+//! under [`crate::TransportKind::Channel`] — the cross-transport parity
+//! gate CI enforces, lossy runs included.
 
 use crate::error::{Error, TcpError};
-use crate::mesh::{
-    frame_envelope, route_outgoing, Envelope, Flush, FrameReader, RoundState, WriteQueue,
-};
+use crate::frame::decode_frame;
+use crate::mesh::{frame_envelope, Envelope, Flush, FrameReader, Node, WriteQueue};
 use crate::policy::DeliveryPolicy;
 use crate::ready::{fd_of, Readiness, Want};
-use crate::{BoxedPlayer, Metrics, PlayerId, RoundAction, SimError, TransportStats};
+use crate::{BoxedPlayer, Metrics, PlayerId, SimError, TransportStats};
 use borndist_pairing::codec::Wire;
 use borndist_parallel::{with_parallelism, Parallelism};
 use std::collections::{BTreeMap, BTreeSet};
@@ -73,7 +69,7 @@ use std::time::{Duration, Instant};
 /// Tuning knobs of a socket mesh.
 #[derive(Clone, Debug)]
 pub struct TcpOptions {
-    /// Fault injection, identical semantics to the in-process router.
+    /// Fault injection, identical semantics on every transport.
     pub policy: DeliveryPolicy,
     /// Dial attempts per peer before giving up.
     pub dial_attempts: u32,
@@ -259,8 +255,7 @@ enum DialPhase {
 /// signing daemon), or other machines. See the module docs for the full
 /// design.
 pub struct ReactorTransport<M, O> {
-    player: BoxedPlayer<M, O>,
-    id: PlayerId,
+    node: Node<M, O>,
     conns: BTreeMap<PlayerId, Conn>,
     options: TcpOptions,
     readiness: Readiness,
@@ -548,9 +543,9 @@ impl<M: Wire, O> ReactorTransport<M, O> {
             connections_high_water: conns.len() as u64,
             ..TransportStats::default()
         };
+        let node = Node::new(player, conns.keys().copied(), options.policy.clone());
         Ok(ReactorTransport {
-            player,
-            id,
+            node,
             conns,
             options,
             readiness,
@@ -599,18 +594,15 @@ impl<M: Wire, O> ReactorTransport<M, O> {
         result.map(|(out, metrics)| (out, metrics, stats))
     }
 
-    /// The round engine (the whole transport runs on this one thread).
+    /// Turn, queue `EndRound`/`Finished`, pump the barrier (the whole
+    /// transport runs on this one thread).
     fn drive(&mut self, max_rounds: usize) -> Result<(O, Metrics), Error> {
-        let policy = self.options.policy.clone();
-        let mut metrics = Metrics::default();
-        let mut send_rng = policy.sender_rng(self.id);
-        let mut state = RoundState::new(self.conns.keys().copied());
         // Frames that raced the handshake park exactly as if they had
         // arrived during round 0's barrier.
         for (pid, conn) in self.conns.iter_mut() {
             for env in std::mem::take(&mut conn.backlog) {
                 self.stats.frames_in += 1;
-                state.note_envelope(*pid, env, 0);
+                self.node.state.note_envelope(*pid, env, 0);
             }
         }
         let run_start = Instant::now();
@@ -619,49 +611,31 @@ impl<M: Wire, O> ReactorTransport<M, O> {
             let round_start = Instant::now();
             let r32 = round as u32;
 
-            let inbox = state.take_inbox::<M>(round, self.id, &policy);
-
-            // Advance the state machine, pinned sequential like the
-            // channel transport's workers so nested parallel primitives
-            // never oversubscribe the machine.
-            let action =
-                with_parallelism(Parallelism::Sequential, || self.player.round(round, &inbox));
-
-            match action {
-                RoundAction::Finish(out) => {
-                    metrics.per_round.push((0, 0));
-                    metrics.per_round_elapsed.push(round_start.elapsed());
-                    metrics.total_rounds += 1;
-                    metrics.elapsed = run_start.elapsed();
-                    self.queue_control(&Envelope::Finished { round: r32 }, &state);
-                    self.flush_outgoing(Instant::now() + self.options.round_timeout);
-                    return Ok((out, metrics));
-                }
-                RoundAction::Continue(outgoing) => {
-                    let me = self.id;
-                    let conns = &mut self.conns;
-                    let stats = &mut self.stats;
-                    route_outgoing(
-                        me,
-                        round,
-                        outgoing,
-                        &policy,
-                        &mut send_rng,
-                        &mut state,
-                        &mut metrics,
-                        &mut |pid, env| match conns.get_mut(&pid) {
-                            Some(conn) if !conn.dead => {
-                                conn.wq.push(env);
-                                stats.frames_out += 1;
-                                true
-                            }
-                            Some(_) => false,
-                            None => true,
-                        },
-                    )?;
-                    self.queue_control(&Envelope::EndRound { round: r32 }, &state);
-                }
+            // Pinned sequential like the in-memory link's workers, so
+            // nested parallel primitives never oversubscribe the machine.
+            let (node, conns, stats) = (&mut self.node, &mut self.conns, &mut self.stats);
+            let finished = with_parallelism(Parallelism::Sequential, || {
+                node.turn(
+                    round,
+                    &mut |frame| decode_frame(&frame),
+                    &mut |pid, env| match conns.get_mut(&pid) {
+                        Some(conn) if !conn.dead => {
+                            conn.wq.push(env);
+                            stats.frames_out += 1;
+                            true
+                        }
+                        Some(_) => false,
+                        None => true,
+                    },
+                )
+            })?;
+            if let Some(out) = finished {
+                self.node.metrics.finish_round(round_start, run_start);
+                self.queue_control(&Envelope::Finished { round: r32 });
+                self.flush_outgoing(Instant::now() + self.options.round_timeout);
+                return Ok((out, std::mem::take(&mut self.node.metrics)));
             }
+            self.queue_control(&Envelope::EndRound { round: r32 });
 
             // Barrier: pump the reactor until every live peer has closed
             // this round (EndRound), terminated (Finished), or died
@@ -669,7 +643,7 @@ impl<M: Wire, O> ReactorTransport<M, O> {
             // the same pump.
             let deadline = Instant::now() + self.options.round_timeout;
             loop {
-                let waiting = state.waiting_on(r32);
+                let waiting = self.node.state.waiting_on(r32);
                 if waiting.is_empty() {
                     break;
                 }
@@ -678,20 +652,17 @@ impl<M: Wire, O> ReactorTransport<M, O> {
                     // Silent peers past the deadline are crashed as far
                     // as this round is concerned; the complaint/timeout
                     // machinery upstairs deals with their absence.
-                    state.gone.extend(waiting);
+                    self.node.state.gone.extend(waiting);
                     break;
                 }
-                self.pump(&mut state, r32, budget)?;
+                self.pump(r32, budget)?;
             }
-
-            metrics.per_round_elapsed.push(round_start.elapsed());
-            metrics.total_rounds += 1;
-            metrics.elapsed = run_start.elapsed();
+            self.node.metrics.finish_round(round_start, run_start);
         }
 
         Err(SimError::RoundLimitExceeded {
             limit: max_rounds,
-            unfinished: vec![self.id],
+            unfinished: vec![self.node.id],
         }
         .into())
     }
@@ -699,27 +670,27 @@ impl<M: Wire, O> ReactorTransport<M, O> {
     /// One reactor turn: wait (≤ `budget`) for readiness across every
     /// live socket, then pull frames and drain write queues wherever
     /// progress is possible.
-    fn pump(&mut self, state: &mut RoundState, r32: u32, budget: Duration) -> Result<(), Error> {
-        let mut wants = Vec::with_capacity(self.conns.len());
-        let mut ids = Vec::with_capacity(self.conns.len());
-        for (pid, conn) in self.conns.iter() {
-            if conn.dead {
-                continue;
-            }
-            // Read interest always (EOF must be observable); write
-            // interest only while bytes are queued.
-            wants.push(Want::duplex(fd_of(&conn.stream), !conn.wq.is_empty()));
-            ids.push(*pid);
-        }
+    fn pump(&mut self, r32: u32, budget: Duration) -> Result<(), Error> {
+        // Read interest always (EOF must be observable); write interest
+        // only while bytes are queued.
+        let mut wants: Vec<Want> = self
+            .conns
+            .values()
+            .filter(|conn| !conn.dead)
+            .map(|conn| Want::duplex(fd_of(&conn.stream), !conn.wq.is_empty()))
+            .collect();
         if wants.is_empty() {
             // Every socket is dead; the barrier's timeout logic decides.
             std::thread::sleep(budget.min(Duration::from_millis(10)));
             return Ok(());
         }
         self.readiness.wait(&mut wants, budget)?;
+        let state = &mut self.node.state;
         let mut progressed = false;
-        for (want, pid) in wants.iter().zip(&ids) {
-            let conn = self.conns.get_mut(pid).expect("conn exists");
+        // The same walk that built `wants`: a conn only dies below once
+        // its own turn has come, so the two stay aligned.
+        let polled = self.conns.iter_mut().filter(|(_, conn)| !conn.dead);
+        for (want, (pid, conn)) in wants.iter().zip(polled) {
             if want.ready_read {
                 let pull = conn.reader.pull(&mut conn.stream);
                 if !pull.envelopes.is_empty() {
@@ -730,13 +701,11 @@ impl<M: Wire, O> ReactorTransport<M, O> {
                     state.note_envelope(*pid, env, r32);
                 }
                 if pull.closed {
-                    let conn = self.conns.get_mut(pid).expect("conn exists");
                     conn.dead = true;
                     state.gone.insert(*pid);
                     progressed = true;
                 }
             }
-            let conn = self.conns.get_mut(pid).expect("conn exists");
             if want.ready_write && !conn.dead && !conn.wq.is_empty() {
                 match conn.wq.flush(&mut conn.stream) {
                     Flush::Closed => {
@@ -755,8 +724,8 @@ impl<M: Wire, O> ReactorTransport<M, O> {
     }
 
     /// Queues a control envelope to every live peer.
-    fn queue_control(&mut self, env: &Envelope, state: &RoundState) {
-        for pid in state.live_peers() {
+    fn queue_control(&mut self, env: &Envelope) {
+        for pid in self.node.state.live_peers() {
             if let Some(conn) = self.conns.get_mut(&pid) {
                 if !conn.dead {
                     conn.wq.push(env);
@@ -769,15 +738,14 @@ impl<M: Wire, O> ReactorTransport<M, O> {
     /// Best-effort drain of every write queue before shutdown (the
     /// `Finished` word must reach peers or they wait out a timeout).
     fn flush_outgoing(&mut self, deadline: Instant) {
+        let unsent = |conn: &Conn| !conn.dead && !conn.wq.is_empty();
         loop {
-            let mut wants = Vec::new();
-            let mut ids = Vec::new();
-            for (pid, conn) in self.conns.iter() {
-                if !conn.dead && !conn.wq.is_empty() {
-                    wants.push(Want::writable(fd_of(&conn.stream)));
-                    ids.push(*pid);
-                }
-            }
+            let mut wants: Vec<Want> = self
+                .conns
+                .values()
+                .filter(|conn| unsent(conn))
+                .map(|conn| Want::writable(fd_of(&conn.stream)))
+                .collect();
             if wants.is_empty() {
                 return;
             }
@@ -788,12 +756,11 @@ impl<M: Wire, O> ReactorTransport<M, O> {
             if self.readiness.wait(&mut wants, budget).unwrap_or(0) == 0 {
                 continue;
             }
-            for (want, pid) in wants.iter().zip(&ids) {
-                if want.ready_write {
-                    let conn = self.conns.get_mut(pid).expect("conn exists");
-                    if conn.wq.flush(&mut conn.stream) == Flush::Closed {
-                        conn.dead = true;
-                    }
+            // Aligned with `wants` for the reason given in `pump`.
+            let polled = self.conns.values_mut().filter(|conn| unsent(conn));
+            for (want, conn) in wants.iter().zip(polled) {
+                if want.ready_write && conn.wq.flush(&mut conn.stream) == Flush::Closed {
+                    conn.dead = true;
                 }
             }
         }
@@ -818,20 +785,20 @@ pub fn run_tcp_reactor_loopback_with<M: Wire, O: Send>(
     crate::check_unique_ids(&players)?;
     // Bind every listener up front so the mesh addresses are known
     // before any player dials.
-    let mut listeners: BTreeMap<PlayerId, TcpListener> = BTreeMap::new();
+    let mut listeners = Vec::with_capacity(players.len());
     let mut addrs: BTreeMap<PlayerId, SocketAddr> = BTreeMap::new();
     for player in &players {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         addrs.insert(player.id(), listener.local_addr()?);
-        listeners.insert(player.id(), listener);
+        listeners.push(listener);
     }
 
     let results: Vec<Result<(PlayerId, O, Metrics), Error>> = std::thread::scope(|scope| {
         let handles: Vec<_> = players
             .into_iter()
-            .map(|player| {
+            .zip(listeners)
+            .map(|(player, listener)| {
                 let id = player.id();
-                let listener = listeners.remove(&id).expect("listener bound above");
                 let peers: BTreeMap<PlayerId, SocketAddr> = addrs
                     .iter()
                     .filter(|(p, _)| **p != id)
@@ -848,7 +815,10 @@ pub fn run_tcp_reactor_loopback_with<M: Wire, O: Send>(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("mesh player thread panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
 
@@ -865,7 +835,7 @@ pub fn run_tcp_reactor_loopback_with<M: Wire, O: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Delivered, Outgoing, Protocol, Recipient};
+    use crate::{Delivered, Outgoing, Protocol, Recipient, RoundAction};
 
     #[test]
     fn fd_capacity_check_accepts_modest_requests() {

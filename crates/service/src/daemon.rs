@@ -7,8 +7,8 @@
 //! * [`run_smoke`] — the CI gate: spawns a whole deployment as child
 //!   processes, pushes signing requests through it, and asserts the
 //!   merged cross-process DKG metrics are byte-identical to an
-//!   in-process [`borndist_net::ChannelTransport`] run of the same
-//!   protocol.
+//!   in-process [`borndist_net::TransportKind::Channel`] run of the
+//!   same protocol.
 
 use crate::{
     read_frame, run_gateway_worker, write_frame, ClientRequest, ClientResponse, ServiceCoordinator,
@@ -348,7 +348,8 @@ fn wait_ok(mut child: Child, what: &str) -> Result<(), ServiceError> {
 
 /// The multi-process smoke gate. Spawns `n` player processes and one
 /// front-end (children of the current executable), replays the same DKG
-/// in-process over a reliable [`borndist_net::ChannelTransport`], then:
+/// in-process over a reliable [`borndist_net::TransportKind::Channel`],
+/// then:
 ///
 /// * pushes `requests` signing requests through the client socket and
 ///   verifies every signature against the *reference* public key;

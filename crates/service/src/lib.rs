@@ -25,7 +25,7 @@
 //!
 //! The `smoke` mode wires all of the above together: it spawns the
 //! player and front-end processes, replays the same DKG in-process over
-//! a [`borndist_net::ChannelTransport`], and asserts the merged
+//! [`borndist_net::TransportKind::Channel`], and asserts the merged
 //! cross-process metrics are **byte-identical**
 //! ([`borndist_net::Metrics::same_traffic`]) — the CI gate that the TCP
 //! path is the same protocol, not a lookalike.

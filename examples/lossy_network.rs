@@ -1,7 +1,7 @@
 //! CI gate: the full lifecycle — DKG then threshold signing — completing
 //! over an *unreliable* network, with every message a real byte frame.
 //!
-//! The `ChannelTransport` runs each player on its own thread and the
+//! `TransportKind::Channel` runs each player on its own thread and the
 //! `DeliveryPolicy` drops 10% of private frames and reorders every
 //! inbox. The DKG absorbs share loss through its complaint machinery
 //! (complaints and answers ride the reliable broadcast channel); the

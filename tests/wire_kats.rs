@@ -1,5 +1,6 @@
 //! Golden known-answer vectors for the wire codec: one pinned hex frame
-//! per cross-player message type.
+//! per cross-player message type, and one per socket envelope (length
+//! prefix included) — the bytes deployed processes actually exchange.
 //!
 //! These freeze the byte layout of [`borndist::net::WIRE_VERSION`] 1. If
 //! any of them changes, the wire format changed: bump the version byte
@@ -8,10 +9,11 @@
 //! deterministic (seeded shim RNG), so the vectors are stable across
 //! machines and runs.
 
-use borndist::core::netsign::SignMessage;
+use borndist::core::netsign::{MuxMessage, SignMessage};
 use borndist::core::ro::ThresholdScheme;
 use borndist::dkg::{AggregateWitness, DkgMessage, RecoveryMessage};
 use borndist::net::encode_frame;
+use borndist::net::mesh::{frame_envelope, Envelope};
 use borndist::pairing::{G1Projective, G2Projective};
 use borndist::shamir::{PedersenBases, PedersenSharing, ThresholdParams};
 use rand::rngs::StdRng;
@@ -42,6 +44,11 @@ fn kat_frames() -> Vec<(&'static str, Vec<u8>)> {
     let partial1 = scheme.share_sign(&km.shares[&1], b"kat message");
     let partial2 = scheme.share_sign(&km.shares[&2], b"kat message");
     let sig = scheme.combine(&km.params, &[partial1, partial2]).unwrap();
+
+    let mux_partial = encode_frame(&MuxMessage::Partial {
+        session: 7,
+        psig: partial1,
+    });
 
     vec![
         (
@@ -101,6 +108,45 @@ fn kat_frames() -> Vec<(&'static str, Vec<u8>)> {
         ("pedersen_commitment", encode_frame(&sharing.commitment)),
         ("pedersen_share", encode_frame(&sharing.share_for(5))),
         ("one_time_signature", encode_frame(&sig.sig)),
+        // What the signing daemon's mesh carries (`MuxMessage`), and the
+        // socket framing around every protocol frame.
+        (
+            "mux_open",
+            encode_frame(&MuxMessage::Open {
+                session: 7,
+                msg: b"kat message".to_vec(),
+            }),
+        ),
+        ("mux_partial", mux_partial.clone()),
+        (
+            "mux_done",
+            encode_frame(&MuxMessage::Done { session: 7, sig }),
+        ),
+        ("mux_shutdown", encode_frame(&MuxMessage::Shutdown)),
+        (
+            "envelope_hello",
+            frame_envelope(&Envelope::Hello { from: 3, to: 1 }),
+        ),
+        (
+            "envelope_hello_ack",
+            frame_envelope(&Envelope::HelloAck { from: 1 }),
+        ),
+        (
+            "envelope_payload",
+            frame_envelope(&Envelope::Payload {
+                round: 2,
+                broadcast: false,
+                frame: mux_partial,
+            }),
+        ),
+        (
+            "envelope_end_round",
+            frame_envelope(&Envelope::EndRound { round: 2 }),
+        ),
+        (
+            "envelope_finished",
+            frame_envelope(&Envelope::Finished { round: 3 }),
+        ),
     ]
 }
 
@@ -123,6 +169,15 @@ const EXPECTED: &[(&str, &str)] = &[
     ("pedersen_commitment", "010000000286f296834e366b4a3ed097fb385e8779fb2e6e82bdaab46b2796d228d93d5e1959a2ae4591269d6db35c6c78c7748dc60932d0c54a1a4327465eee51d4328a2531bec706d5bc1261ee03e603dc4a3caf55c257539f3d4d79616f4690dbcec923848b915df872039b949191ce3cca7eaa4732baecf7de732fec88c1f636b0098c4778efe9a129c98c012a958873584a2b150250cbbd11f54e1aacee13d604e6ff4f372528eb6ef01e7d539032afb3ca26d22c43b2e4ebea01857f519eda62e5c2"),
     ("pedersen_share", "01000000055fe685c5a74066cf1ba73ab902ec6bd62008c8f83bade030f926638abd92bf082abe832943f1556404e79471e85411e0c46d6a3259454ea84d9d5767fa842e08"),
     ("one_time_signature", "0195396de88c137500a3eb076f9a2cbe8b250d7a63d3a19378335ffcbafb489b5fadcce05a46257e72413942876df1d2bb875c15b089c86cbc12b52c21569f4239cbe4f2103c4cb9613a309c2a0ad332ff1e2f218628be0ccf6a490e25d60c5e6c"),
+    ("mux_open", "010000000000000000070000000b6b6174206d657373616765"),
+    ("mux_partial", "01010000000000000007000000019287750b355ec34f52fac59b91c47a12eda1de9194de526f8a3aaa06b56848fbf84e2868558d4c393b1bf1cc058f8523879d8e2eb7b44f128ddf714a09b1b53f6358fe6876697a1b86e670365e4c1ff939737921ee72423f367580ce0282fc7d"),
+    ("mux_done", "0102000000000000000795396de88c137500a3eb076f9a2cbe8b250d7a63d3a19378335ffcbafb489b5fadcce05a46257e72413942876df1d2bb875c15b089c86cbc12b52c21569f4239cbe4f2103c4cb9613a309c2a0ad332ff1e2f218628be0ccf6a490e25d60c5e6c"),
+    ("mux_shutdown", "0103"),
+    ("envelope_hello", "00000009000000000300000001"),
+    ("envelope_hello_ack", "000000050100000001"),
+    ("envelope_payload", "000000780200000002000000006e01010000000000000007000000019287750b355ec34f52fac59b91c47a12eda1de9194de526f8a3aaa06b56848fbf84e2868558d4c393b1bf1cc058f8523879d8e2eb7b44f128ddf714a09b1b53f6358fe6876697a1b86e670365e4c1ff939737921ee72423f367580ce0282fc7d"),
+    ("envelope_end_round", "000000050300000002"),
+    ("envelope_finished", "000000050400000003"),
 ];
 
 #[test]
@@ -163,6 +218,11 @@ fn decode_reencode(name: &str, frame: &[u8]) -> Result<Vec<u8>, borndist::pairin
         n if n.starts_with("dkg_") => encode_frame(&decode_frame::<DkgMessage>(frame)?),
         n if n.starts_with("recovery_") => encode_frame(&decode_frame::<RecoveryMessage>(frame)?),
         n if n.starts_with("sign_") => encode_frame(&decode_frame::<SignMessage>(frame)?),
+        n if n.starts_with("mux_") => encode_frame(&decode_frame::<MuxMessage>(frame)?),
+        // The body behind the 4-byte length prefix, strictly.
+        n if n.starts_with("envelope_") => {
+            frame_envelope(&borndist::pairing::Wire::decode_exact(&frame[4..])?)
+        }
         "public_key" => encode_frame(&decode_frame::<borndist::core::ro::PublicKey>(frame)?),
         "verification_key" => {
             encode_frame(&decode_frame::<borndist::core::ro::VerificationKey>(frame)?)
