@@ -23,18 +23,17 @@ use borndist_shamir::{
     lagrange_coefficients_at_zero, FeldmanCommitment, Polynomial, ThresholdParams,
 };
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Domain tag for the message hash.
 const DST: &[u8] = b"borndist/additive";
 
 /// Public key `pk = ĝ^x` with `x = Σ d_i`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AddPublicKey(pub G2Affine);
 
 /// The full per-player state — note the `backups` map growing with `n`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AddPlayerState {
     /// This player's index.
     pub index: u32,
@@ -54,7 +53,7 @@ impl AddPlayerState {
 }
 
 /// A round-1 contribution `H(M)^{d_i}`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AddContribution {
     /// Contributing player.
     pub index: u32,
@@ -64,7 +63,7 @@ pub struct AddContribution {
 
 /// A round-2 reconstruction share `H(M)^{d_i(j)}` for a missing player
 /// `i`, produced by backup holder `j`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BackupContribution {
     /// The missing player whose piece is being reconstructed.
     pub missing: u32,
@@ -90,7 +89,7 @@ pub struct AddKeyMaterial {
 }
 
 /// Full signature `σ = H(M)^x`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AddSignature(pub G1Affine);
 
 /// Key generation: each player picks `d_i` and backs it up with a

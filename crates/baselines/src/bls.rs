@@ -4,10 +4,9 @@
 
 use borndist_pairing::{hash_to_g1, multi_pairing, Fr, G1Affine, G2Affine, G2Projective};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// A BLS key pair: `sk = x ∈ Zp`, `pk = ĝ^x ∈ Ĝ`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlsKeyPair {
     /// Secret exponent.
     pub sk: Fr,
@@ -16,7 +15,7 @@ pub struct BlsKeyPair {
 }
 
 /// A BLS signature `σ = H(M)^x ∈ G`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlsSignature(pub G1Affine);
 
 /// Domain tag for the BLS message hash.

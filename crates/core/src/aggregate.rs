@@ -25,11 +25,10 @@ use borndist_shamir::{
     lagrange_coefficients_at_zero, LagrangeCache, PedersenBases, ThresholdParams,
 };
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An aggregate-capable public key: the §3 key plus its validity witness.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AggPublicKey {
     /// `(ĝ_1, ĝ_2)`.
     pub coords: [G2Affine; 2],
@@ -71,7 +70,7 @@ impl Wire for AggPublicKey {
 }
 
 /// An aggregate of `ℓ` signatures: still just `(z, r) ∈ G²`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AggregateSignature {
     /// Combined `z`.
     pub z: G1Affine,

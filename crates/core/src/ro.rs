@@ -29,7 +29,6 @@ use borndist_shamir::{
     LagrangeCache, PedersenBases, PedersenCommitment, Polynomial, ThresholdParams,
 };
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The threshold signature scheme context: public parameters
@@ -50,14 +49,14 @@ pub struct ThresholdScheme {
 }
 
 /// The public key `PK = (params, (ĝ_1, ĝ_2))`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PublicKey {
     /// `(ĝ_1, ĝ_2)`.
     pub coords: [G2Affine; 2],
 }
 
 /// A server's private key share — four scalars, `O(1)` in `n`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyShare {
     /// The server index `i`.
     pub index: u32,
@@ -67,7 +66,7 @@ pub struct KeyShare {
 }
 
 /// A server's public verification key `V K_i = (V̂_{1,i}, V̂_{2,i})`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerificationKey {
     /// The server index `i`.
     pub index: u32,
@@ -122,7 +121,7 @@ impl PublicKey {
 }
 
 /// A partial signature `σ_i = (z_i, r_i) ∈ G²`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartialSignature {
     /// Producing server index.
     pub index: u32,
@@ -132,7 +131,7 @@ pub struct PartialSignature {
 
 /// A combined full signature `σ = (z, r) ∈ G²` (768 bits compressed on
 /// BLS12-381; 512 bits on the paper's BN254 instantiation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Signature {
     /// The signature pair.
     pub sig: OneTimeSignature,
@@ -906,19 +905,6 @@ mod tests {
         let p = scheme.share_sign(&km.shares[&1], b"m");
         let bytes = p.sig.z.to_compressed().len() + p.sig.r.to_compressed().len();
         assert_eq!(bytes, 96);
-    }
-
-    #[test]
-    fn serde_roundtrips() {
-        let (scheme, km) = dealer_setup(1, 3);
-        let msg = b"serde";
-        let p = scheme.share_sign(&km.shares[&1], msg);
-        let enc = serde_json::to_string(&p).unwrap();
-        let dec: PartialSignature = serde_json::from_str(&enc).unwrap();
-        assert_eq!(dec, p);
-        let enc_pk = serde_json::to_string(&km.public_key).unwrap();
-        let dec_pk: PublicKey = serde_json::from_str(&enc_pk).unwrap();
-        assert_eq!(dec_pk, km.public_key);
     }
 }
 

@@ -31,7 +31,6 @@ use borndist_shamir::{
     LagrangeCache, PedersenBases, PedersenCommitment, Polynomial, ThresholdParams,
 };
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 pub use crate::ro::CombineError;
@@ -74,14 +73,14 @@ pub struct StandardScheme {
 }
 
 /// Public key `PK = ĝ₁ = ĝ_z^{a} ĝ_r^{b}`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StdPublicKey {
     /// `ĝ₁`.
     pub g1: G2Affine,
 }
 
 /// A server's share: two scalars `(A(i), B(i))`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StdKeyShare {
     /// Server index.
     pub index: u32,
@@ -92,7 +91,7 @@ pub struct StdKeyShare {
 }
 
 /// A server's verification key `V̂_i = ĝ_z^{A(i)} ĝ_r^{B(i)}`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StdVerificationKey {
     /// Server index.
     pub index: u32,
@@ -101,7 +100,7 @@ pub struct StdVerificationKey {
 }
 
 /// A partial signature: `(C_z, C_r, π̂₁, π̂₂) ∈ G⁴ × Ĝ²`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StdPartialSignature {
     /// Producing server.
     pub index: u32,
@@ -115,7 +114,7 @@ pub struct StdPartialSignature {
 
 /// A full signature, same shape as a partial one (2048 bits on BN254,
 /// 3072 on BLS12-381).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StdSignature {
     /// Commitment to `z`.
     pub c_z: gs::Commitment,

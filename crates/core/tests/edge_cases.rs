@@ -6,6 +6,7 @@ use borndist_core::aggregate::AggregateScheme;
 use borndist_core::ro::{PartialSignature, ThresholdScheme};
 use borndist_core::standard::StandardScheme;
 use borndist_core::{CombineError, DlinScheme};
+use borndist_pairing::Wire;
 use borndist_shamir::ThresholdParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -175,9 +176,9 @@ fn aggregate_scheme_rejects_foreign_keys() {
 }
 
 #[test]
-fn serde_roundtrip_of_all_public_artifacts() {
+fn wire_roundtrip_of_all_public_artifacts() {
     let params = ThresholdParams::new(1, 3).unwrap();
-    let scheme = ThresholdScheme::new(b"serde-all");
+    let scheme = ThresholdScheme::new(b"wire-all");
     let mut rng = StdRng::seed_from_u64(10);
     let km = scheme.dealer_keygen(params, &mut rng);
     let msg = b"serialize me";
@@ -186,23 +187,17 @@ fn serde_roundtrip_of_all_public_artifacts() {
         .combine(&params, &[p, scheme.share_sign(&km.shares[&2], msg)])
         .unwrap();
 
-    macro_rules! roundtrip {
-        ($v:expr, $t:ty) => {{
-            let enc = serde_json::to_string($v).unwrap();
-            let dec: $t = serde_json::from_str(&enc).unwrap();
-            assert_eq!(&dec, $v);
-        }};
+    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) -> T {
+        let dec = T::decode_exact(&v.encode()).unwrap();
+        assert_eq!(&dec, v);
+        dec
     }
-    roundtrip!(&km.public_key, borndist_core::PublicKey);
-    roundtrip!(&km.shares[&1], borndist_core::KeyShare);
-    roundtrip!(&km.verification_keys[&1], borndist_core::VerificationKey);
-    roundtrip!(&p, PartialSignature);
-    roundtrip!(&sig, borndist_core::Signature);
-
-    // Deserialized artifacts remain functional.
-    let enc = serde_json::to_string(&sig).unwrap();
-    let dec: borndist_core::Signature = serde_json::from_str(&enc).unwrap();
-    assert!(scheme.verify(&km.public_key, msg, &dec));
+    roundtrip(&km.public_key);
+    roundtrip(&km.shares[&1]);
+    roundtrip(&km.verification_keys[&1]);
+    roundtrip(&p);
+    // Decoded artifacts remain functional.
+    assert!(scheme.verify(&km.public_key, msg, &roundtrip(&sig)));
 }
 
 #[test]

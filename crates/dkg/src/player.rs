@@ -37,7 +37,6 @@ use borndist_shamir::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether a run deals fresh random secrets or a proactive refresh
@@ -53,7 +52,7 @@ pub enum SharingMode {
 
 /// Extra parameters of the Appendix G aggregate-capable variant:
 /// public `(g, h) ∈ G²` on which each dealer proves a one-time LHSPS.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AggregateBases {
     /// Generator `g`.
     pub g: G1Affine,

@@ -25,10 +25,9 @@ use borndist_pairing::{
     msm, multi_pairing_mixed, Fr, G1Affine, G1Projective, G2Affine, G2Prepared, G2Projective,
 };
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// A Groth–Sahai common reference string: two vectors of `G²`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Crs {
     /// First vector `u₁ = (u₁₁, u₁₂)`.
     pub u1: (G1Affine, G1Affine),
@@ -43,7 +42,7 @@ pub struct ExtractKey {
 }
 
 /// A commitment `C = (1, X)·u₁^{ν₁}·u₂^{ν₂} ∈ G²`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Commitment {
     /// First coordinate.
     pub c1: G1Affine,
@@ -61,7 +60,7 @@ pub struct Randomness {
 }
 
 /// A NIWI proof for one linear pairing-product equation: `(π̂₁, π̂₂) ∈ Ĝ²`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Proof {
     /// Component paired with `u₁`.
     pub pi1: G2Affine,
@@ -515,14 +514,5 @@ mod tests {
         let mut r = rng();
         let q = G2Projective::random(&mut r).to_affine();
         assert!(pairing(&G1Affine::identity(), &q).is_identity());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut r = rng();
-        let crs = Crs::hiding(&mut r);
-        let enc = serde_json::to_string(&crs).unwrap();
-        let dec: Crs = serde_json::from_str(&enc).unwrap();
-        assert_eq!(dec, crs);
     }
 }

@@ -10,10 +10,9 @@
 use crate::params::SdpParams;
 use borndist_pairing::{msm, multi_pairing, Fr, G1Affine, G1Projective, G2Affine, G2Projective};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Secret key `{(χ_k, γ_k, δ_k)}`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SdpSecretKey {
     /// Exponents `χ_k`.
     pub chi: Vec<Fr>,
@@ -24,7 +23,7 @@ pub struct SdpSecretKey {
 }
 
 /// Public key `{(ĝ_k, ĥ_k)}`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SdpPublicKey {
     /// `ĝ_k = ĝ_z^{χ_k} ĝ_r^{γ_k}`.
     pub g_hat: Vec<G2Affine>,
@@ -33,7 +32,7 @@ pub struct SdpPublicKey {
 }
 
 /// Signature `(z, r, u) ∈ G³`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SdpSignature {
     /// `z` component.
     pub z: G1Affine,

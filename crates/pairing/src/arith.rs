@@ -540,24 +540,6 @@ macro_rules! impl_montgomery_field {
                 *self = $name::mul(self, &rhs);
             }
         }
-
-        impl serde::Serialize for $name {
-            fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                serde::Serialize::serialize(&self.to_bytes()[..], s)
-            }
-        }
-
-        impl<'de> serde::Deserialize<'de> for $name {
-            fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                let bytes: Vec<u8> = serde::Deserialize::deserialize(d)?;
-                let arr: [u8; $limbs * 8] = bytes
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| serde::de::Error::custom("bad field element length"))?;
-                $name::from_bytes(&arr)
-                    .ok_or_else(|| serde::de::Error::custom("non-canonical field element"))
-            }
-        }
     };
 }
 

@@ -324,7 +324,7 @@ pub fn free_port_block(span: u16) -> Result<u16, ServiceError> {
         let probe = TcpListener::bind(("127.0.0.1", 0))?;
         let base = probe.local_addr()?.port();
         drop(probe);
-        if base > u16::MAX - span - 2 {
+        if usize::from(base) + usize::from(span) + 2 > usize::from(u16::MAX) {
             continue;
         }
         let held: Vec<TcpListener> = (base..base + span)

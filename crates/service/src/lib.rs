@@ -127,7 +127,7 @@ impl Wire for ServiceMessage {
 /// What the front-end learned from the `Ready` handoff.
 #[derive(Clone, Debug)]
 pub struct ReadyInfo {
-    /// The public key every player reported.
+    /// The public key a strict majority of the players reported.
     pub public_key: PublicKey,
     /// All players' DKG metrics merged into the global traffic view.
     pub dkg_metrics: Metrics,
@@ -269,7 +269,7 @@ enum CoordinatorSource {
 
 /// The daemon front-end as a protocol player: waits for every player's
 /// [`ServiceMessage::Ready`], merges the DKG metrics, then runs a
-/// [`MuxCoordinator`] over the learned public key.
+/// [`MuxCoordinator`] over the public key a strict majority reported.
 pub struct ServiceCoordinator {
     id: PlayerId,
     n: usize,
@@ -338,18 +338,23 @@ impl ServiceCoordinator {
             }
         }
         if self.inner.is_none() && self.ready.len() == self.n {
-            let (first, _, _) = self.ready.values().next().expect("n >= 1").clone();
-            assert!(
-                self.ready.values().all(|(pk, _, _)| *pk == first),
-                "players disagree on the DKG public key"
-            );
+            // With n >= 2t+1 and at most t faulty, the honest players are
+            // a strict majority and all hold the one DKG key. Without a
+            // majority, keep waiting: the run ends at the round limit.
+            let reports = || self.ready.values().map(|(pk, _, _)| pk);
+            let Some(key) = reports()
+                .find(|pk| reports().filter(|other| other == pk).count() * 2 > self.n)
+                .cloned()
+            else {
+                return;
+            };
             let merged = Metrics::merge(self.ready.values().map(|(_, m, _)| m));
             let mut transport = TransportStats::default();
             for (_, _, t) in self.ready.values() {
                 transport.absorb(t);
             }
             self.info = Some(ReadyInfo {
-                public_key: first.clone(),
+                public_key: key.clone(),
                 dkg_metrics: merged,
                 dkg_transport: transport,
             });
@@ -357,14 +362,14 @@ impl ServiceCoordinator {
                 CoordinatorSource::Queue(requests) => MuxCoordinator::with_requests(
                     self.id,
                     self.scheme.clone(),
-                    first,
+                    key,
                     self.max_in_flight,
                     requests,
                 ),
                 CoordinatorSource::Live { intake, completed } => MuxCoordinator::with_intake(
                     self.id,
                     self.scheme.clone(),
-                    first,
+                    key,
                     self.max_in_flight,
                     intake,
                     completed,
@@ -749,6 +754,7 @@ mod tests {
         max_in_flight: usize,
     ) -> (
         ThresholdScheme,
+        PublicKey,
         Vec<BoxedPlayer<ServiceMessage, ServiceOutcome>>,
     ) {
         let scheme = ThresholdScheme::new(b"service-mesh-test");
@@ -773,7 +779,29 @@ mod tests {
             max_in_flight,
             requests,
         )) as _);
-        (scheme, players)
+        (scheme, km.public_key, players)
+    }
+
+    /// Replaces player `id` of a `t = 1` mesh with a node of another
+    /// committee (the same one on every call): its `Ready` carries a
+    /// foreign key and its partials a foreign share.
+    fn make_foreign(
+        scheme: &ThresholdScheme,
+        players: &mut [BoxedPlayer<ServiceMessage, ServiceOutcome>],
+        id: PlayerId,
+    ) -> PublicKey {
+        let params = ThresholdParams::new(1, players.len() - 1).unwrap();
+        let (km, metrics) = scheme
+            .keygen_session(params, &BTreeMap::new(), 99, &TransportKind::Lockstep)
+            .unwrap();
+        players[id as usize - 1] = Box::new(ServicePlayer::new(
+            scheme.clone(),
+            &km,
+            id,
+            metrics,
+            TransportStats::default(),
+        ));
+        km.public_key
     }
 
     #[test]
@@ -870,7 +898,7 @@ mod tests {
         let requests: Vec<(u64, Vec<u8>)> = (0..10u64)
             .map(|i| (i, format!("req {}", i).into_bytes()))
             .collect();
-        let (scheme, players) = mesh(4, 1, 11, requests.clone(), 3);
+        let (scheme, _, players) = mesh(4, 1, 11, requests.clone(), 3);
         let (outputs, _) = run_protocol(
             &TransportKind::Channel(DeliveryPolicy::reliable()),
             players,
@@ -896,7 +924,7 @@ mod tests {
         // 30% private drop: Ready frames (private) get lost; the
         // retransmit-until-acked rule must still converge.
         let requests = vec![(1u64, b"lossy ready".to_vec())];
-        let (scheme, players) = mesh(4, 1, 13, requests, 2);
+        let (scheme, _, players) = mesh(4, 1, 13, requests, 2);
         let (outputs, _) = run_protocol(
             &TransportKind::Channel(DeliveryPolicy::lossy(0xfeed, 0.3)),
             players,
@@ -910,5 +938,32 @@ mod tests {
             b"lossy ready",
             &frontend.mux.signatures[&1]
         ));
+    }
+
+    #[test]
+    fn a_foreign_ready_key_is_outvoted_by_the_majority() {
+        let requests = vec![(1u64, b"outvoted".to_vec())];
+        let (scheme, key, mut players) = mesh(4, 1, 17, requests, 2);
+        let foreign = make_foreign(&scheme, &mut players, 4);
+        assert_ne!(foreign, key);
+        let (outputs, _) = run_protocol(&TransportKind::Lockstep, players, 10_000).unwrap();
+        let frontend = &outputs[&5];
+        assert_eq!(frontend.ready.as_ref().unwrap().public_key, key);
+        assert!(scheme.verify(&key, b"outvoted", &frontend.mux.signatures[&1]));
+    }
+
+    #[test]
+    fn ready_keys_without_a_majority_end_at_the_round_limit() {
+        let (scheme, _, mut players) = mesh(4, 1, 19, vec![(1, b"split".to_vec())], 2);
+        make_foreign(&scheme, &mut players, 3);
+        make_foreign(&scheme, &mut players, 4);
+        let err = run_protocol(&TransportKind::Lockstep, players, 50).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                borndist_net::Error::Sim(borndist_net::SimError::RoundLimitExceeded { .. })
+            ),
+            "{err:?}"
+        );
     }
 }

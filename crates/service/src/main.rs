@@ -19,6 +19,7 @@
 //! processes of itself) and gates on signature validity plus DKG
 //! metrics byte-parity with an in-process reference run.
 
+use borndist_net::PlayerId;
 use borndist_service::daemon::{free_port_block, run_frontend, run_player, run_smoke};
 use borndist_service::Topology;
 use borndist_shamir::ThresholdParams;
@@ -126,11 +127,24 @@ impl Args {
     }
 }
 
+/// Rejects a mesh rooted at `base` whose highest node port,
+/// `base + nodes`, is past 65535.
+fn check_base(flag: &str, base: u16, nodes: usize) -> Result<(), String> {
+    let top = usize::from(base) + nodes;
+    if top > usize::from(u16::MAX) {
+        return Err(format!(
+            "--{} {}: {} nodes need ports up to {}, past 65535",
+            flag, base, nodes, top
+        ));
+    }
+    Ok(())
+}
+
 fn topology(args: &Args) -> Result<Topology, String> {
     let t: usize = args.get("t")?;
     let n: usize = args.get("n")?;
     let params = ThresholdParams::new(t, n).map_err(|e| format!("bad (t, n): {:?}", e))?;
-    Ok(Topology {
+    let top = Topology {
         params,
         seed: args.get_or("seed", 7)?,
         domain: args
@@ -139,7 +153,22 @@ fn topology(args: &Args) -> Result<Topology, String> {
         dkg_base: args.get_or("dkg-base", 0)?,
         sign_base: args.get_or("sign-base", 0)?,
         max_in_flight: args.get_or("max-in-flight", 8)?,
-    })
+    };
+    if top.max_in_flight == 0 {
+        return Err("--max-in-flight 0: at least one signing session must be open".into());
+    }
+    check_base("dkg-base", top.dkg_base, n)?;
+    check_base("sign-base", top.sign_base, n + 1)?;
+    Ok(top)
+}
+
+/// The player's `--id`, one of `1..=n`.
+fn player_id(args: &Args, n: usize) -> Result<PlayerId, String> {
+    let id: PlayerId = args.get("id")?;
+    if id == 0 || id as usize > n {
+        return Err(format!("--id {}: players are numbered 1..={}", id, n));
+    }
+    Ok(id)
 }
 
 fn run() -> Result<(), String> {
@@ -153,7 +182,7 @@ fn run() -> Result<(), String> {
         "player" => {
             let args = parse(&["id"])?;
             let top = topology(&args)?;
-            let id: u32 = args.get("id")?;
+            let id = player_id(&args, top.params.n)?;
             let served = run_player(&top, id).map_err(|e| e.to_string())?;
             println!("player {} done: {} sessions observed", id, served);
             Ok(())
@@ -173,10 +202,12 @@ fn run() -> Result<(), String> {
             if top.dkg_base == 0 || top.sign_base == 0 {
                 // One contiguous block: n DKG ports, then n+1 signing
                 // ports (ids are 1-based offsets within each base).
-                let n = top.params.n as u16;
-                let base = free_port_block(2 * n + 3).map_err(|e| e.to_string())?;
+                let n = top.params.n;
+                let span = u16::try_from(2 * n + 3)
+                    .map_err(|_| format!("--n {}: smoke's 2n+3 ports exceed 65535", n))?;
+                let base = free_port_block(span).map_err(|e| e.to_string())?;
                 top.dkg_base = base;
-                top.sign_base = base + n + 1;
+                top.sign_base = base + n as u16 + 1;
             }
             run_smoke(&top, requests).map_err(|e| e.to_string())
         }
@@ -236,5 +267,39 @@ mod tests {
             assert_eq!(err, ArgError::EngineRemoved(removed.to_string()));
             assert!(err.to_string().contains("thread-per-peer engine removed"));
         }
+    }
+
+    #[test]
+    fn player_id_outside_the_committee_is_rejected() {
+        for line in ["--n 4 --t 1 --id 0", "--n 4 --t 1 --id 5"] {
+            let err = player_id(&parse(line, &["id"]).unwrap(), 4).unwrap_err();
+            assert!(err.starts_with("--id "), "{}", err);
+        }
+        let args = parse("--n 4 --t 1 --id 4", &["id"]).unwrap();
+        assert_eq!(player_id(&args, 4), Ok(4));
+    }
+
+    #[test]
+    fn max_in_flight_zero_is_rejected() {
+        let args = parse("--n 4 --t 1 --max-in-flight 0", &[]).unwrap();
+        let err = topology(&args).unwrap_err();
+        assert!(err.starts_with("--max-in-flight "), "{}", err);
+        let args = parse("--n 4 --t 1 --max-in-flight 1", &[]).unwrap();
+        assert_eq!(topology(&args).unwrap().max_in_flight, 1);
+    }
+
+    #[test]
+    fn mesh_ports_past_65535_are_rejected() {
+        // DKG nodes sit at base+1..=base+n, signing nodes at
+        // base+1..=base+n+1 (the front-end is n+1).
+        for (line, flag) in [
+            ("--n 4 --t 1 --dkg-base 65532", "--dkg-base "),
+            ("--n 4 --t 1 --sign-base 65531", "--sign-base "),
+        ] {
+            let err = topology(&parse(line, &[]).unwrap()).unwrap_err();
+            assert!(err.starts_with(flag), "{}", err);
+        }
+        let fits = parse("--n 4 --t 1 --dkg-base 65531 --sign-base 65530", &[]).unwrap();
+        assert!(topology(&fits).is_ok());
     }
 }

@@ -18,13 +18,12 @@ use crate::polynomial::Polynomial;
 use borndist_pairing::codec::{CodecError, Wire};
 use borndist_pairing::{msm, Fr, G2Affine, G2Projective};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The pair of public generators `(ĝ_z, ĝ_r)` of `Ĝ`.
 ///
 /// In the paper these come from the common parameters; no party may know
 /// `log_{ĝ_z}(ĝ_r)`, so they are derived by hashing (see the core crate).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PedersenBases {
     /// First generator `ĝ_z`.
     pub g_z: G2Affine,
@@ -52,13 +51,13 @@ pub struct PedersenSharing {
 }
 
 /// The broadcast part of a Pedersen sharing: `Ŵ_ℓ = ĝ_z^{a_ℓ} ĝ_r^{b_ℓ}`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PedersenCommitment {
     w: Vec<G2Affine>,
 }
 
 /// A share pair `(A(i), B(i))` sent privately to player `i`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PedersenShare {
     /// Recipient index (1-based).
     pub index: u32,
@@ -334,20 +333,6 @@ mod tests {
             sharing.commitment.constant_commitment().to_projective(),
             b.commit(&a_sec, &b_sec)
         );
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut r = rng();
-        let b = bases(&mut r);
-        let sharing = PedersenSharing::deal_random(&b, 2, &mut r);
-        let enc = serde_json::to_string(&sharing.commitment).unwrap();
-        let dec: PedersenCommitment = serde_json::from_str(&enc).unwrap();
-        assert_eq!(dec, sharing.commitment);
-        let share = sharing.share_for(1);
-        let enc2 = serde_json::to_string(&share).unwrap();
-        let dec2: PedersenShare = serde_json::from_str(&enc2).unwrap();
-        assert_eq!(dec2, share);
     }
 
     #[test]

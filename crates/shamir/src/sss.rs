@@ -4,10 +4,9 @@ use crate::lagrange::{interpolate_at, LagrangeError};
 use crate::polynomial::Polynomial;
 use borndist_pairing::Fr;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// One party's share of a secret: the polynomial evaluation at its index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Share {
     /// The 1-based party index.
     pub index: u32,
@@ -17,7 +16,7 @@ pub struct Share {
 
 /// Parameters of a `(t, n)` sharing: any `t+1` shares reconstruct, any
 /// `t` reveal nothing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ThresholdParams {
     /// Corruption threshold `t`.
     pub t: usize,
