@@ -1,10 +1,10 @@
 //! E6 — `Combine` cost vs threshold `t`: Lagrange interpolation in the
 //! exponent over `t+1` partial signatures (Pippenger MSM inside), and
-//! the robust variants — per-share `Share-Verify` filtering vs the
-//! `core::batch` batched pre-check (one shared four-pairing product for
-//! all `t+1` shares).
+//! the robust `combine_verified` — one `Verify` of the combined
+//! signature when every share is valid, plus the `Share-Verify`
+//! fallback and a recombine when one is forged.
 
-use borndist_bench::{bench_rng, ro_setup, MESSAGE};
+use borndist_bench::{ro_setup, MESSAGE};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -26,50 +26,36 @@ fn bench_combine(c: &mut Criterion) {
     g.finish();
 }
 
-/// Robust combine: the batched optimistic path vs per-share filtering,
-/// all shares valid (the common case a serving combiner sees).
+/// Robust combine over `t+1` partials: all valid (the common case a
+/// serving combiner sees) and with one forged among them.
 fn bench_robust_combine(c: &mut Criterion) {
     let mut g = c.benchmark_group("e6_robust_combine");
     g.sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3));
-    let mut rng = bench_rng();
     for t in [2usize, 8] {
         let n = 2 * t + 1;
         let (scheme, km) = ro_setup(t, n);
-        let partials: Vec<_> = (1..=(t as u32 + 1))
+        let honest: Vec<_> = (1..=(t as u32 + 2))
             .map(|i| scheme.share_sign(&km.shares[&i], MESSAGE))
             .collect();
-        g.bench_with_input(BenchmarkId::new("per_share_verified", t), &t, |b, _| {
-            b.iter(|| {
-                scheme
-                    .combine_verified(&km.params, &km.verification_keys, MESSAGE, &partials)
-                    .unwrap()
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("batch_verified", t), &t, |b, _| {
-            b.iter(|| {
-                scheme
-                    .combine_batch_verified(
-                        &km.params,
-                        &km.verification_keys,
-                        MESSAGE,
-                        &partials,
-                        &mut rng,
-                    )
-                    .unwrap()
-            })
-        });
-        // The per-share filter over prepared keys built once by the
-        // combiner (the pessimistic path after a batch rejection).
-        let prepared_vks = km.prepare_verification_keys();
-        g.bench_with_input(BenchmarkId::new("per_share_prepared", t), &t, |b, _| {
-            b.iter(|| {
-                scheme
-                    .combine_verified_prepared(&km.params, &prepared_vks, MESSAGE, &partials)
-                    .unwrap()
-            })
-        });
+        let mut forged = honest.clone();
+        forged[0].sig.z = forged[0].sig.r;
+        for (name, partials) in [("honest", &honest[..=t]), ("one_forger", &forged[..])] {
+            g.bench_with_input(BenchmarkId::new(name, t), &t, |b, _| {
+                b.iter(|| {
+                    scheme
+                        .combine_verified(
+                            &km.params,
+                            &km.public_key,
+                            &km.verification_keys,
+                            MESSAGE,
+                            partials,
+                        )
+                        .unwrap()
+                })
+            });
+        }
     }
     g.finish();
 }

@@ -1,6 +1,7 @@
 //! E3 — signing-path robustness under faults: the §3 scheme's
-//! `combine_verified` (filter + one-shot combine, no extra round) against
-//! the additive-reshare baseline's reconstruction round.
+//! `combine_verified` (optimistic combine, `Share-Verify` fallback only
+//! on failure, no extra round) against the additive-reshare baseline's
+//! reconstruction round.
 //!
 //! `f` partial signatures are corrupted / `f` servers are absent.
 
@@ -27,7 +28,8 @@ fn bench_faulty_signing(c: &mut Criterion) {
 
     for f in [0usize, 1, 3] {
         // §3: n partials arrive, f of them corrupted; the combiner
-        // filters and combines — one logical round regardless of f.
+        // combines, and filters only if that fails — one logical round
+        // regardless of f.
         let mut partials: Vec<PartialSignature> = (1..=N as u32)
             .map(|i| scheme.share_sign(&km.shares[&i], MESSAGE))
             .collect();
@@ -37,7 +39,13 @@ fn bench_faulty_signing(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("ro_combine_verified", f), &f, |b, _| {
             b.iter(|| {
                 scheme
-                    .combine_verified(&km.params, &km.verification_keys, MESSAGE, &partials)
+                    .combine_verified(
+                        &km.params,
+                        &km.public_key,
+                        &km.verification_keys,
+                        MESSAGE,
+                        &partials,
+                    )
                     .unwrap()
             })
         });

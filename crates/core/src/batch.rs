@@ -16,8 +16,7 @@
 //! weights (the classical small-exponent argument of Bellare, Garay and
 //! Rabin — our weights are full-size scalars, so the bound is maximal).
 //! On a batch failure the caller falls back to per-item verification to
-//! locate offenders; [`ThresholdScheme::combine_batch_verified`] wires
-//! exactly that optimistic/pessimistic split into `Combine`.
+//! locate offenders.
 //!
 //! Concretely:
 //!
@@ -27,7 +26,7 @@
 //!   distinct keys: `2k + 2` pairings but one Miller loop / final
 //!   exponentiation instead of `k`;
 //! * [`ThresholdScheme::batch_share_verify`] — `k` partial signatures on
-//!   one message: 4 pairings total (used by `Combine`);
+//!   one message: 4 pairings total;
 //! * [`StandardScheme::batch_verify`] / [`StandardScheme::batch_share_verify`]
 //!   — the §4 Groth–Sahai equations, `3k + 2` pairings and one final
 //!   exponentiation instead of `2k` five-pairing products;
@@ -52,16 +51,13 @@
 //! valid signatures must be rejected) and the agreement property tests.
 
 use crate::aggregate::{AggPublicKey, AggregateScheme, AggregateSignature};
-use crate::ro::{
-    CombineError, PartialSignature, PublicKey, Signature, ThresholdScheme, VerificationKey,
-};
+use crate::ro::{PartialSignature, PublicKey, Signature, ThresholdScheme, VerificationKey};
 use crate::standard::{
     StandardScheme, StdPartialSignature, StdPublicKey, StdSignature, StdVerificationKey,
 };
 use borndist_grothsahai as gs;
 use borndist_pairing::{msm, multi_pairing_mixed, Fr, G1Affine, G1Projective, G2Affine};
 use borndist_parallel::{par_map, par_map_indexed};
-use borndist_shamir::ThresholdParams;
 use rand::RngCore;
 use std::collections::BTreeMap;
 
@@ -189,8 +185,7 @@ impl ThresholdScheme {
     /// replaces `k` separate four-pairing products.
     ///
     /// Returns `true` only if **every** partial verifies; on `false`,
-    /// fall back to [`Self::share_verify`] per item to locate offenders
-    /// (or use [`Self::combine_batch_verified`], which does both).
+    /// fall back to [`Self::share_verify`] per item to locate offenders.
     pub fn batch_share_verify<R: RngCore + ?Sized>(
         &self,
         vks: &BTreeMap<u32, VerificationKey>,
@@ -212,18 +207,6 @@ impl ThresholdScheme {
         else {
             return false;
         };
-        self.batch_share_verify_keys(&vk_list, msg, partials, rng)
-    }
-
-    /// The batched equation over already-resolved LHSPS keys (shared by
-    /// the plain and prepared robust-combine entry points).
-    fn batch_share_verify_keys<R: RngCore + ?Sized>(
-        &self,
-        vk_list: &[&borndist_lhsps::OneTimePublicKey],
-        msg: &[u8],
-        partials: &[PartialSignature],
-        rng: &mut R,
-    ) -> bool {
         let h = self.hash_message(msg);
         if degenerate_hash(&h) {
             return false;
@@ -247,70 +230,6 @@ impl ThresholdScheme {
             &[(&z_comb, &prep.g_z), (&r_comb, &prep.g_r)],
         )
         .is_identity()
-    }
-
-    /// Robust `Combine` with batched share verification: optimistically
-    /// checks all `k` partials with **one** multi-pairing
-    /// ([`Self::batch_share_verify`]) and combines on success; only when
-    /// the batch rejects does it fall back to the per-share filter of
-    /// [`Self::combine_verified`]. In the common all-honest case this
-    /// turns the `k` four-pairing `Share-Verify` products of `Combine`
-    /// into a single one.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::combine_verified`].
-    pub fn combine_batch_verified<R: RngCore + ?Sized>(
-        &self,
-        params: &ThresholdParams,
-        vks: &BTreeMap<u32, VerificationKey>,
-        msg: &[u8],
-        partials: &[PartialSignature],
-        rng: &mut R,
-    ) -> Result<Signature, CombineError> {
-        if partials.len() >= params.reconstruction_size()
-            && self.batch_share_verify(vks, msg, partials, rng)
-        {
-            return self.combine(params, partials);
-        }
-        self.combine_verified(params, vks, msg, partials)
-    }
-
-    /// [`Self::combine_batch_verified`] over the prepared verification
-    /// keys of [`crate::ro::KeyMaterial::prepare_verification_keys`]: the optimistic
-    /// batch is unchanged (its `Ĝ` columns are MSM combinations, where
-    /// only the generators — already prepared — are fixed), while the
-    /// pessimistic per-share fallback filters through
-    /// [`ThresholdScheme::share_verify_prepared`] with zero `Ĝ`-side
-    /// point arithmetic.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ThresholdScheme::combine_verified`].
-    pub fn combine_batch_verified_prepared<R: RngCore + ?Sized>(
-        &self,
-        params: &ThresholdParams,
-        vks: &BTreeMap<u32, crate::ro::PreparedVerificationKey>,
-        msg: &[u8],
-        partials: &[PartialSignature],
-        rng: &mut R,
-    ) -> Result<Signature, CombineError> {
-        if partials.len() >= params.reconstruction_size() && !partials.is_empty() {
-            let vk_list = partials
-                .iter()
-                .map(|p| {
-                    vks.get(&p.index)
-                        .filter(|vk| vk.index == p.index)
-                        .map(|vk| &vk.pk.key)
-                })
-                .collect::<Option<Vec<_>>>();
-            if let Some(vk_list) = vk_list {
-                if self.batch_share_verify_keys(&vk_list, msg, partials, rng) {
-                    return self.combine(params, partials);
-                }
-            }
-        }
-        self.combine_verified_prepared(params, vks, msg, partials)
     }
 }
 
@@ -443,48 +362,6 @@ impl StandardScheme {
             })
             .collect();
         self.gs_batch_verify(&statements, rng)
-    }
-
-    /// Robust §4 `Combine` with batched share verification: one
-    /// multi-pairing over all partials in the optimistic case, falling
-    /// back to per-share [`Self::share_verify`] filtering when the batch
-    /// rejects.
-    ///
-    /// # Errors
-    ///
-    /// [`CombineError::NotEnoughValidShares`] when fewer than `t + 1`
-    /// partials survive the filter, plus the plain
-    /// [`Self::combine`] errors.
-    pub fn combine_batch_verified<R: RngCore + ?Sized>(
-        &self,
-        params: &ThresholdParams,
-        vks: &BTreeMap<u32, StdVerificationKey>,
-        msg: &[u8],
-        partials: &[StdPartialSignature],
-        rng: &mut R,
-    ) -> Result<StdSignature, CombineError> {
-        if partials.len() >= params.reconstruction_size()
-            && self.batch_share_verify(vks, msg, partials, rng)
-        {
-            return self.combine(params, msg, partials, rng);
-        }
-        let valid: Vec<StdPartialSignature> = partials
-            .iter()
-            .filter(|p| {
-                vks.get(&p.index)
-                    .map(|vk| self.share_verify(vk, msg, p))
-                    .unwrap_or(false)
-            })
-            .copied()
-            .collect();
-        let need = params.reconstruction_size();
-        if valid.len() < need {
-            return Err(CombineError::NotEnoughValidShares {
-                valid: valid.len(),
-                need,
-            });
-        }
-        self.combine(params, msg, &valid[..need], rng)
     }
 }
 
@@ -625,6 +502,7 @@ impl AggregateScheme {
 mod tests {
     use super::*;
     use crate::ro::KeyMaterial;
+    use borndist_shamir::ThresholdParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -712,86 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn combine_batch_verified_happy_and_byzantine() {
-        let (scheme, km, mut r) = setup();
-        let msg = b"combine batched";
-        let mut partials: Vec<PartialSignature> = (1..=6u32)
-            .map(|i| scheme.share_sign(&km.shares[&i], msg))
-            .collect();
-        let sig = scheme
-            .combine_batch_verified(&km.params, &km.verification_keys, msg, &partials, &mut r)
-            .unwrap();
-        assert!(scheme.verify(&km.public_key, msg, &sig));
-        // Corrupt two shares: the batch rejects, the fallback filters.
-        partials[0].sig.z = partials[1].sig.z;
-        partials[5].sig.r = partials[1].sig.r;
-        let sig = scheme
-            .combine_batch_verified(&km.params, &km.verification_keys, msg, &partials, &mut r)
-            .unwrap();
-        assert!(scheme.verify(&km.public_key, msg, &sig));
-        // Too few shares at all.
-        assert!(matches!(
-            scheme.combine_batch_verified(
-                &km.params,
-                &km.verification_keys,
-                msg,
-                &partials[..2],
-                &mut r
-            ),
-            Err(CombineError::NotEnoughValidShares { .. })
-        ));
-    }
-
-    #[test]
-    fn prepared_combine_agrees_with_plain() {
-        let (scheme, km, mut r) = setup();
-        let msg = b"combine prepared";
-        let prepared_vks = km.prepare_verification_keys();
-        let mut partials: Vec<PartialSignature> = (1..=6u32)
-            .map(|i| scheme.share_sign(&km.shares[&i], msg))
-            .collect();
-        // Happy path: prepared and plain robust combine produce the same
-        // (unique) signature.
-        let plain = scheme
-            .combine_batch_verified(&km.params, &km.verification_keys, msg, &partials, &mut r)
-            .unwrap();
-        let fast = scheme
-            .combine_batch_verified_prepared(&km.params, &prepared_vks, msg, &partials, &mut r)
-            .unwrap();
-        assert_eq!(plain, fast);
-        assert!(scheme.verify(&km.public_key, msg, &fast));
-        // Byzantine path: two corrupted shares force the prepared
-        // per-share fallback filter.
-        partials[0].sig.z = partials[1].sig.z;
-        partials[5].sig.r = partials[1].sig.r;
-        let fast = scheme
-            .combine_batch_verified_prepared(&km.params, &prepared_vks, msg, &partials, &mut r)
-            .unwrap();
-        assert_eq!(plain, fast);
-        let direct = scheme
-            .combine_verified_prepared(&km.params, &prepared_vks, msg, &partials)
-            .unwrap();
-        assert_eq!(plain, direct);
-        // Too few valid shares.
-        assert_eq!(
-            scheme.combine_verified_prepared(&km.params, &prepared_vks, msg, &partials[..2]),
-            Err(CombineError::NotEnoughValidShares { valid: 1, need: 3 })
-        );
-        // Unknown index falls through to the filter (and fails there).
-        let mut alien = partials[1];
-        alien.index = 99;
-        assert!(scheme
-            .combine_batch_verified_prepared(
-                &km.params,
-                &prepared_vks,
-                msg,
-                &[alien, partials[1], partials[2]],
-                &mut r
-            )
-            .is_err());
-    }
-
-    #[test]
     fn standard_batch_verify_and_shares() {
         let scheme = StandardScheme::new(b"std-batch");
         let mut r = StdRng::seed_from_u64(0x57d2);
@@ -822,16 +620,8 @@ mod tests {
             .map(|i| scheme.share_sign(&km.shares[&i], msg, &mut r))
             .collect();
         assert!(scheme.batch_share_verify(&km.verification_keys, msg, &partials, &mut r));
-        let sig = scheme
-            .combine_batch_verified(&km.params, &km.verification_keys, msg, &partials, &mut r)
-            .unwrap();
-        assert!(scheme.verify(&km.public_key, msg, &sig));
         partials[2].c_z = partials[3].c_z;
         assert!(!scheme.batch_share_verify(&km.verification_keys, msg, &partials, &mut r));
-        let sig = scheme
-            .combine_batch_verified(&km.params, &km.verification_keys, msg, &partials, &mut r)
-            .unwrap();
-        assert!(scheme.verify(&km.public_key, msg, &sig));
     }
 
     #[test]

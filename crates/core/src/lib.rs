@@ -6,7 +6,8 @@
 //!
 //! * [`ro`] — the main §3 scheme (random-oracle model): Pedersen-DKG-born
 //!   keys, 4-scalar shares, 2-element signatures, non-interactive signing,
-//!   4-pairing verification;
+//!   4-pairing verification, and its one robust `Combine`, the optimistic
+//!   [`Combiner`];
 //! * [`aggregate`] — the Appendix G extension with unrestricted signature
 //!   aggregation and self-certifying public keys;
 //! * [`dlin`] — the Appendix F variant under the (weaker) DLIN assumption,
@@ -14,12 +15,12 @@
 //! * [`standard`] — the §4 standard-model scheme over Groth–Sahai proofs;
 //! * [`proactive`] — §3.3 proactive epochs (refresh + share recovery);
 //! * [`batch`] — small-exponent randomized batch verification: `k`
-//!   signatures (or `k` signature shares during `Combine`) checked with
+//!   signatures (or `k` signature shares on one message) checked with
 //!   one shared multi-pairing instead of `4k` pairings (DESIGN.md §2);
-//! * [`netsign`] — threshold signing as a network protocol: partial
-//!   signatures crossing a real transport as encoded frames, with
-//!   retransmission under lossy delivery policies (DESIGN.md §2 "Wire
-//!   format & transports");
+//! * [`netsign`] — threshold signing as a network protocol: concurrent
+//!   sessions multiplexed over one mesh, partial signatures crossing a
+//!   real transport as encoded frames, with retransmission under lossy
+//!   delivery policies (DESIGN.md §2 "Signing on the mesh");
 //! * [`gateway`] — the amortized verification front door: independent
 //!   verify requests buffered per epoch and answered with one randomized
 //!   multi-pairing, with bisection on poisoned buffers (DESIGN.md §2
@@ -66,14 +67,11 @@ pub use dlin::{
     DlinVerificationKey,
 };
 pub use gateway::{AggregationGateway, GatewayConfig, GatewayStats, Verdict, VerifyRequest};
-pub use netsign::{
-    run_mux_sign, run_threshold_sign, MuxCoordinator, MuxMessage, MuxOutcome, MuxSignerPlayer,
-    SignMessage, SigningPlayer,
-};
+pub use netsign::{run_mux_sign, MuxCoordinator, MuxMessage, MuxOutcome, MuxSignerPlayer};
 pub use proactive::{ProactiveDeployment, ProactiveError};
 pub use ro::{
-    CombineError, DistKeygenError, KeyMaterial, KeyShare, PartialSignature, PreparedPublicKey,
-    PreparedVerificationKey, PublicKey, Signature, ThresholdScheme, VerificationKey,
+    CombineError, Combiner, Committee, DistKeygenError, KeyMaterial, KeyShare, PartialSignature,
+    PublicKey, Signature, ThresholdScheme, VerificationKey,
 };
 pub use standard::{
     StandardScheme, StdKeyMaterial, StdKeyShare, StdPartialSignature, StdPublicKey, StdSignature,

@@ -1,39 +1,40 @@
-//! Threshold signing as a network protocol: partial signatures crossing
-//! a real [`Transport`](borndist_net::TransportKind) as encoded frames.
+//! Threshold signing as a network protocol: many concurrent signing
+//! sessions multiplexed over one long-lived protocol run — the engine of
+//! the threshold-signing daemon — with partial signatures crossing a
+//! real [`Transport`](borndist_net::TransportKind) as encoded frames.
 //!
 //! The §3 scheme's signing is non-interactive — a signer needs only its
-//! share and the message — so the network shape is minimal: each signer
-//! sends its [`PartialSignature`] over the private channel to a
-//! designated combiner, which combines the first `t+1` it holds and
-//! broadcasts the resulting [`Signature`].
+//! share and the message — so the network shape is minimal: the
+//! [`MuxCoordinator`] broadcasts `Open`, each [`MuxSignerPlayer`] sends
+//! its [`PartialSignature`] over the private channel to the session's
+//! rotating combiner, which combines the first `t+1` it holds and
+//! broadcasts the resulting [`Signature`] as `Done`.
 //!
-//! The combiner is **optimistic** (one private `Combiner`, the only
-//! combine path of both [`SigningPlayer`] and [`MuxSignerPlayer`]):
-//! partials are collected *unverified*, the combined signature is verified once
-//! against the public key, and `Share-Verify` runs only when that check
-//! fails — which is what the paper's public share verifiability is for:
-//! naming the culprit, not taxing every honest partial. Offenders go
-//! into the session's `rejected` set (their retransmissions are then
-//! dropped without a pairing) and the survivors are recombined, so only
-//! a verified signature is ever broadcast and a Byzantine signer buys at
+//! The combiner is the scheme's one robust `Combine`,
+//! [`crate::ro::Combiner`]: partials are collected *unverified*, the
+//! combined signature is verified once against the public key, and
+//! `Share-Verify` runs only when that check fails. Offenders go into the
+//! session's `rejected` set (their retransmissions are then dropped
+//! without a pairing) and the survivors are recombined, so only a
+//! verified signature is ever broadcast and a Byzantine signer buys at
 //! most one fallback per session.
 //!
-//! Who verifies the broadcast depends on who *uses* it. A
-//! [`SigningPlayer`]'s output is the signature, so it verifies
-//! `Combined`. A [`MuxSignerPlayer`] outputs nothing: to it, `Done` from
+//! Only the coordinator opens and closes sessions: a signer takes `Open`
+//! and `Shutdown` from the coordinator's id alone, so a corrupted signer
+//! can neither obtain signatures on messages nobody requested nor stop
+//! the honest signers. A signer outputs no signature: to it, `Done` from
 //! the session's own combiner only means "stop retransmitting" and is
 //! taken unverified, while a `Done` from anyone else is ignored. The
-//! [`MuxCoordinator`] verifies every `Done` before a client sees it.
+//! coordinator verifies every `Done` before a client sees it.
 //!
 //! Two properties matter here:
 //!
 //! * **loss tolerance** — signers *re-send* their partial every round
 //!   until the combiner's broadcast arrives, so the protocol terminates
 //!   over a lossy [`borndist_net::DeliveryPolicy`] (the private links may
-//!   drop; the combined-signature broadcast is reliable by the model).
-//!   That is the whole retransmission story: no acks, no sequence
-//!   numbers, because partial signatures are idempotent and
-//!   deterministic.
+//!   drop; the broadcasts are reliable by the model). That is the whole
+//!   retransmission story: no acks, no sequence numbers, because partial
+//!   signatures are idempotent and deterministic.
 //! * **byte discipline** — like the DKG, players decode-validate-then-
 //!   process: a malformed frame is ignored exactly like a dropped one, a
 //!   partial is collected only under its sender's own index and a known
@@ -42,7 +43,8 @@
 //!   session by one fallback and forge nothing.
 
 use crate::ro::{
-    KeyShare, PartialSignature, PublicKey, Signature, ThresholdScheme, VerificationKey,
+    Combiner, Committee, KeyShare, PartialSignature, PublicKey, Signature, ThresholdScheme,
+    VerificationKey,
 };
 use borndist_net::{
     run_protocol, BoxedPlayer, Delivered, Metrics, Outgoing, PlayerId, Protocol, Recipient,
@@ -54,327 +56,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// A wire message of the signing protocol.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SignMessage {
-    /// A signer's partial signature, sent privately to the combiner.
-    Partial(PartialSignature),
-    /// The combiner's broadcast of the combined signature.
-    Combined(Signature),
-}
-
-const TAG_PARTIAL: u8 = 0;
-const TAG_COMBINED: u8 = 1;
-
-impl Wire for SignMessage {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        match self {
-            SignMessage::Partial(p) => {
-                out.push(TAG_PARTIAL);
-                p.encode_to(out);
-            }
-            SignMessage::Combined(s) => {
-                out.push(TAG_COMBINED);
-                s.encode_to(out);
-            }
-        }
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(input)? {
-            TAG_PARTIAL => Ok(SignMessage::Partial(PartialSignature::decode(input)?)),
-            TAG_COMBINED => Ok(SignMessage::Combined(Signature::decode(input)?)),
-            tag => Err(CodecError::InvalidTag(tag)),
-        }
-    }
-}
-
-/// What every signing player knows about the committee it signs in.
-struct Committee {
-    scheme: ThresholdScheme,
-    params: ThresholdParams,
-    public_key: PublicKey,
-    vks: BTreeMap<u32, VerificationKey>,
-    /// Pairing checks the combiners of this player ran.
-    #[cfg(test)]
-    calls: std::sync::Arc<CombinerCalls>,
-}
-
-#[cfg(test)]
-#[derive(Default)]
-struct CombinerCalls {
-    /// `Verify` calls on a combined signature.
-    verifies: std::sync::atomic::AtomicUsize,
-    /// `Share-Verify` calls made by fallbacks.
-    fallback_checks: std::sync::atomic::AtomicUsize,
-}
-
-/// The combiner's side of one signing session: collects partials
-/// unverified, combines the first `t+1`, verifies the *combined*
-/// signature, and falls back to `Share-Verify` only when that fails.
-struct Combiner {
-    /// Partials held, by signer index (the first one per index wins).
-    held: BTreeMap<u32, PartialSignature>,
-    /// Held indices known valid: the combiner's own partial and the
-    /// survivors of a fallback, which a later fallback does not re-check.
-    vouched: BTreeSet<u32>,
-    /// Indices `Share-Verify` rejected. Nothing from them is collected
-    /// again, so a rejected signer's retransmissions cost no pairing.
-    rejected: BTreeSet<u32>,
-}
-
-impl Combiner {
-    fn new(own: PartialSignature) -> Self {
-        Combiner {
-            held: BTreeMap::from([(own.index, own)]),
-            vouched: BTreeSet::from([own.index]),
-            rejected: BTreeSet::new(),
-        }
-    }
-
-    /// Collects `psig`, unverified, if `from` sent it under its own
-    /// index, that index has a verification key and was not rejected.
-    fn offer(&mut self, committee: &Committee, from: PlayerId, psig: &PartialSignature) {
-        if psig.index == from
-            && committee.vks.contains_key(&psig.index)
-            && !self.rejected.contains(&psig.index)
-        {
-            self.held.entry(psig.index).or_insert(*psig);
-        }
-    }
-
-    fn combine_first(&self, committee: &Committee) -> Option<Signature> {
-        let quorum = committee.params.reconstruction_size();
-        if self.held.len() < quorum {
-            return None;
-        }
-        let first: Vec<PartialSignature> = self.held.values().take(quorum).copied().collect();
-        Some(
-            committee
-                .scheme
-                .combine(&committee.params, &first)
-                .expect("t+1 partials at distinct verification-key indices"),
-        )
-    }
-
-    fn verified(committee: &Committee, msg: &[u8], sig: Signature) -> Option<Signature> {
-        #[cfg(test)]
-        committee
-            .calls
-            .verifies
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        committee
-            .scheme
-            .verify(&committee.public_key, msg, &sig)
-            .then_some(sig)
-    }
-
-    /// The session's signature once `t+1` valid partials are held,
-    /// `None` until then. Whatever is returned has passed `Verify`.
-    fn try_combine(&mut self, committee: &Committee, msg: &[u8]) -> Option<Signature> {
-        let sig = self.combine_first(committee)?;
-        if let Some(sig) = Self::verified(committee, msg, sig) {
-            return Some(sig);
-        }
-        // Some held partial is invalid: Share-Verify names which. Every
-        // failed combine rejects at least one signer for good, so a
-        // Byzantine signer forces at most one pass through here.
-        let offenders: Vec<u32> = self
-            .held
-            .iter()
-            .filter(|(index, psig)| {
-                if self.vouched.contains(index) {
-                    return false;
-                }
-                #[cfg(test)]
-                committee
-                    .calls
-                    .fallback_checks
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                !committee
-                    .scheme
-                    .share_verify(&committee.vks[index], msg, psig)
-            })
-            .map(|(index, _)| *index)
-            .collect();
-        for index in &offenders {
-            self.held.remove(index);
-        }
-        self.rejected.extend(offenders);
-        self.vouched = self.held.keys().copied().collect();
-        let sig = self.combine_first(committee)?;
-        Self::verified(committee, msg, sig)
-    }
-}
-
-/// One participant of a networked signing run.
-pub struct SigningPlayer {
-    committee: Committee,
-    combiner_id: PlayerId,
-    id: PlayerId,
-    msg: Vec<u8>,
-    /// This player's own partial (computed once; signing is
-    /// deterministic, so retransmissions are byte-identical).
-    own_partial: PartialSignature,
-    /// The combiner role, on the one player that has it.
-    combiner: Option<Combiner>,
-    /// Combiner only: the signature it verified and broadcast. It is
-    /// this player's output one round later, when everyone else's
-    /// copy of the broadcast arrives.
-    combined: Option<Signature>,
-}
-
-impl SigningPlayer {
-    /// Builds one signing participant.
-    pub fn new(
-        scheme: ThresholdScheme,
-        params: ThresholdParams,
-        public_key: PublicKey,
-        vks: BTreeMap<u32, VerificationKey>,
-        share: &crate::ro::KeyShare,
-        combiner: PlayerId,
-        msg: Vec<u8>,
-    ) -> Self {
-        let own_partial = scheme.share_sign(share, &msg);
-        let id = share.index;
-        SigningPlayer {
-            committee: Committee {
-                scheme,
-                params,
-                public_key,
-                vks,
-                #[cfg(test)]
-                calls: Default::default(),
-            },
-            combiner_id: combiner,
-            id,
-            msg,
-            own_partial,
-            combiner: (id == combiner).then(|| Combiner::new(own_partial)),
-            combined: None,
-        }
-    }
-}
-
-impl Protocol for SigningPlayer {
-    type Message = SignMessage;
-    type Output = Signature;
-
-    fn round(
-        &mut self,
-        _round: usize,
-        inbox: &[Delivered<SignMessage>],
-    ) -> RoundAction<SignMessage, Signature> {
-        if let Some(sig) = self.combined {
-            return RoundAction::Finish(sig);
-        }
-        for d in inbox {
-            // Decode-validate-then-process: malformed frames are treated
-            // exactly like lost ones (the sender will retransmit).
-            match &d.msg {
-                // This player's output is the signature, so it checks
-                // the broadcast itself, whoever sent it.
-                Ok(SignMessage::Combined(sig))
-                    if d.broadcast
-                        && self.committee.scheme.verify(
-                            &self.committee.public_key,
-                            &self.msg,
-                            sig,
-                        ) =>
-                {
-                    return RoundAction::Finish(*sig);
-                }
-                Ok(SignMessage::Partial(p)) if !d.broadcast => {
-                    if let Some(combiner) = &mut self.combiner {
-                        combiner.offer(&self.committee, d.from, p);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut out = Vec::new();
-        match &mut self.combiner {
-            Some(combiner) => {
-                if let Some(sig) = combiner.try_combine(&self.committee, &self.msg) {
-                    self.combined = Some(sig);
-                    out.push(Outgoing {
-                        to: Recipient::Broadcast,
-                        msg: SignMessage::Combined(sig),
-                    });
-                }
-            }
-            // Retransmit until the combined signature arrives.
-            None => out.push(Outgoing {
-                to: Recipient::Private(self.combiner_id),
-                msg: SignMessage::Partial(self.own_partial),
-            }),
-        }
-        RoundAction::Continue(out)
-    }
-
-    fn id(&self) -> PlayerId {
-        self.id
-    }
-}
-
-/// Runs a networked signing round over the given transport: `signers`
-/// (which must include `combiner`) exchange encoded frames until every
-/// player holds the combined signature.
-///
-/// Returns each player's verified signature plus traffic metrics.
-///
-/// # Errors
-///
-/// Transport errors, including [`borndist_net::SimError::RoundLimitExceeded`] if the
-/// policy is lossy enough that the quorum never assembles within
-/// `max_rounds`.
-///
-/// # Panics
-///
-/// Panics if `signers` has fewer than `t+1` entries, a signer id has no
-/// share in `km`, or `combiner` is not among `signers`.
-pub fn run_threshold_sign(
-    scheme: &ThresholdScheme,
-    km: &crate::ro::KeyMaterial,
-    msg: &[u8],
-    signers: &[u32],
-    combiner: PlayerId,
-    transport: &TransportKind,
-    max_rounds: usize,
-) -> Result<(BTreeMap<PlayerId, Signature>, Metrics), borndist_net::Error> {
-    assert!(
-        signers.len() >= km.params.reconstruction_size(),
-        "need at least t+1 signers"
-    );
-    assert!(
-        signers.contains(&combiner),
-        "the combiner must be one of the signers"
-    );
-    let players: Vec<BoxedPlayer<SignMessage, Signature>> = signers
-        .iter()
-        .map(|id| {
-            Box::new(SigningPlayer::new(
-                scheme.clone(),
-                km.params,
-                km.public_key.clone(),
-                km.verification_keys.clone(),
-                &km.shares[id],
-                combiner,
-                msg.to_vec(),
-            )) as _
-        })
-        .collect();
-    run_protocol(transport, players, max_rounds)
-}
-
-// ---------------------------------------------------------------------
-// Session multiplexing: many concurrent signing sessions over ONE
-// long-lived protocol run — the engine of the threshold-signing daemon.
-// ---------------------------------------------------------------------
-
 /// A wire message of the multiplexed signing protocol. Every message
-/// carries the session id (the client's request id), so one mesh of
-/// players can drive any number of concurrent [`SignMessage`]-style
-/// exchanges.
+/// but `Shutdown` carries the session id (the client's request id), so
+/// one mesh of players can drive any number of concurrent sessions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MuxMessage {
     /// Coordinator broadcast: start signing `msg` under `session`.
@@ -496,14 +180,16 @@ fn combiner_of(signer_ids: &[PlayerId], session: u64) -> PlayerId {
 
 /// One signing node of the daemon: holds a key share and serves every
 /// session the coordinator opens, combining those sessions it is the
-/// rotating combiner for. Loss tolerance is per session, identical to
-/// [`SigningPlayer`]: partials are retransmitted every round until the
-/// session's `Done` broadcast arrives from its combiner.
+/// rotating combiner for. Loss tolerance is per session: partials are
+/// retransmitted every round until the session's `Done` broadcast
+/// arrives from its combiner.
 pub struct MuxSignerPlayer {
     committee: Committee,
     share: KeyShare,
     signer_ids: Vec<PlayerId>,
     id: PlayerId,
+    /// The only player whose `Open` and `Shutdown` count.
+    coordinator: PlayerId,
     /// Sessions in flight.
     sessions: BTreeMap<u64, MuxSession>,
     /// Finished sessions, reduced to their ids: all that is still needed
@@ -515,7 +201,8 @@ pub struct MuxSignerPlayer {
 
 impl MuxSignerPlayer {
     /// Builds one signing node. `signer_ids` must be the same (sorted)
-    /// list on every player — it defines the combiner rotation.
+    /// list on every player — it defines the combiner rotation — and
+    /// `coordinator` is the one player that opens and closes sessions.
     pub fn new(
         scheme: ThresholdScheme,
         params: ThresholdParams,
@@ -523,21 +210,16 @@ impl MuxSignerPlayer {
         vks: BTreeMap<u32, VerificationKey>,
         share: KeyShare,
         mut signer_ids: Vec<PlayerId>,
+        coordinator: PlayerId,
     ) -> Self {
         signer_ids.sort_unstable();
         let id = share.index;
         MuxSignerPlayer {
-            committee: Committee {
-                scheme,
-                params,
-                public_key,
-                vks,
-                #[cfg(test)]
-                calls: Default::default(),
-            },
+            committee: Committee::new(scheme, params, public_key, vks),
             share,
             signer_ids,
             id,
+            coordinator,
             sessions: BTreeMap::new(),
             finished: BTreeSet::new(),
             rejected: BTreeMap::new(),
@@ -554,9 +236,12 @@ impl MuxSignerPlayer {
     fn absorb(&mut self, inbox: &[Delivered<MuxMessage>]) {
         for d in inbox {
             // Decode-validate-then-process: malformed frames are ignored
-            // like lost ones.
+            // like lost ones, and so are sessions opened or closed by
+            // anyone but the coordinator.
             match &d.msg {
-                Ok(MuxMessage::Open { session, msg }) if d.broadcast => {
+                Ok(MuxMessage::Open { session, msg })
+                    if d.broadcast && d.from == self.coordinator =>
+                {
                     if self.finished.contains(session) || self.sessions.contains_key(session) {
                         continue;
                     }
@@ -567,7 +252,7 @@ impl MuxSignerPlayer {
                         MuxSession {
                             msg: msg.clone(),
                             own_partial,
-                            combiner: combines.then(|| Combiner::new(own_partial)),
+                            combiner: combines.then(|| Combiner::with_own(own_partial)),
                         },
                     );
                 }
@@ -591,7 +276,9 @@ impl MuxSignerPlayer {
                 {
                     self.finish(*session);
                 }
-                Ok(MuxMessage::Shutdown) if d.broadcast => self.shutdown = true,
+                Ok(MuxMessage::Shutdown) if d.broadcast && d.from == self.coordinator => {
+                    self.shutdown = true
+                }
                 _ => {}
             }
         }
@@ -912,6 +599,7 @@ pub fn run_mux_sign(
                 km.verification_keys.clone(),
                 km.shares[id].clone(),
                 signer_ids.clone(),
+                coordinator,
             )) as _
         })
         .collect();
@@ -932,6 +620,7 @@ pub fn run_mux_sign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ro::CombinerCalls;
     use borndist_net::DeliveryPolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -944,118 +633,43 @@ mod tests {
     }
 
     #[test]
-    fn sign_message_wire_roundtrip() {
-        let (scheme, km) = setup();
-        let p = scheme.share_sign(&km.shares[&2], b"wire");
-        let partials: Vec<PartialSignature> = [1u32, 2]
-            .iter()
-            .map(|i| scheme.share_sign(&km.shares[i], b"wire"))
-            .collect();
-        let sig = scheme.combine(&km.params, &partials).unwrap();
-        for msg in [SignMessage::Partial(p), SignMessage::Combined(sig)] {
-            let enc = msg.encode();
-            assert_eq!(SignMessage::decode_exact(&enc).unwrap(), msg);
-        }
-        assert!(matches!(
-            SignMessage::decode_exact(&[7]),
-            Err(CodecError::InvalidTag(7))
-        ));
-    }
-
-    #[test]
-    fn lockstep_and_channel_sign_identically() {
-        let (scheme, km) = setup();
-        let msg = b"network signing";
-        let (out_l, m_l) = run_threshold_sign(
-            &scheme,
-            &km,
-            msg,
-            &[1, 2, 3],
-            1,
-            &TransportKind::Lockstep,
-            10,
-        )
-        .unwrap();
-        let (out_c, m_c) = run_threshold_sign(
-            &scheme,
-            &km,
-            msg,
-            &[1, 2, 3],
-            1,
-            &TransportKind::Channel(DeliveryPolicy::reliable()),
-            10,
-        )
-        .unwrap();
-        assert_eq!(out_l, out_c);
-        assert!(m_l.same_traffic(&m_c));
-        for sig in out_l.values() {
-            assert!(scheme.verify(&km.public_key, msg, sig));
-        }
-        // Signature uniqueness: every player holds the same signature.
-        let first = out_l.values().next().unwrap();
-        assert!(out_l.values().all(|s| s == first));
-    }
-
-    #[test]
-    fn signing_survives_heavy_private_loss() {
-        let (scheme, km) = setup();
-        let msg = b"lossy signing";
-        let policy = DeliveryPolicy::lossy(0xbad5eed, 0.5);
-        let (out, metrics) = run_threshold_sign(
-            &scheme,
-            &km,
-            msg,
-            &[1, 2, 3, 4],
-            2,
-            &TransportKind::Channel(policy),
-            60,
-        )
-        .unwrap();
-        assert_eq!(out.len(), 4);
-        for sig in out.values() {
-            assert!(scheme.verify(&km.public_key, msg, sig));
-        }
-        // Loss-free baseline: 3 partials in round 0, the same 3
-        // retransmitted in round 1 plus the combined broadcast, finish
-        // in round 2 — 7 messages over 3 rounds.
-        assert!(metrics.messages >= 7);
-    }
-
-    #[test]
     fn retransmission_carries_signing_through_a_combiner_outage() {
-        // The combiner's links are down for the first three rounds, so
-        // *only* the per-round retransmission of partial signatures can
-        // ever assemble the quorum — a broken retransmission path fails
-        // this test with RoundLimitExceeded.
+        // Session 1's combiner (player 2) has its links down for the
+        // first three rounds, so *only* the per-round retransmission of
+        // partial signatures can ever assemble the quorum — a broken
+        // retransmission path fails this test with RoundLimitExceeded.
         let (scheme, km) = setup();
-        let msg = b"outage signing";
-        let policy = DeliveryPolicy {
+        let requests = vec![(1u64, b"outage signing".to_vec())];
+        let run = |policy: DeliveryPolicy| {
+            run_mux_sign(
+                &scheme,
+                &km,
+                &requests,
+                &[1, 2, 3, 4],
+                9,
+                1,
+                &TransportKind::Channel(policy),
+                60,
+            )
+            .unwrap()
+        };
+        let (_, baseline) = run(DeliveryPolicy::reliable());
+        let (outcome, metrics) = run(DeliveryPolicy {
             outages: vec![borndist_net::Outage {
                 player: 2,
                 from_round: 0,
                 until_round: 3,
             }],
             ..DeliveryPolicy::default()
-        };
-        let (out, metrics) = run_threshold_sign(
-            &scheme,
-            &km,
-            msg,
-            &[1, 2, 3, 4],
-            2,
-            &TransportKind::Channel(policy),
-            60,
-        )
-        .unwrap();
-        assert_eq!(out.len(), 4);
-        for sig in out.values() {
-            assert!(scheme.verify(&km.public_key, msg, sig));
-        }
+        });
+        assert_eq!(outcome.signatures.len(), 1);
+        assert!(scheme.verify(&km.public_key, &requests[0].1, &outcome.signatures[&1]));
         // Partials first arrive in round 3, combine in round 4 at the
         // earliest: strictly more traffic and rounds than the loss-free
-        // baseline (7 messages, 3 rounds).
+        // baseline.
         assert!(metrics.total_rounds > 3);
-        assert!(metrics.messages > 7);
+        assert!(metrics.total_rounds > baseline.total_rounds);
+        assert!(metrics.messages > baseline.messages);
     }
 
     #[test]
@@ -1190,6 +804,7 @@ mod tests {
                     km.verification_keys.clone(),
                     km.shares[id].clone(),
                     vec![1, 2, 3, 4],
+                    9,
                 )) as _
             })
             .collect();
@@ -1308,51 +923,6 @@ mod tests {
         counter.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// One `SigningPlayer` run with every partial of `forgers` forged.
-    /// Returns the outputs and the pairing checks the combiner ran.
-    fn sign_with_forgers(
-        scheme: &ThresholdScheme,
-        km: &crate::ro::KeyMaterial,
-        msg: &[u8],
-        forgers: &[u32],
-        combiner: PlayerId,
-        transport: &TransportKind,
-    ) -> (BTreeMap<PlayerId, Signature>, std::sync::Arc<CombinerCalls>) {
-        let calls = std::sync::Arc::new(CombinerCalls::default());
-        let players: Vec<BoxedPlayer<SignMessage, Signature>> = km
-            .shares
-            .keys()
-            .map(|id| {
-                let mut player = SigningPlayer::new(
-                    scheme.clone(),
-                    km.params,
-                    km.public_key.clone(),
-                    km.verification_keys.clone(),
-                    &km.shares[id],
-                    combiner,
-                    msg.to_vec(),
-                );
-                player.committee.calls = calls.clone();
-                if !forgers.contains(id) {
-                    return Box::new(player) as _;
-                }
-                let forged = forged_partial(scheme, km, *id);
-                Box::new(Forger {
-                    inner: player,
-                    tamper: Box::new(move |out| {
-                        for o in out {
-                            if let SignMessage::Partial(p) = &mut o.msg {
-                                *p = forged;
-                            }
-                        }
-                    }),
-                }) as _
-            })
-            .collect();
-        let (outputs, _) = run_protocol(transport, players, 200).unwrap();
-        (outputs, calls)
-    }
-
     /// One mux run with every partial of `forgers` forged, each forger
     /// also broadcasting a garbage `Done` for every session it is not
     /// the combiner of. Returns every player's outcome and the pairing
@@ -1380,6 +950,7 @@ mod tests {
                     km.verification_keys.clone(),
                     km.shares[id].clone(),
                     signer_ids.clone(),
+                    99,
                 );
                 player.committee.calls = calls.clone();
                 if !forgers.contains(id) {
@@ -1471,13 +1042,6 @@ mod tests {
     #[test]
     fn honest_runs_pay_one_verify_per_session_and_no_share_verify() {
         let (scheme, km) = setup();
-        let msg = b"all honest";
-        let (out, calls) = sign_with_forgers(&scheme, &km, msg, &[], 2, &TransportKind::Lockstep);
-        let expected = honest_signature(&scheme, &km, msg);
-        assert!(out.values().all(|sig| *sig == expected));
-        assert_eq!(load(&calls.verifies), 1);
-        assert_eq!(load(&calls.fallback_checks), 0);
-
         let requests = requests(6);
         let (outputs, calls) =
             mux_with_forgers(&scheme, &km, &requests, &[], &TransportKind::Lockstep);
@@ -1491,25 +1055,15 @@ mod tests {
         // Index 1 is the lowest, so its partial is always among the
         // first t+1 the combiner holds.
         let (scheme, km) = setup();
-        let msg = b"one forger";
-        let expected = honest_signature(&scheme, &km, msg);
-        let (out, calls) = sign_with_forgers(&scheme, &km, msg, &[1], 4, &TransportKind::Lockstep);
-        assert_eq!(out.len(), 4);
-        assert!(out.values().all(|sig| *sig == expected));
-        // One failed combine, Share-Verify over the three partials the
-        // combiner did not make itself, one recombine.
-        assert_eq!(load(&calls.verifies), 2);
-        assert_eq!(load(&calls.fallback_checks), 3);
         let lossy = TransportKind::Channel(DeliveryPolicy::lossy(0x10551, 0.4));
-        let (out, _) = sign_with_forgers(&scheme, &km, msg, &[1], 4, &lossy);
-        assert!(out.values().all(|sig| *sig == expected));
-
         let requests = requests(6);
         let (outputs, calls) =
             mux_with_forgers(&scheme, &km, &requests, &[1], &TransportKind::Lockstep);
         assert_mux_outcome(&scheme, &km, &requests, &[1], &outputs, true);
         // Sessions 0 and 4 are the forger's own to combine: nothing to
-        // reject there. The other four each pay one fallback.
+        // reject there. The other four each pay one failed combine,
+        // Share-Verify over the three partials the combiner did not make
+        // itself, and one recombine.
         assert_eq!(load(&calls.verifies), 2 + 4 * 2);
         assert_eq!(load(&calls.fallback_checks), 4 * 3);
         let (outputs, _) = mux_with_forgers(&scheme, &km, &requests, &[1], &lossy);
@@ -1519,99 +1073,13 @@ mod tests {
     #[test]
     fn t_forgers_are_all_named_and_no_honest_signer_is() {
         let (scheme, km) = setup_tn(2, 5);
-        let msg = b"t forgers";
-        let expected = honest_signature(&scheme, &km, msg);
         let lossy = TransportKind::Channel(DeliveryPolicy::lossy(0x70551, 0.3));
-        for transport in [TransportKind::Lockstep, lossy.clone()] {
-            let (out, _) = sign_with_forgers(&scheme, &km, msg, &[1, 2], 5, &transport);
-            assert_eq!(out.len(), 5);
-            assert!(out.values().all(|sig| *sig == expected));
-        }
         let requests = requests(5);
         let (outputs, _) =
             mux_with_forgers(&scheme, &km, &requests, &[1, 2], &TransportKind::Lockstep);
         assert_mux_outcome(&scheme, &km, &requests, &[1, 2], &outputs, true);
         let (outputs, _) = mux_with_forgers(&scheme, &km, &requests, &[1, 2], &lossy);
         assert_mux_outcome(&scheme, &km, &requests, &[1, 2], &outputs, false);
-    }
-
-    #[test]
-    fn a_rejected_signer_costs_no_further_pairing_and_strays_are_never_collected() {
-        let (scheme, km) = setup();
-        let msg = b"driven by hand";
-        let mut combiner = SigningPlayer::new(
-            scheme.clone(),
-            km.params,
-            km.public_key.clone(),
-            km.verification_keys.clone(),
-            &km.shares[&4],
-            4,
-            msg.to_vec(),
-        );
-        let partial = |i: u32| scheme.share_sign(&km.shares[&i], msg);
-        let sends_nothing = |action| match action {
-            RoundAction::Continue(out) => assert!(out.is_empty()),
-            RoundAction::Finish(_) => panic!("finished early"),
-        };
-        let held = |p: &SigningPlayer| -> Vec<u32> {
-            p.combiner.as_ref().unwrap().held.keys().copied().collect()
-        };
-
-        // A valid partial under somebody else's index, and one under an
-        // index with no verification key: never collected.
-        let unknown = PartialSignature {
-            index: 7,
-            ..partial(3)
-        };
-        sends_nothing(combiner.round(
-            0,
-            &[
-                delivered(2, false, SignMessage::Partial(partial(3))),
-                delivered(7, false, SignMessage::Partial(unknown)),
-            ],
-        ));
-        assert_eq!(held(&combiner), [4]);
-        assert_eq!(load(&combiner.committee.calls.verifies), 0);
-
-        // The forgery completes a quorum, fails the combined check and
-        // is named by the fallback.
-        let forged = forged_partial(&scheme, &km, 1);
-        sends_nothing(combiner.round(1, &[delivered(1, false, SignMessage::Partial(forged))]));
-        assert_eq!(held(&combiner), [4]);
-        assert_eq!(
-            combiner.combiner.as_ref().unwrap().rejected,
-            BTreeSet::from([1])
-        );
-        assert_eq!(load(&combiner.committee.calls.verifies), 1);
-        assert_eq!(load(&combiner.committee.calls.fallback_checks), 1);
-
-        // Its retransmissions — even a now-valid one — cost nothing.
-        sends_nothing(combiner.round(
-            2,
-            &[
-                delivered(1, false, SignMessage::Partial(forged)),
-                delivered(1, false, SignMessage::Partial(partial(1))),
-            ],
-        ));
-        assert_eq!(held(&combiner), [4]);
-        assert_eq!(load(&combiner.committee.calls.verifies), 1);
-        assert_eq!(load(&combiner.committee.calls.fallback_checks), 1);
-
-        // An honest partial finishes the job.
-        let expected = honest_signature(&scheme, &km, msg);
-        match combiner.round(3, &[delivered(2, false, SignMessage::Partial(partial(2)))]) {
-            RoundAction::Continue(out) => {
-                assert_eq!(out.len(), 1);
-                assert_eq!(out[0].msg, SignMessage::Combined(expected));
-            }
-            RoundAction::Finish(_) => panic!("finished before broadcasting"),
-        }
-        assert_eq!(load(&combiner.committee.calls.verifies), 2);
-        assert_eq!(load(&combiner.committee.calls.fallback_checks), 1);
-        assert!(matches!(
-            combiner.round(4, &[]),
-            RoundAction::Finish(sig) if sig == expected
-        ));
     }
 
     #[test]
@@ -1625,6 +1093,7 @@ mod tests {
                 km.verification_keys.clone(),
                 km.shares[&id].clone(),
                 vec![1, 2, 3, 4],
+                9,
             )
         };
         let msg = b"session one".to_vec();
@@ -1725,6 +1194,48 @@ mod tests {
         );
         assert!(two.sessions.is_empty());
         assert_eq!(two.finished, BTreeSet::from([1]));
+    }
+
+    #[test]
+    fn only_the_coordinator_opens_and_closes_sessions() {
+        let (scheme, km) = setup();
+        let mut three = MuxSignerPlayer::new(
+            scheme.clone(),
+            km.params,
+            km.public_key.clone(),
+            km.verification_keys.clone(),
+            km.shares[&3].clone(),
+            vec![1, 2, 3, 4],
+            9,
+        );
+        let open_from = |from: PlayerId| {
+            delivered(
+                from,
+                true,
+                MuxMessage::Open {
+                    session: 777,
+                    msg: b"evil".to_vec(),
+                },
+            )
+        };
+        let sent = |action: RoundAction<MuxMessage, MuxOutcome>| match action {
+            RoundAction::Continue(out) => out.len(),
+            RoundAction::Finish(_) => panic!("a signer's Shutdown finished the player"),
+        };
+
+        // A signer's Open yields no partial, its Shutdown ends nothing.
+        assert_eq!(sent(three.round(0, &[open_from(1)])), 0);
+        assert!(three.sessions.is_empty());
+        assert_eq!(
+            sent(three.round(1, &[delivered(1, true, MuxMessage::Shutdown)])),
+            0
+        );
+        // The coordinator's do both.
+        assert_eq!(sent(three.round(2, &[open_from(9)])), 1);
+        assert!(matches!(
+            three.round(3, &[delivered(9, true, MuxMessage::Shutdown)]),
+            RoundAction::Finish(_)
+        ));
     }
 
     #[test]

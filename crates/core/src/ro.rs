@@ -20,7 +20,6 @@
 use borndist_dkg::{dkg_session, Behavior, DkgAbort, DkgConfig, DkgOutput, SharingMode};
 use borndist_lhsps::{
     sign_derive, DpParams, OneTimePublicKey, OneTimeSecretKey, OneTimeSignature, PreparedDpParams,
-    PreparedOneTimePublicKey,
 };
 use borndist_net::{Metrics, TransportKind};
 use borndist_pairing::codec::{CodecError, Wire};
@@ -72,52 +71,6 @@ pub struct VerificationKey {
     pub index: u32,
     /// The LHSPS public key matching [`KeyShare::sk`].
     pub pk: OneTimePublicKey,
-}
-
-/// A verification key with its pairing line coefficients precomputed —
-/// built by a combiner that will check many shares
-/// ([`KeyMaterial::prepare_verification_keys`]) so the `Share-Verify`
-/// hot path pairs every `Ĝ`-side element through cached coefficients.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PreparedVerificationKey {
-    /// The server index `i`.
-    pub index: u32,
-    /// The prepared LHSPS public key.
-    pub pk: PreparedOneTimePublicKey,
-}
-
-impl VerificationKey {
-    /// Precomputes the pairing line coefficients of both coordinates.
-    pub fn prepare(&self) -> PreparedVerificationKey {
-        PreparedVerificationKey {
-            index: self.index,
-            pk: self.pk.prepare(),
-        }
-    }
-}
-
-/// The joint public key with prepared coordinates, for verifiers that
-/// check many signatures under one key: all four `Ĝ`-side elements of
-/// `Verify` then pair through cached line coefficients.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PreparedPublicKey {
-    /// The plain public key.
-    pub key: PublicKey,
-    /// Prepared `(ĝ_1, ĝ_2)` packed as a prepared LHSPS key.
-    pub pk: PreparedOneTimePublicKey,
-}
-
-impl PublicKey {
-    /// Precomputes the pairing line coefficients of `(ĝ_1, ĝ_2)`.
-    pub fn prepare(&self) -> PreparedPublicKey {
-        let pk = OneTimePublicKey {
-            g_hat: self.coords.to_vec(),
-        };
-        PreparedPublicKey {
-            key: self.clone(),
-            pk: pk.prepare(),
-        }
-    }
 }
 
 /// A partial signature `σ_i = (z_i, r_i) ∈ G²`.
@@ -217,23 +170,6 @@ pub struct KeyMaterial {
     /// Combined Pedersen commitments (needed for proactive refresh and
     /// share recovery).
     pub commitments: Vec<PedersenCommitment>,
-}
-
-impl KeyMaterial {
-    /// Prepared forms of [`Self::verification_keys`], index-aligned, for
-    /// the prepared robust-combine paths
-    /// ([`ThresholdScheme::combine_verified_prepared`],
-    /// [`ThresholdScheme::combine_batch_verified_prepared`],
-    /// [`ThresholdScheme::share_verify_prepared`]). Built on request —
-    /// `2n` `G2Prepared` line tables, ≈ 39 KB per player — by the caller
-    /// that will verify many shares under these keys; after a proactive
-    /// refresh the keys change and the map must be built again.
-    pub fn prepare_verification_keys(&self) -> BTreeMap<u32, PreparedVerificationKey> {
-        self.verification_keys
-            .iter()
-            .map(|(i, vk)| (*i, vk.prepare()))
-            .collect()
-    }
 }
 
 /// Errors from `Combine`.
@@ -527,22 +463,6 @@ impl ThresholdScheme {
         vk.pk.verify_prepared(&self.prepared, &h, &psig.sig)
     }
 
-    /// [`Self::share_verify`] against a prepared verification key
-    /// ([`KeyMaterial::prepare_verification_keys`]): all four `Ĝ`-side pairing
-    /// arguments replay cached line coefficients.
-    pub fn share_verify_prepared(
-        &self,
-        vk: &PreparedVerificationKey,
-        msg: &[u8],
-        psig: &PartialSignature,
-    ) -> bool {
-        if vk.index != psig.index {
-            return false;
-        }
-        let h = self.hash_message(msg);
-        vk.pk.verify(&self.prepared, &h, &psig.sig)
-    }
-
     /// `Combine`: Lagrange interpolation in the exponent over any
     /// `≥ t+1` partial signatures (assumed valid; see
     /// [`Self::combine_verified`] for the robust variant).
@@ -577,68 +497,45 @@ impl ThresholdScheme {
         })
     }
 
-    /// Robust combine: filters partial signatures through `Share-Verify`
-    /// first, then combines the first `t+1` valid ones. This is the whole
-    /// robustness story of the scheme — no restart, no extra round, no
-    /// state at the combiner (experiment E3).
+    /// Robust `Combine`: one [`Combiner`] run over `partials`. The first
+    /// `t+1` usable partials are combined and the result checked once
+    /// with `Verify` against `pk`; `Share-Verify` runs only when that
+    /// check fails, to drop the invalid partials before recombining.
+    /// All-honest input therefore costs one `Verify`, and a forgery
+    /// costs at most one fallback — no restart, no extra round
+    /// (experiment E3). A partial is usable if its index has a key in
+    /// `vks` and did not already occur.
+    ///
+    /// # Errors
+    ///
+    /// [`CombineError::NotEnoughShares`] when fewer than `t+1` usable
+    /// partials are supplied, and [`CombineError::NotEnoughValidShares`]
+    /// when fewer than `t+1` of them pass `Share-Verify`.
     pub fn combine_verified(
         &self,
         params: &ThresholdParams,
+        pk: &PublicKey,
         vks: &BTreeMap<u32, VerificationKey>,
         msg: &[u8],
         partials: &[PartialSignature],
     ) -> Result<Signature, CombineError> {
-        let valid: Vec<PartialSignature> = partials
-            .iter()
-            .filter(|p| {
-                vks.get(&p.index)
-                    .map(|vk| self.share_verify(vk, msg, p))
-                    .unwrap_or(false)
-            })
-            .copied()
-            .collect();
+        let committee = Committee::new(self.clone(), *params, pk.clone(), vks.clone());
+        let mut combiner = Combiner::default();
+        for psig in partials {
+            combiner.offer(&committee, psig.index, psig);
+        }
         let need = params.reconstruction_size();
-        if valid.len() < need {
-            return Err(CombineError::NotEnoughValidShares {
-                valid: valid.len(),
+        if combiner.held.len() < need {
+            return Err(CombineError::NotEnoughShares {
+                have: combiner.held.len(),
                 need,
             });
         }
-        self.combine(params, &valid[..need])
-    }
-
-    /// [`Self::combine_verified`] against the prepared verification keys
-    /// of [`KeyMaterial::prepare_verification_keys`]: the per-share filter runs
-    /// [`Self::share_verify_prepared`], so every `Ĝ`-side pairing
-    /// argument replays cached line coefficients.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::combine_verified`].
-    pub fn combine_verified_prepared(
-        &self,
-        params: &ThresholdParams,
-        vks: &BTreeMap<u32, PreparedVerificationKey>,
-        msg: &[u8],
-        partials: &[PartialSignature],
-    ) -> Result<Signature, CombineError> {
-        let valid: Vec<PartialSignature> = partials
-            .iter()
-            .filter(|p| {
-                vks.get(&p.index)
-                    .map(|vk| self.share_verify_prepared(vk, msg, p))
-                    .unwrap_or(false)
-            })
-            .copied()
-            .collect();
-        let need = params.reconstruction_size();
-        if valid.len() < need {
-            return Err(CombineError::NotEnoughValidShares {
-                valid: valid.len(),
-                need,
-            });
-        }
-        self.combine(params, &valid[..need])
+        let sig = combiner.try_combine(&committee, msg);
+        sig.ok_or(CombineError::NotEnoughValidShares {
+            valid: combiner.held.len(),
+            need,
+        })
     }
 
     /// `Verify`: the four-pairing check
@@ -651,14 +548,150 @@ impl ThresholdScheme {
         };
         lhsps_pk.verify_prepared(&self.prepared, &h, &sig.sig)
     }
+}
 
-    /// [`Self::verify`] against a prepared public key
-    /// ([`PublicKey::prepare`]): all four `Ĝ`-side elements replay cached
-    /// line coefficients — the hot path for verifiers that check many
-    /// signatures under one long-lived key.
-    pub fn verify_prepared(&self, pk: &PreparedPublicKey, msg: &[u8], sig: &Signature) -> bool {
-        let h = self.hash_message(msg);
-        pk.pk.verify(&self.prepared, &h, &sig.sig)
+/// What a combiner knows about the committee whose partials it
+/// combines: the scheme, the threshold, the joint public key and every
+/// signer's verification key.
+pub struct Committee {
+    pub(crate) scheme: ThresholdScheme,
+    params: ThresholdParams,
+    public_key: PublicKey,
+    vks: BTreeMap<u32, VerificationKey>,
+    /// Pairing checks the combiners of this committee ran.
+    #[cfg(test)]
+    pub(crate) calls: std::sync::Arc<CombinerCalls>,
+}
+
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CombinerCalls {
+    /// `Verify` calls on a combined signature.
+    pub(crate) verifies: std::sync::atomic::AtomicUsize,
+    /// `Share-Verify` calls made by fallbacks.
+    pub(crate) fallback_checks: std::sync::atomic::AtomicUsize,
+}
+
+impl Committee {
+    /// The committee of `scheme` at `params`, signing under `public_key`
+    /// with verification keys `vks`.
+    pub fn new(
+        scheme: ThresholdScheme,
+        params: ThresholdParams,
+        public_key: PublicKey,
+        vks: BTreeMap<u32, VerificationKey>,
+    ) -> Self {
+        Committee {
+            scheme,
+            params,
+            public_key,
+            vks,
+            #[cfg(test)]
+            calls: Default::default(),
+        }
+    }
+}
+
+/// The scheme's robust `Combine`, for one message: collects partials
+/// *unverified*, combines the first `t+1`, verifies the *combined*
+/// signature, and falls back to `Share-Verify` only when that fails —
+/// which is what public share verifiability is for: naming the culprit,
+/// not taxing every honest partial. Anyone holding the [`Committee`]
+/// can run it; [`Combiner::default`] holds and vouches for nothing.
+#[derive(Default)]
+pub struct Combiner {
+    /// Partials held, by signer index (the first one per index wins).
+    pub(crate) held: BTreeMap<u32, PartialSignature>,
+    /// Held indices known valid: a signer's own partial and the
+    /// survivors of a fallback, which a later fallback does not re-check.
+    vouched: BTreeSet<u32>,
+    /// Indices `Share-Verify` rejected. Nothing from them is collected
+    /// again, so a rejected signer's retransmissions cost no pairing.
+    pub(crate) rejected: BTreeSet<u32>,
+}
+
+impl Combiner {
+    /// A signer's combiner: it holds and vouches for its own partial.
+    pub fn with_own(own: PartialSignature) -> Self {
+        Combiner {
+            held: BTreeMap::from([(own.index, own)]),
+            vouched: BTreeSet::from([own.index]),
+            rejected: BTreeSet::new(),
+        }
+    }
+
+    /// Collects `psig`, unverified, if `from` sent it under its own
+    /// index, that index has a verification key and was not rejected.
+    pub fn offer(&mut self, committee: &Committee, from: u32, psig: &PartialSignature) {
+        if psig.index == from
+            && committee.vks.contains_key(&psig.index)
+            && !self.rejected.contains(&psig.index)
+        {
+            self.held.entry(psig.index).or_insert(*psig);
+        }
+    }
+
+    fn combine_first(&self, committee: &Committee) -> Option<Signature> {
+        let quorum = committee.params.reconstruction_size();
+        if self.held.len() < quorum {
+            return None;
+        }
+        let first: Vec<PartialSignature> = self.held.values().take(quorum).copied().collect();
+        Some(
+            committee
+                .scheme
+                .combine(&committee.params, &first)
+                .expect("t+1 partials at distinct verification-key indices"),
+        )
+    }
+
+    fn verified(committee: &Committee, msg: &[u8], sig: Signature) -> Option<Signature> {
+        #[cfg(test)]
+        committee
+            .calls
+            .verifies
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        committee
+            .scheme
+            .verify(&committee.public_key, msg, &sig)
+            .then_some(sig)
+    }
+
+    /// The signature on `msg` once `t+1` valid partials are held, `None`
+    /// until then. Whatever is returned has passed `Verify`.
+    pub fn try_combine(&mut self, committee: &Committee, msg: &[u8]) -> Option<Signature> {
+        let sig = self.combine_first(committee)?;
+        if let Some(sig) = Self::verified(committee, msg, sig) {
+            return Some(sig);
+        }
+        // Some held partial is invalid: Share-Verify names which. Every
+        // failed combine rejects at least one signer for good, so a
+        // Byzantine signer forces at most one pass through here.
+        let offenders: Vec<u32> = self
+            .held
+            .iter()
+            .filter(|(index, psig)| {
+                if self.vouched.contains(index) {
+                    return false;
+                }
+                #[cfg(test)]
+                committee
+                    .calls
+                    .fallback_checks
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                !committee
+                    .scheme
+                    .share_verify(&committee.vks[index], msg, psig)
+            })
+            .map(|(index, _)| *index)
+            .collect();
+        for index in &offenders {
+            self.held.remove(index);
+        }
+        self.rejected.extend(offenders);
+        self.vouched = self.held.keys().copied().collect();
+        let sig = self.combine_first(committee)?;
+        Self::verified(committee, msg, sig)
     }
 }
 
@@ -796,15 +829,110 @@ mod tests {
         partials[0].sig.z = partials[1].sig.z;
         partials[3].sig.r = partials[1].sig.r;
         let sig = scheme
-            .combine_verified(&km.params, &km.verification_keys, msg, &partials)
+            .combine_verified(
+                &km.params,
+                &km.public_key,
+                &km.verification_keys,
+                msg,
+                &partials,
+            )
             .unwrap();
         assert!(scheme.verify(&km.public_key, msg, &sig));
         // With three corrupted, only 2 valid remain -> failure.
         partials[2].sig.z = partials[1].sig.z;
         assert_eq!(
-            scheme.combine_verified(&km.params, &km.verification_keys, msg, &partials),
+            scheme.combine_verified(
+                &km.params,
+                &km.public_key,
+                &km.verification_keys,
+                msg,
+                &partials
+            ),
             Err(CombineError::NotEnoughValidShares { valid: 2, need: 3 })
         );
+    }
+
+    #[test]
+    fn combine_verified_counts_only_usable_partials() {
+        // Below t+1 usable partials nothing is combined or checked: a
+        // repeated index and an index without a key do not count.
+        let (scheme, km) = dealer_setup(2, 5);
+        let msg = b"too few";
+        let p1 = scheme.share_sign(&km.shares[&1], msg);
+        let p2 = scheme.share_sign(&km.shares[&2], msg);
+        let alien = PartialSignature { index: 9, ..p1 };
+        let combine = |partials: &[PartialSignature]| {
+            scheme.combine_verified(
+                &km.params,
+                &km.public_key,
+                &km.verification_keys,
+                msg,
+                partials,
+            )
+        };
+        assert_eq!(
+            combine(&[p1, p2, p2, alien]),
+            Err(CombineError::NotEnoughShares { have: 2, need: 3 })
+        );
+        let p3 = scheme.share_sign(&km.shares[&3], msg);
+        let sig = combine(&[p1, p2, p2, alien, p3]).unwrap();
+        assert!(scheme.verify(&km.public_key, msg, &sig));
+    }
+
+    #[test]
+    fn a_rejected_signer_costs_no_further_pairing_and_strays_are_never_collected() {
+        let (scheme, km) = dealer_setup(1, 4);
+        let msg = b"driven by hand";
+        let committee = Committee::new(
+            scheme.clone(),
+            km.params,
+            km.public_key.clone(),
+            km.verification_keys.clone(),
+        );
+        let partial = |i: u32| scheme.share_sign(&km.shares[&i], msg);
+        let load = |counter: &std::sync::atomic::AtomicUsize| {
+            counter.load(std::sync::atomic::Ordering::Relaxed)
+        };
+        let calls = |c: &Committee| (load(&c.calls.verifies), load(&c.calls.fallback_checks));
+        let held = |c: &Combiner| -> Vec<u32> { c.held.keys().copied().collect() };
+        // Signer 4 combines, holding its own partial.
+        let mut combiner = Combiner::with_own(partial(4));
+
+        // A valid partial under somebody else's index, and one under an
+        // index with no verification key: never collected.
+        let unknown = PartialSignature {
+            index: 7,
+            ..partial(3)
+        };
+        combiner.offer(&committee, 2, &partial(3));
+        combiner.offer(&committee, 7, &unknown);
+        assert_eq!(combiner.try_combine(&committee, msg), None);
+        assert_eq!(held(&combiner), [4]);
+        assert_eq!(calls(&committee), (0, 0));
+
+        // The forgery completes a quorum, fails the combined check and
+        // is named by the fallback.
+        let forged = scheme.share_sign(&km.shares[&1], b"not the message being signed");
+        combiner.offer(&committee, 1, &forged);
+        assert_eq!(combiner.try_combine(&committee, msg), None);
+        assert_eq!(held(&combiner), [4]);
+        assert_eq!(combiner.rejected, BTreeSet::from([1]));
+        assert_eq!(calls(&committee), (1, 1));
+
+        // Its retransmissions — even a now-valid one — cost nothing.
+        combiner.offer(&committee, 1, &forged);
+        combiner.offer(&committee, 1, &partial(1));
+        assert_eq!(combiner.try_combine(&committee, msg), None);
+        assert_eq!(held(&combiner), [4]);
+        assert_eq!(calls(&committee), (1, 1));
+
+        // An honest partial finishes the job.
+        let expected = scheme
+            .combine(&km.params, &[partial(1), partial(2)])
+            .unwrap();
+        combiner.offer(&committee, 2, &partial(2));
+        assert_eq!(combiner.try_combine(&committee, msg), Some(expected));
+        assert_eq!(calls(&committee), (2, 1));
     }
 
     #[test]
@@ -860,42 +988,6 @@ mod tests {
             .collect();
         let sig = scheme.combine(&km.params, &partials).unwrap();
         assert!(scheme.verify(&km.public_key, msg, &sig));
-    }
-
-    #[test]
-    fn prepared_paths_agree_with_plain_verification() {
-        let (scheme, km) = dealer_setup(2, 5);
-        let msg = b"prepared";
-        // The prepared keys are index-aligned with the plain ones.
-        let prepared_vks = km.prepare_verification_keys();
-        assert_eq!(prepared_vks.len(), km.verification_keys.len());
-        for (i, vk) in &km.verification_keys {
-            assert_eq!(prepared_vks[i].index, *i);
-            assert_eq!(prepared_vks[i].pk.key, vk.pk);
-        }
-        let partials: Vec<PartialSignature> = (1..=5u32)
-            .map(|i| scheme.share_sign(&km.shares[&i], msg))
-            .collect();
-        for p in &partials {
-            let plain = scheme.share_verify(&km.verification_keys[&p.index], msg, p);
-            let fast = scheme.share_verify_prepared(&prepared_vks[&p.index], msg, p);
-            assert!(plain && fast);
-            // Index mismatch rejected by both.
-            let other = &prepared_vks[&(p.index % 5 + 1)];
-            assert!(!scheme.share_verify_prepared(other, msg, p));
-        }
-        // Corrupt partial rejected by both paths.
-        let mut bad = partials[0];
-        bad.sig.z = bad.sig.r;
-        assert!(!scheme.share_verify(&km.verification_keys[&1], msg, &bad));
-        assert!(!scheme.share_verify_prepared(&prepared_vks[&1], msg, &bad));
-        // Full verification through the prepared public key.
-        let sig = scheme.combine(&km.params, &partials[..3]).unwrap();
-        let pk_prep = km.public_key.prepare();
-        assert_eq!(pk_prep.key, km.public_key);
-        assert!(scheme.verify(&km.public_key, msg, &sig));
-        assert!(scheme.verify_prepared(&pk_prep, msg, &sig));
-        assert!(!scheme.verify_prepared(&pk_prep, b"other message", &sig));
     }
 
     #[test]

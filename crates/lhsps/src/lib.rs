@@ -39,9 +39,7 @@ pub mod rom_signature;
 pub mod sdp;
 pub mod template;
 
-pub use one_time::{
-    sign_derive, OneTimePublicKey, OneTimeSecretKey, OneTimeSignature, PreparedOneTimePublicKey,
-};
+pub use one_time::{sign_derive, OneTimePublicKey, OneTimeSecretKey, OneTimeSignature};
 pub use params::{DpParams, PreparedDpParams, SdpParams};
 pub use rom_signature::{RomSigner, RomVerifier};
 pub use sdp::{SdpPublicKey, SdpSecretKey, SdpSignature};

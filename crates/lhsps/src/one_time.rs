@@ -17,8 +17,7 @@
 use crate::params::{DpParams, PreparedDpParams};
 use borndist_pairing::codec::{CodecError, Wire};
 use borndist_pairing::{
-    msm, multi_pairing, multi_pairing_mixed, Fr, G1Affine, G1Projective, G2Affine, G2Prepared,
-    G2Projective,
+    msm, multi_pairing, multi_pairing_mixed, Fr, G1Affine, G1Projective, G2Affine, G2Projective,
 };
 use rand::RngCore;
 
@@ -38,18 +37,6 @@ pub struct OneTimeSecretKey {
 pub struct OneTimePublicKey {
     /// Committed coordinates `ĝ_k`.
     pub g_hat: Vec<G2Affine>,
-}
-
-/// A public key with every coordinate's Miller line coefficients
-/// precomputed — built once at keygen/refresh for long-lived keys, so
-/// every verification against it performs zero `Ĝ`-side point
-/// arithmetic (all `Ĝ` elements of the equation are then prepared).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PreparedOneTimePublicKey {
-    /// The plain key (kept for equality checks and re-derivation).
-    pub key: OneTimePublicKey,
-    /// Prepared coordinates, index-aligned with `key.g_hat`.
-    pub g_hat: Vec<G2Prepared>,
 }
 
 /// A (one-time, linearly homomorphic) signature `(z, r) ∈ G²`.
@@ -186,16 +173,6 @@ impl OneTimePublicKey {
         multi_pairing_mixed(&pairs, &[(&sig.z, &prepared.g_z), (&sig.r, &prepared.g_r)])
             .is_identity()
     }
-
-    /// Precomputes the pairing line coefficients of every key coordinate
-    /// (one ate Miller point pass per coordinate, amortized over the
-    /// key's lifetime).
-    pub fn prepare(&self) -> PreparedOneTimePublicKey {
-        PreparedOneTimePublicKey {
-            g_hat: self.g_hat.iter().map(G2Prepared::new).collect(),
-            key: self.clone(),
-        }
-    }
 }
 
 impl Wire for OneTimeSignature {
@@ -232,37 +209,6 @@ impl Wire for OneTimeSecretKey {
             chi: Vec::decode(input)?,
             gamma: Vec::decode(input)?,
         })
-    }
-}
-
-impl PreparedOneTimePublicKey {
-    /// The message-vector dimension this key verifies.
-    pub fn dimension(&self) -> usize {
-        self.g_hat.len()
-    }
-
-    /// Fully prepared verification: every `Ĝ`-side element of the
-    /// equation (generators *and* key coordinates) pairs through cached
-    /// line coefficients — the verification hot path for long-lived keys.
-    pub fn verify(
-        &self,
-        prepared: &PreparedDpParams,
-        msg: &[G1Projective],
-        sig: &OneTimeSignature,
-    ) -> bool {
-        if msg.len() != self.dimension() {
-            return false;
-        }
-        if msg.iter().all(|m| m.is_identity()) {
-            return false;
-        }
-        let msg_affine = G1Projective::batch_to_affine(msg);
-        let mut pairs: Vec<(&G1Affine, &G2Prepared)> =
-            vec![(&sig.z, &prepared.g_z), (&sig.r, &prepared.g_r)];
-        for (m, g) in msg_affine.iter().zip(self.g_hat.iter()) {
-            pairs.push((m, g));
-        }
-        multi_pairing_mixed(&[], &pairs).is_identity()
     }
 }
 
@@ -393,26 +339,19 @@ mod tests {
         let mut r = rng();
         let (params, sk, pk) = setup(&mut r, 2);
         let prepared = params.prepare();
-        let pk_prep = pk.prepare();
         let msg = random_msg(&mut r, 2);
         let sig = sk.sign(&msg);
-        // Accepting case: all three paths agree.
+        // Accepting case: both paths agree.
         assert!(pk.verify(&params, &msg, &sig));
         assert!(pk.verify_prepared(&prepared, &msg, &sig));
-        assert!(pk_prep.verify(&prepared, &msg, &sig));
         // Rejecting cases must agree too: wrong message, bad dimension,
         // degenerate vector.
         let other = random_msg(&mut r, 2);
         assert!(!pk.verify_prepared(&prepared, &other, &sig));
-        assert!(!pk_prep.verify(&prepared, &other, &sig));
         assert!(!pk.verify_prepared(&prepared, &msg[..1], &sig));
-        assert!(!pk_prep.verify(&prepared, &msg[..1], &sig));
         let degenerate = vec![G1Projective::identity(); 2];
         let dsig = sk.sign(&degenerate);
         assert!(!pk.verify_prepared(&prepared, &degenerate, &dsig));
-        assert!(!pk_prep.verify(&prepared, &degenerate, &dsig));
-        assert_eq!(pk_prep.key, pk);
-        assert_eq!(pk_prep.dimension(), pk.dimension());
     }
 
     #[test]

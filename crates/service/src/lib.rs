@@ -210,6 +210,7 @@ impl ServicePlayer {
             km.verification_keys.clone(),
             km.shares[&id].clone(),
             signer_ids,
+            n + 1,
         );
         ServicePlayer {
             inner,

@@ -293,11 +293,14 @@ pub fn adaptive_dkg_players(
 /// A Byzantine signing node: the honest [`MuxSignerPlayer`] runs, but
 /// every partial signature it sends is replaced by `forged`, and — with
 /// `lie` set — each one is accompanied by a broadcast `Done` carrying
-/// that signature for a session this player does not combine.
+/// that signature for a session this player does not combine. Whatever
+/// is in `usurp` it broadcasts once, in its first round, as if it were
+/// the coordinator (a rogue `Open`, a `Shutdown`).
 pub(crate) struct ForgingSigner {
     pub(crate) inner: MuxSignerPlayer,
     pub(crate) forged: PartialSignature,
     pub(crate) lie: Option<Signature>,
+    pub(crate) usurp: Vec<MuxMessage>,
 }
 
 impl Protocol for ForgingSigner {
@@ -327,6 +330,10 @@ impl Protocol for ForgingSigner {
             }
         }
         out.extend(lies);
+        out.extend(self.usurp.drain(..).map(|msg| Outgoing {
+            to: Recipient::Broadcast,
+            msg,
+        }));
         RoundAction::Continue(out)
     }
 

@@ -501,7 +501,10 @@ fn churn(seed: u64) -> Result<ScenarioReport, String> {
 /// reordering network while `t` signers (the two lowest indices, so
 /// their partials are always among the first `t+1` a combiner holds)
 /// forge every partial they send, and one of them also broadcasts a
-/// forged `Done` for every session. Each honest combiner's first combine
+/// forged `Done` for every session, plus — posing as the coordinator —
+/// an `Open` nobody requested and a `Shutdown`. Neither may reach an
+/// honest signer: every signer must finish exactly the requested
+/// sessions. Each honest combiner's first combine
 /// must fail, its `Share-Verify` fallback must name exactly the forgers,
 /// and the client-side outcome must be indistinguishable from an
 /// all-honest run: signatures are unique.
@@ -540,6 +543,15 @@ fn forged_partials(seed: u64) -> Result<ScenarioReport, String> {
     let lie = scheme
         .combine(&km.params, &decoys)
         .map_err(|e| format!("decoy signature: {:?}", e))?;
+    // Forger 1 also plays coordinator: it opens a session nobody
+    // requested and tries to shut every signer down.
+    let usurp = vec![
+        MuxMessage::Open {
+            session: 777,
+            msg: decoy.to_vec(),
+        },
+        MuxMessage::Shutdown,
+    ];
     let mut players: Vec<BoxedPlayer<MuxMessage, MuxOutcome>> = signers
         .iter()
         .zip(&decoys)
@@ -551,12 +563,14 @@ fn forged_partials(seed: u64) -> Result<ScenarioReport, String> {
                 km.verification_keys.clone(),
                 km.shares[id].clone(),
                 signers.clone(),
+                coordinator,
             );
             if forgers.contains(id) {
                 Box::new(ForgingSigner {
                     inner,
                     forged: *forged,
                     lie: (*id == 1).then_some(lie),
+                    usurp: if *id == 1 { usurp.clone() } else { Vec::new() },
                 }) as _
             } else {
                 Box::new(inner) as _

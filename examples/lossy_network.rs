@@ -5,15 +5,17 @@
 //! `DeliveryPolicy` drops 10% of private frames and reorders every
 //! inbox. The DKG absorbs share loss through its complaint machinery
 //! (complaints and answers ride the reliable broadcast channel); the
-//! signing protocol retransmits idempotent partial signatures until the
-//! combiner assembles a quorum. The run asserts:
+//! signing mesh (`run_mux_sign`: the daemon's signers plus a
+//! coordinator) retransmits idempotent partial signatures until each
+//! session's combiner assembles a quorum. The run asserts:
 //!
 //! * every player finishes both protocols with agreeing outputs;
 //! * nobody is disqualified by loss alone;
-//! * byte metering over the lossy channel matches the lockstep
-//!   transport exactly for the DKG (frames are frames, whatever the
-//!   network does to them);
-//! * the signing layer demonstrably retransmitted (loss was real).
+//! * byte metering over a reliable channel matches the lockstep
+//!   transport exactly for the DKG (frames are frames, whatever
+//!   transport carries them);
+//! * every signature verifies and equals the all-honest combine;
+//! * the signing mesh demonstrably retransmitted (loss was real).
 //!
 //! Run with: `cargo run --example lossy_network`
 
@@ -84,51 +86,82 @@ fn main() {
         params.n
     );
 
-    // Threshold signing over the same lossy network: all 7 players sign,
-    // player 3 combines. Partials travel on lossy private links, so
-    // retransmission rounds are expected.
-    let msg = b"signed across a lossy network";
-    let signers: Vec<u32> = (1..=7).collect();
-    let (sigs, m_sign) = run_threshold_sign(
-        &scheme,
-        &km,
-        msg,
-        &signers,
-        3,
-        &TransportKind::Channel(DeliveryPolicy::lossy(0xfeedface, drop_rate)),
-        60,
-    )
-    .expect("lossy signing completes");
+    // Threshold signing over the same lossy network: a quorum of exactly
+    // t+1 players signs eight requests, each session combined by its
+    // rotating combiner, and the coordinator (player 8) verifies every
+    // result. With no spare signer every partial is needed, so each one
+    // the lossy private links drop must be retransmitted.
+    let signers: Vec<u32> = (1..=params.reconstruction_size() as u32).collect();
+    let coordinator = params.n as u32 + 1;
+    let requests: Vec<(u64, Vec<u8>)> = (0..8u64)
+        .map(|i| {
+            (
+                i,
+                format!("signed across a lossy network #{}", i).into_bytes(),
+            )
+        })
+        .collect();
+    let sign = |transport: &TransportKind| {
+        run_mux_sign(
+            &scheme,
+            &km,
+            &requests,
+            &signers,
+            coordinator,
+            4,
+            transport,
+            200,
+        )
+    };
+    let (_, m_clean) = sign(&TransportKind::Lockstep).expect("loss-free signing");
+    // The run returns only once every signer has taken the coordinator's
+    // Shutdown, so `Ok` means every signer finished.
+    let (outcome, m_sign) = sign(&TransportKind::Channel(DeliveryPolicy::lossy(
+        0xfeedface, drop_rate,
+    )))
+    .expect("gate: lossy signing completes and every signer finishes");
 
     println!("-- signing --");
-    // Loss-free baseline: n−1 partials in round 0, the same n−1 partials
-    // retransmitted in round 1 (a signer cannot know the quorum already
-    // assembled) plus the combined broadcast, finish in round 2 — so
-    // 2(n−1)+1 messages over 3 rounds.
     println!(
-        "   {} msgs, {} bytes over {} rounds (loss-free baseline: {} msgs, 3 rounds)",
+        "   {} requests: {} msgs, {} bytes over {} rounds (loss-free: {} msgs, {} rounds)",
+        requests.len(),
         m_sign.messages,
         m_sign.bytes,
         m_sign.total_rounds,
-        2 * (signers.len() - 1) + 1
+        m_clean.messages,
+        m_clean.total_rounds
     );
-    assert_eq!(sigs.len(), signers.len(), "gate: every player finishes");
-    let reference = &sigs[&1];
-    for (id, sig) in &sigs {
-        assert_eq!(
-            sig, reference,
-            "gate: player {} got a different signature",
-            id
-        );
+    assert_eq!(
+        outcome.finished,
+        requests.len(),
+        "gate: every session finishes"
+    );
+    for (session, msg) in &requests {
+        let partials: Vec<PartialSignature> = signers
+            .iter()
+            .map(|i| scheme.share_sign(&km.shares[i], msg))
+            .collect();
+        let honest = scheme.combine(&km.params, &partials).expect("t+1 partials");
+        let sig = &outcome.signatures[session];
         assert!(
             scheme.verify(&km.public_key, msg, sig),
-            "gate: player {}'s signature must verify",
-            id
+            "gate: session {}'s signature must verify",
+            session
+        );
+        assert_eq!(
+            *sig, honest,
+            "gate: session {} must carry the all-honest signature",
+            session
         );
     }
+    assert!(
+        m_sign.messages > m_clean.messages,
+        "gate: loss must force retransmission"
+    );
     println!(
-        "   ✓ all {} players hold the same verifying signature",
-        sigs.len()
+        "   ✓ all {} signers finished; every signature verifies and equals the all-honest combine\n   ✓ loss cost {} more messages than the loss-free run",
+        signers.len(),
+        m_sign.messages - m_clean.messages
     );
 
     println!("\nOK: lossy-network lifecycle gate passed.");

@@ -57,7 +57,7 @@
 /// ```
 pub mod prelude {
     pub use borndist_core::netsign::{
-        run_mux_sign, run_threshold_sign, MuxCoordinator, MuxMessage, MuxOutcome, MuxSignerPlayer,
+        run_mux_sign, MuxCoordinator, MuxMessage, MuxOutcome, MuxSignerPlayer,
     };
     pub use borndist_core::proactive::{ProactiveDeployment, ProactiveError};
     pub use borndist_core::ro::{

@@ -65,7 +65,13 @@ fn corrupted_partials_filtered_not_fatal() {
     partials[1].sig.z = partials[0].sig.z;
     partials[4].sig.r = partials[0].sig.r;
     let sig = scheme
-        .combine_verified(&params, &km.verification_keys, msg, &partials)
+        .combine_verified(
+            &params,
+            &km.public_key,
+            &km.verification_keys,
+            msg,
+            &partials,
+        )
         .unwrap();
     assert!(scheme.verify(&km.public_key, msg, &sig));
 }
@@ -266,7 +272,13 @@ mod batch_adversarial {
         let mut slice: Vec<PartialSignature> = partials[..22].to_vec();
         slice[10].sig.z = slice[2].sig.z;
         let sig = scheme
-            .combine_batch_verified(&km.params, &km.verification_keys, msg, &slice, &mut rng)
+            .combine_verified(
+                &km.params,
+                &km.public_key,
+                &km.verification_keys,
+                msg,
+                &slice,
+            )
             .unwrap();
         assert!(scheme.verify(&km.public_key, msg, &sig));
     }

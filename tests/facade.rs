@@ -59,8 +59,8 @@ fn quickstart_flow_through_facade() {
     assert!(scheme.verify(&km.public_key, b"hello", &sig));
     assert!(!scheme.verify(&km.public_key, b"tampered", &sig));
 
-    // The batch-verification subsystem (core::batch) is reachable and
-    // consistent through the facade as well.
+    // The batch-verification subsystem (core::batch) and the robust
+    // combine are reachable and consistent through the facade as well.
     let mut rng = {
         use rand::SeedableRng;
         rand::rngs::StdRng::seed_from_u64(9)
@@ -68,12 +68,12 @@ fn quickstart_flow_through_facade() {
     let items: Vec<(&[u8], &borndist::core::Signature)> = vec![(b"hello".as_slice(), &sig)];
     assert!(scheme.batch_verify(&km.public_key, &items, &mut rng));
     let sig2 = scheme
-        .combine_batch_verified(
+        .combine_verified(
             &km.params,
+            &km.public_key,
             &km.verification_keys,
             b"hello",
             &[p1, p3],
-            &mut rng,
         )
         .unwrap();
     assert_eq!(sig, sig2);

@@ -128,7 +128,7 @@ fn batch_verify_multi_verdicts_are_thread_count_invariant() {
 }
 
 #[test]
-fn combine_batch_verified_output_is_thread_count_invariant() {
+fn combine_verified_output_is_thread_count_invariant() {
     let scheme = ThresholdScheme::new(b"par-inv-combine");
     let mut rng = StdRng::seed_from_u64(0x3c);
     let km = scheme.dealer_keygen(ThresholdParams::new(2, 6).unwrap(), &mut rng);
@@ -138,10 +138,15 @@ fn combine_batch_verified_output_is_thread_count_invariant() {
         .collect();
     // Happy path: the combined signature (a deterministic function of
     // the surviving shares) must be identical under every setting.
-    let sig = invariant("combine_batch_verified(happy)", || {
-        let mut r = StdRng::seed_from_u64(5);
+    let sig = invariant("combine_verified(happy)", || {
         scheme
-            .combine_batch_verified(&km.params, &km.verification_keys, msg, &partials, &mut r)
+            .combine_verified(
+                &km.params,
+                &km.public_key,
+                &km.verification_keys,
+                msg,
+                &partials,
+            )
             .unwrap()
     });
     assert!(scheme.verify(&km.public_key, msg, &sig));
@@ -149,10 +154,15 @@ fn combine_batch_verified_output_is_thread_count_invariant() {
     // filter; the filtered combine must still agree bit-for-bit.
     partials[1].sig.z = partials[2].sig.z;
     partials[4].sig.r = partials[2].sig.r;
-    let sig = invariant("combine_batch_verified(byzantine)", || {
-        let mut r = StdRng::seed_from_u64(6);
+    let sig = invariant("combine_verified(byzantine)", || {
         scheme
-            .combine_batch_verified(&km.params, &km.verification_keys, msg, &partials, &mut r)
+            .combine_verified(
+                &km.params,
+                &km.public_key,
+                &km.verification_keys,
+                msg,
+                &partials,
+            )
             .unwrap()
     });
     assert!(scheme.verify(&km.public_key, msg, &sig));

@@ -9,7 +9,7 @@
 //! deterministic (seeded shim RNG), so the vectors are stable across
 //! machines and runs.
 
-use borndist::core::netsign::{MuxMessage, SignMessage};
+use borndist::core::netsign::MuxMessage;
 use borndist::core::ro::ThresholdScheme;
 use borndist::dkg::{AggregateWitness, DkgMessage, RecoveryMessage};
 use borndist::net::encode_frame;
@@ -95,11 +95,6 @@ fn kat_frames() -> Vec<(&'static str, Vec<u8>)> {
                 b: sharing.share_for(1).b,
             }),
         ),
-        (
-            "sign_partial",
-            encode_frame(&SignMessage::Partial(partial1)),
-        ),
-        ("sign_combined", encode_frame(&SignMessage::Combined(sig))),
         ("public_key", encode_frame(&km.public_key)),
         ("verification_key", encode_frame(&km.verification_keys[&2])),
         ("key_share", encode_frame(&km.shares[&2])),
@@ -159,8 +154,6 @@ const EXPECTED: &[(&str, &str)] = &[
     ("recovery_mask_commitment", "01000000000286f296834e366b4a3ed097fb385e8779fb2e6e82bdaab46b2796d228d93d5e1959a2ae4591269d6db35c6c78c7748dc60932d0c54a1a4327465eee51d4328a2531bec706d5bc1261ee03e603dc4a3caf55c257539f3d4d79616f4690dbcec923848b915df872039b949191ce3cca7eaa4732baecf7de732fec88c1f636b0098c4778efe9a129c98c012a958873584a2b150250cbbd11f54e1aacee13d604e6ff4f372528eb6ef01e7d539032afb3ca26d22c43b2e4ebea01857f519eda62e5c2"),
     ("recovery_mask_share", "010100000004609ba00585b1a0249580cd4574fc0363b232e8703edefb0cd4f9fd0f83d864e06381f061f63e5ab13a14b304d731dee6d68163e7b60800ee62f04a6c1ebb041e"),
     ("recovery_masked_point", "010262baeec521054c25030d84eacb2aca0c68b146d848724ba06874c99dd6a9566825f0e965b9ea700873285ead908795ee65420901cc535fc2a2e9237a8b5f865e"),
-    ("sign_partial", "0100000000019287750b355ec34f52fac59b91c47a12eda1de9194de526f8a3aaa06b56848fbf84e2868558d4c393b1bf1cc058f8523879d8e2eb7b44f128ddf714a09b1b53f6358fe6876697a1b86e670365e4c1ff939737921ee72423f367580ce0282fc7d"),
-    ("sign_combined", "010195396de88c137500a3eb076f9a2cbe8b250d7a63d3a19378335ffcbafb489b5fadcce05a46257e72413942876df1d2bb875c15b089c86cbc12b52c21569f4239cbe4f2103c4cb9613a309c2a0ad332ff1e2f218628be0ccf6a490e25d60c5e6c"),
     ("public_key", "018a3fe2a6637751f841306c80b4a318cb9d4183e613a7483c0e1e98c8d56c4aa95a5ffb95889d91697355f71eaf6a56740b5b866b8b4b96e5dbf3268e85417cbbd9ab998f425b9fc53f827fa23b43f2fb332dad5a6ebab9c0e0075bd8a9e21616b8926618c6dd96e1ff575c82fd48914d42dd30b7522ad34a9cf80b33506821fea8aa7d14f688b2ffee3cb25430087150198d3a2f28e2ad315e400ac160345bcfdab30d8e61fee4d4ac0e7c058445c4b286f947c7311c408e841ce2bbdcd157fd"),
     ("verification_key", "01000000020000000298d01232022b555de4b6a922394c66113f260d6b642b131bbcca6136343a86c9be391cdfa1b6aca401df011d14c1b3111987e987e7cb5fdbbab144611392d62c1377d490b09be2defe5db12e65deccca63848f92373525e793a7b4ea97a49e6fa325439cd2ca285123de6e95c07f9337ada9802624d8f9c5363d3f86a8f35a3de9f466daf8262dc48d7c616c0f0f931f10dedfbb8b5ea6d4155964b2f366191e5f1731511b216be6537a2ec64b84666ed48928822c0cdc6d7a6be553a50a8bc9"),
     ("key_share", "01000000020000000272e9219c7a52d224dc7d62f3cb9fea12336cf8091b52046a6cfe70d6ff1891f36529bcc29e9d0b8510c8152f5c77e1e4fe0b26fa189f21988c06bbb076286d05000000024f9ed5a4d47566a0e5a4b6a8e37faa5be42a1ea627ebcc513853b69c358ca6e241952eb7de321e599bbb70c6a493b3e7be7672c35ebaa9cc935d31b8b03f0f72"),
@@ -217,7 +210,6 @@ fn decode_reencode(name: &str, frame: &[u8]) -> Result<Vec<u8>, borndist::pairin
     Ok(match name {
         n if n.starts_with("dkg_") => encode_frame(&decode_frame::<DkgMessage>(frame)?),
         n if n.starts_with("recovery_") => encode_frame(&decode_frame::<RecoveryMessage>(frame)?),
-        n if n.starts_with("sign_") => encode_frame(&decode_frame::<SignMessage>(frame)?),
         n if n.starts_with("mux_") => encode_frame(&decode_frame::<MuxMessage>(frame)?),
         // The body behind the 4-byte length prefix, strictly.
         n if n.starts_with("envelope_") => {
