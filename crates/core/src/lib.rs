@@ -18,9 +18,11 @@
 //!   signatures (or `k` signature shares on one message) checked with
 //!   one shared multi-pairing instead of `4k` pairings (DESIGN.md §2);
 //! * [`netsign`] — threshold signing as a network protocol: concurrent
-//!   sessions multiplexed over one mesh, partial signatures crossing a
-//!   real transport as encoded frames, with retransmission under lossy
-//!   delivery policies (DESIGN.md §2 "Signing on the mesh");
+//!   sessions multiplexed over one mesh, each one round trip — stateless
+//!   signers answer the coordinator's `Open` with their partial, and the
+//!   coordinator is the one combiner, re-sending `Open` to silent
+//!   signers under lossy delivery policies (DESIGN.md §2 "Signing on the
+//!   mesh");
 //! * [`gateway`] — the amortized verification front door: independent
 //!   verify requests buffered per epoch and answered with one randomized
 //!   multi-pairing, with bisection on poisoned buffers (DESIGN.md §2

@@ -4,37 +4,38 @@
 //! real [`Transport`](borndist_net::TransportKind) as encoded frames.
 //!
 //! The §3 scheme's signing is non-interactive — a signer needs only its
-//! share and the message — so the network shape is minimal: the
-//! [`MuxCoordinator`] broadcasts `Open`, each [`MuxSignerPlayer`] sends
-//! its [`PartialSignature`] over the private channel to the session's
-//! rotating combiner, which combines the first `t+1` it holds and
-//! broadcasts the resulting [`Signature`] as `Done`.
+//! share and the message — and its `Combine` is public: anyone holding
+//! `t+1` partials and the verification keys can combine them and name
+//! an invalid share. So the network shape is one round trip. The
+//! [`MuxCoordinator`] broadcasts `Open`, every [`MuxSignerPlayer`]
+//! answers with its [`PartialSignature`] over the private channel to the
+//! coordinator, and the coordinator combines. A signer keeps no
+//! per-session state: it answers each `Open` and forgets it.
 //!
-//! The combiner is the scheme's one robust `Combine`,
-//! [`crate::ro::Combiner`]: partials are collected *unverified*, the
-//! combined signature is verified once against the public key, and
-//! `Share-Verify` runs only when that check fails. Offenders go into the
-//! session's `rejected` set (their retransmissions are then dropped
-//! without a pairing) and the survivors are recombined, so only a
-//! verified signature is ever broadcast and a Byzantine signer buys at
-//! most one fallback per session.
+//! The coordinator holds one [`crate::ro::Combiner`] per open session,
+//! the scheme's one robust `Combine`: partials are collected
+//! *unverified*, the combined signature is verified once against the
+//! public key, and `Share-Verify` runs only when that check fails.
+//! Offenders go into the session's `rejected` set (anything more from
+//! them is dropped without a pairing) and the survivors are recombined,
+//! so only a verified signature is ever released and a Byzantine signer
+//! buys at most one fallback per session.
 //!
 //! Only the coordinator opens and closes sessions: a signer takes `Open`
 //! and `Shutdown` from the coordinator's id alone, so a corrupted signer
 //! can neither obtain signatures on messages nobody requested nor stop
-//! the honest signers. A signer outputs no signature: to it, `Done` from
-//! the session's own combiner only means "stop retransmitting" and is
-//! taken unverified, while a `Done` from anyone else is ignored. The
-//! coordinator verifies every `Done` before a client sees it.
+//! the honest signers.
 //!
 //! Two properties matter here:
 //!
-//! * **loss tolerance** — signers *re-send* their partial every round
-//!   until the combiner's broadcast arrives, so the protocol terminates
-//!   over a lossy [`borndist_net::DeliveryPolicy`] (the private links may
-//!   drop; the broadcasts are reliable by the model). That is the whole
-//!   retransmission story: no acks, no sequence numbers, because partial
-//!   signatures are idempotent and deterministic.
+//! * **loss tolerance** — a session still uncombined one round trip
+//!   after its last send gets its `Open` re-sent, privately, to every
+//!   signer the coordinator neither holds nor rejected, so the protocol
+//!   terminates over a lossy [`borndist_net::DeliveryPolicy`] (the
+//!   private links may drop; the broadcasts are reliable by the model).
+//!   That is the whole retransmission story: no acks, because partial
+//!   signatures are deterministic and a repeated `Open` is answered with
+//!   the identical partial. On reliable links no re-send ever fires.
 //! * **byte discipline** — like the DKG, players decode-validate-then-
 //!   process: a malformed frame is ignored exactly like a dropped one, a
 //!   partial is collected only under its sender's own index and a known
@@ -42,45 +43,35 @@
 //!   check and discarded by name, so Byzantine signers can delay a
 //!   session by one fallback and forge nothing.
 
-use crate::ro::{
-    Combiner, Committee, KeyShare, PartialSignature, PublicKey, Signature, ThresholdScheme,
-    VerificationKey,
-};
+use crate::ro::{Combiner, Committee, KeyShare, PartialSignature, Signature, ThresholdScheme};
 use borndist_net::{
     run_protocol, BoxedPlayer, Delivered, Metrics, Outgoing, PlayerId, Protocol, Recipient,
     RoundAction, TransportKind,
 };
 use borndist_pairing::codec::{CodecError, Wire};
-use borndist_shamir::ThresholdParams;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// A wire message of the multiplexed signing protocol. Every message
-/// but `Shutdown` carries the session id (the client's request id), so
-/// one mesh of players can drive any number of concurrent sessions.
+/// but `Shutdown` carries the session id, so one mesh of players can
+/// drive any number of concurrent sessions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MuxMessage {
-    /// Coordinator broadcast: start signing `msg` under `session`.
+    /// Coordinator → signers (a broadcast, or a private re-send): sign
+    /// `msg` under `session`.
     Open {
-        /// Request id, chosen by the client.
+        /// Session id, assigned by the coordinator.
         session: u64,
         /// The message to sign.
         msg: Vec<u8>,
     },
-    /// Signer → per-session combiner (private): a partial signature.
+    /// Signer → coordinator (private): a partial signature.
     Partial {
         /// The session this partial belongs to.
         session: u64,
-        /// The partial (idempotent, deterministic — retransmittable).
+        /// The partial (deterministic: a re-sent `Open` gets the same).
         psig: PartialSignature,
-    },
-    /// Combiner broadcast: the session's combined signature.
-    Done {
-        /// The completed session.
-        session: u64,
-        /// The unique combined signature.
-        sig: Signature,
     },
     /// Coordinator broadcast: no more sessions will open; everyone
     /// finishes.
@@ -89,7 +80,6 @@ pub enum MuxMessage {
 
 const TAG_OPEN: u8 = 0;
 const TAG_MUX_PARTIAL: u8 = 1;
-const TAG_DONE: u8 = 2;
 const TAG_SHUTDOWN: u8 = 3;
 
 impl Wire for MuxMessage {
@@ -105,11 +95,6 @@ impl Wire for MuxMessage {
                 session.encode_to(out);
                 psig.encode_to(out);
             }
-            MuxMessage::Done { session, sig } => {
-                out.push(TAG_DONE);
-                session.encode_to(out);
-                sig.encode_to(out);
-            }
             MuxMessage::Shutdown => out.push(TAG_SHUTDOWN),
         }
     }
@@ -123,10 +108,6 @@ impl Wire for MuxMessage {
                 session: u64::decode(input)?,
                 psig: PartialSignature::decode(input)?,
             }),
-            TAG_DONE => Ok(MuxMessage::Done {
-                session: u64::decode(input)?,
-                sig: Signature::decode(input)?,
-            }),
             TAG_SHUTDOWN => Ok(MuxMessage::Shutdown),
             tag => Err(CodecError::InvalidTag(tag)),
         }
@@ -134,153 +115,55 @@ impl Wire for MuxMessage {
 }
 
 /// What a multiplexed run returns per player. The coordinator's carries
-/// every combined signature (it verified each one), the in-flight
-/// high-water mark the backpressure bound was measured at and the
-/// per-request service latencies; a signer's carries how many sessions
-/// it saw through and whom it rejected as a combiner.
+/// every combined signature (each passed `Verify`), whom its combiners
+/// rejected, the in-flight high-water mark the backpressure bound was
+/// measured at and the per-request service latencies; a signer's is
+/// empty.
 #[derive(Clone, Debug, Default)]
 pub struct MuxOutcome {
-    /// Verified combined signatures by session id. Empty for signer
-    /// players: they verify no `Done`, so they report none.
+    /// Verified combined signatures by client request id (a repeated id
+    /// keeps the signature that completed last). Only a coordinator fed
+    /// by [`MuxCoordinator::with_requests`] keeps them:
+    /// [`MuxCoordinator::with_intake`] hands each one to its `completed`
+    /// channel instead.
     pub signatures: BTreeMap<u64, Signature>,
-    /// Number of sessions this player saw finish.
-    pub finished: usize,
-    /// Sessions in which this player, as combiner, had to fall back to
-    /// `Share-Verify`, with the signer indices it rejected. Empty in an
-    /// all-honest run.
+    /// Requests whose combine had to fall back to `Share-Verify`, by
+    /// client request id, with the signer indices it rejected. Empty in
+    /// an all-honest run.
     pub rejected: BTreeMap<u64, BTreeSet<u32>>,
     /// Maximum number of sessions that were simultaneously in flight
     /// (0 for signer players — only the coordinator opens sessions).
     pub high_water: usize,
-    /// Enqueue→verified-response wall-clock per session (coordinator
-    /// only): stamped when the request entered the coordinator's queue —
-    /// construction for [`MuxCoordinator::with_requests`], channel
-    /// arrival for [`MuxCoordinator::with_intake`] — and closed when the
-    /// verified `Done` signature retires the session. Queueing delay
-    /// under the backpressure bound is therefore *included*: this is the
-    /// client-observed service time, the histogram the daemon front-end
-    /// summarizes.
-    pub latencies: BTreeMap<u64, Duration>,
+    /// Enqueue→verified-signature wall-clock of every request, in
+    /// completion order (coordinator only): stamped when the request
+    /// entered the coordinator's queue — construction for
+    /// [`MuxCoordinator::with_requests`], channel arrival for
+    /// [`MuxCoordinator::with_intake`] — and closed when its combined
+    /// signature passes `Verify`. Queueing delay under the backpressure
+    /// bound is therefore *included*: this is the client-observed
+    /// service time, the histogram the daemon front-end summarizes.
+    pub latencies: Vec<Duration>,
 }
 
-/// A signer's state for one session still in flight.
-struct MuxSession {
-    msg: Vec<u8>,
-    own_partial: PartialSignature,
-    /// The combiner role, if this player has it for this session.
-    combiner: Option<Combiner>,
-}
-
-/// The session combiner rotates deterministically over the signer set,
-/// so concurrent sessions spread the combine work instead of funneling
-/// through one player.
-fn combiner_of(signer_ids: &[PlayerId], session: u64) -> PlayerId {
-    signer_ids[(session % signer_ids.len() as u64) as usize]
-}
-
-/// One signing node of the daemon: holds a key share and serves every
-/// session the coordinator opens, combining those sessions it is the
-/// rotating combiner for. Loss tolerance is per session: partials are
-/// retransmitted every round until the session's `Done` broadcast
-/// arrives from its combiner.
+/// One signing node of the daemon: holds a key share and answers every
+/// `Open` the coordinator sends with its partial signature, addressed to
+/// the coordinator. It keeps no per-session state — partials are
+/// deterministic, so a repeated `Open` is simply answered again.
 pub struct MuxSignerPlayer {
-    committee: Committee,
+    scheme: ThresholdScheme,
     share: KeyShare,
-    signer_ids: Vec<PlayerId>,
-    id: PlayerId,
     /// The only player whose `Open` and `Shutdown` count.
     coordinator: PlayerId,
-    /// Sessions in flight.
-    sessions: BTreeMap<u64, MuxSession>,
-    /// Finished sessions, reduced to their ids: all that is still needed
-    /// is that a duplicated `Open` does not restart one.
-    finished: BTreeSet<u64>,
-    rejected: BTreeMap<u64, BTreeSet<u32>>,
-    shutdown: bool,
 }
 
 impl MuxSignerPlayer {
-    /// Builds one signing node. `signer_ids` must be the same (sorted)
-    /// list on every player — it defines the combiner rotation — and
-    /// `coordinator` is the one player that opens and closes sessions.
-    pub fn new(
-        scheme: ThresholdScheme,
-        params: ThresholdParams,
-        public_key: PublicKey,
-        vks: BTreeMap<u32, VerificationKey>,
-        share: KeyShare,
-        mut signer_ids: Vec<PlayerId>,
-        coordinator: PlayerId,
-    ) -> Self {
-        signer_ids.sort_unstable();
-        let id = share.index;
+    /// Builds one signing node; `coordinator` is the one player that
+    /// opens and closes sessions.
+    pub fn new(scheme: ThresholdScheme, share: KeyShare, coordinator: PlayerId) -> Self {
         MuxSignerPlayer {
-            committee: Committee::new(scheme, params, public_key, vks),
+            scheme,
             share,
-            signer_ids,
-            id,
             coordinator,
-            sessions: BTreeMap::new(),
-            finished: BTreeSet::new(),
-            rejected: BTreeMap::new(),
-            shutdown: false,
-        }
-    }
-
-    fn finish(&mut self, session: u64) {
-        if self.sessions.remove(&session).is_some() {
-            self.finished.insert(session);
-        }
-    }
-
-    fn absorb(&mut self, inbox: &[Delivered<MuxMessage>]) {
-        for d in inbox {
-            // Decode-validate-then-process: malformed frames are ignored
-            // like lost ones, and so are sessions opened or closed by
-            // anyone but the coordinator.
-            match &d.msg {
-                Ok(MuxMessage::Open { session, msg })
-                    if d.broadcast && d.from == self.coordinator =>
-                {
-                    if self.finished.contains(session) || self.sessions.contains_key(session) {
-                        continue;
-                    }
-                    let own_partial = self.committee.scheme.share_sign(&self.share, msg);
-                    let combines = combiner_of(&self.signer_ids, *session) == self.id;
-                    self.sessions.insert(
-                        *session,
-                        MuxSession {
-                            msg: msg.clone(),
-                            own_partial,
-                            combiner: combines.then(|| Combiner::with_own(own_partial)),
-                        },
-                    );
-                }
-                Ok(MuxMessage::Partial { session, psig }) if !d.broadcast => {
-                    if let Some(MuxSession {
-                        combiner: Some(combiner),
-                        ..
-                    }) = self.sessions.get_mut(session)
-                    {
-                        combiner.offer(&self.committee, d.from, psig);
-                    }
-                }
-                // Unverified on purpose: a signer outputs no signature,
-                // so `Done` only tells it to stop retransmitting, and
-                // only the session's combiner may say so. A combiner
-                // lying here stalls its own session — which it could
-                // already do by staying silent — and the coordinator's
-                // check keeps the lie from any client.
-                Ok(MuxMessage::Done { session, .. })
-                    if d.broadcast && d.from == combiner_of(&self.signer_ids, *session) =>
-                {
-                    self.finish(*session);
-                }
-                Ok(MuxMessage::Shutdown) if d.broadcast && d.from == self.coordinator => {
-                    self.shutdown = true
-                }
-                _ => {}
-            }
         }
     }
 }
@@ -294,68 +177,56 @@ impl Protocol for MuxSignerPlayer {
         _round: usize,
         inbox: &[Delivered<MuxMessage>],
     ) -> RoundAction<MuxMessage, MuxOutcome> {
-        self.absorb(inbox);
-        if self.shutdown {
-            // The coordinator only shuts down once every opened session
-            // is done, so nothing in flight is abandoned here.
-            return RoundAction::Finish(MuxOutcome {
-                finished: self.finished.len(),
-                rejected: std::mem::take(&mut self.rejected),
-                ..MuxOutcome::default()
-            });
-        }
         let mut out = Vec::new();
-        let MuxSignerPlayer {
-            committee,
-            signer_ids,
-            sessions,
-            finished,
-            rejected,
-            ..
-        } = self;
-        sessions.retain(|session, state| {
-            let Some(combiner) = &mut state.combiner else {
-                // Retransmit until this session's Done arrives.
-                out.push(Outgoing {
-                    to: Recipient::Private(combiner_of(signer_ids, *session)),
+        // Decode-validate-then-process: malformed frames are ignored
+        // like lost ones, and so is anything not from the coordinator.
+        for d in inbox.iter().filter(|d| d.from == self.coordinator) {
+            match &d.msg {
+                Ok(MuxMessage::Open { session, msg }) => out.push(Outgoing {
+                    to: Recipient::Private(self.coordinator),
                     msg: MuxMessage::Partial {
                         session: *session,
-                        psig: state.own_partial,
+                        psig: self.scheme.share_sign(&self.share, msg),
                     },
-                });
-                return true;
-            };
-            let Some(sig) = combiner.try_combine(committee, &state.msg) else {
-                return true;
-            };
-            if !combiner.rejected.is_empty() {
-                rejected.insert(*session, std::mem::take(&mut combiner.rejected));
+                }),
+                // The coordinator only shuts down once every opened
+                // session is combined, so nothing is abandoned here.
+                Ok(MuxMessage::Shutdown) => return RoundAction::Finish(MuxOutcome::default()),
+                _ => {}
             }
-            out.push(Outgoing {
-                to: Recipient::Broadcast,
-                msg: MuxMessage::Done {
-                    session: *session,
-                    sig,
-                },
-            });
-            // What this player broadcasts it has itself verified: the
-            // session is finished here, without waiting for the echo.
-            finished.insert(*session);
-            false
-        });
+        }
         RoundAction::Continue(out)
     }
 
     fn id(&self) -> PlayerId {
-        self.id
+        self.share.index
     }
 }
 
-/// The front-end of the daemon, as a protocol player: feeds signing
-/// requests into the mesh as `Open` broadcasts, bounded by
-/// `max_in_flight` (the backpressure knob), collects `Done` signatures,
+/// Rounds after its last send before an uncombined session's `Open` is
+/// re-sent: one round trip (`Open` out, partials back).
+const RESEND_AFTER: usize = 2;
+
+/// The coordinator's state for one session in flight.
+struct Session {
+    /// The client's request id, which the signature is returned under.
+    id: u64,
+    msg: Vec<u8>,
+    enqueued: Instant,
+    /// Round of the last `Open` sent for this session.
+    sent: usize,
+    combiner: Combiner,
+}
+
+/// The front-end of the daemon, as a protocol player and the one
+/// combiner: feeds signing requests into the mesh as `Open` broadcasts,
+/// bounded by `max_in_flight` (the backpressure knob), combines the
+/// partials that come back, releases only signatures that pass `Verify`,
 /// and closes the run with a `Shutdown` broadcast once every session
 /// completed and no more requests can arrive.
+///
+/// Sessions are numbered by the coordinator, so a client may reuse a
+/// request id: each request is signed and answered on its own.
 ///
 /// Requests come either from a fixed queue ([`Self::with_requests`] —
 /// deterministic, used by tests and benchmarks) or from a live channel
@@ -363,70 +234,55 @@ impl Protocol for MuxSignerPlayer {
 /// feeds requests mid-run and completed signatures flow back out).
 pub struct MuxCoordinator {
     id: PlayerId,
-    scheme: ThresholdScheme,
-    public_key: PublicKey,
-    pending: VecDeque<(u64, Vec<u8>)>,
+    committee: Committee,
+    /// Requests not yet opened, with their enqueue stamps.
+    pending: VecDeque<(u64, Vec<u8>, Instant)>,
     intake: Option<mpsc::Receiver<(u64, Vec<u8>)>>,
     completed_tx: Option<mpsc::Sender<(u64, Signature)>>,
     intake_open: bool,
     max_in_flight: usize,
-    in_flight: BTreeSet<u64>,
-    done: BTreeMap<u64, Signature>,
-    /// Messages of sessions in flight, for Done verification.
-    open_msgs: BTreeMap<u64, Vec<u8>>,
-    /// Enqueue stamps of requests not yet retired (queued or in
-    /// flight) — the start of the client-observed service time.
-    enqueued: BTreeMap<u64, Instant>,
-    /// Closed enqueue→verified-response samples.
-    latencies: BTreeMap<u64, Duration>,
-    high_water: usize,
+    /// Sessions in flight, by session id.
+    sessions: BTreeMap<u64, Session>,
+    next_session: u64,
+    outcome: MuxOutcome,
     closing: bool,
 }
 
 impl MuxCoordinator {
-    fn base(
-        id: PlayerId,
-        scheme: ThresholdScheme,
-        public_key: PublicKey,
-        max_in_flight: usize,
-    ) -> Self {
+    fn base(id: PlayerId, committee: Committee, max_in_flight: usize) -> Self {
         assert!(max_in_flight >= 1, "backpressure bound must be positive");
         MuxCoordinator {
             id,
-            scheme,
-            public_key,
+            committee,
             pending: VecDeque::new(),
             intake: None,
             completed_tx: None,
             intake_open: false,
             max_in_flight,
-            in_flight: BTreeSet::new(),
-            done: BTreeMap::new(),
-            open_msgs: BTreeMap::new(),
-            enqueued: BTreeMap::new(),
-            latencies: BTreeMap::new(),
-            high_water: 0,
+            sessions: BTreeMap::new(),
+            next_session: 0,
+            outcome: MuxOutcome::default(),
             closing: false,
         }
     }
 
-    /// A coordinator with a fixed request queue (deterministic runs).
-    /// The whole queue counts as enqueued at construction, so reported
-    /// latencies include the time spent waiting behind the backpressure
-    /// bound — identical semantics to the live-intake path.
+    /// A coordinator with a fixed request queue (deterministic runs),
+    /// combining for `committee`, whose verification keys name the
+    /// signers. The whole queue counts as enqueued at construction, so
+    /// reported latencies include the time spent waiting behind the
+    /// backpressure bound — identical semantics to the live-intake path.
     pub fn with_requests(
         id: PlayerId,
-        scheme: ThresholdScheme,
-        public_key: PublicKey,
+        committee: Committee,
         max_in_flight: usize,
         requests: Vec<(u64, Vec<u8>)>,
     ) -> Self {
-        let mut c = Self::base(id, scheme, public_key, max_in_flight);
+        let mut c = Self::base(id, committee, max_in_flight);
         let now = Instant::now();
-        for (session, _) in &requests {
-            c.enqueued.insert(*session, now);
-        }
-        c.pending = requests.into();
+        c.pending = requests
+            .into_iter()
+            .map(|(request, msg)| (request, msg, now))
+            .collect();
         c
     }
 
@@ -436,13 +292,12 @@ impl MuxCoordinator {
     /// into `completed`.
     pub fn with_intake(
         id: PlayerId,
-        scheme: ThresholdScheme,
-        public_key: PublicKey,
+        committee: Committee,
         max_in_flight: usize,
         intake: mpsc::Receiver<(u64, Vec<u8>)>,
         completed: mpsc::Sender<(u64, Signature)>,
     ) -> Self {
-        let mut c = Self::base(id, scheme, public_key, max_in_flight);
+        let mut c = Self::base(id, committee, max_in_flight);
         c.intake = Some(intake);
         c.completed_tx = Some(completed);
         c.intake_open = true;
@@ -456,51 +311,78 @@ impl Protocol for MuxCoordinator {
 
     fn round(
         &mut self,
-        _round: usize,
+        round: usize,
         inbox: &[Delivered<MuxMessage>],
     ) -> RoundAction<MuxMessage, MuxOutcome> {
         if self.closing {
-            return RoundAction::Finish(MuxOutcome {
-                finished: self.done.len(),
-                signatures: std::mem::take(&mut self.done),
-                rejected: BTreeMap::new(),
-                high_water: self.high_water,
-                latencies: std::mem::take(&mut self.latencies),
-            });
+            return RoundAction::Finish(std::mem::take(&mut self.outcome));
         }
 
-        // Collect completed sessions (signatures verify against the
-        // session's message before a session is retired).
         for d in inbox {
-            if let Ok(MuxMessage::Done { session, sig }) = &d.msg {
-                if !d.broadcast || !self.in_flight.contains(session) {
-                    continue;
-                }
-                let Some(msg) = self.open_msgs.get(session) else {
-                    continue;
-                };
-                if self.scheme.verify(&self.public_key, msg, sig) {
-                    self.in_flight.remove(session);
-                    self.open_msgs.remove(session);
-                    self.done.insert(*session, *sig);
-                    if let Some(start) = self.enqueued.remove(session) {
-                        self.latencies.insert(*session, start.elapsed());
-                    }
-                    if let Some(tx) = &self.completed_tx {
-                        let _ = tx.send((*session, *sig));
-                    }
+            if let Ok(MuxMessage::Partial { session, psig }) = &d.msg {
+                if let Some(s) = self.sessions.get_mut(session) {
+                    s.combiner.offer(&self.committee, d.from, psig);
                 }
             }
         }
+
+        // Retire every session that combines; re-send the `Open` of any
+        // other one round trip after its last send, to every signer not
+        // yet heard from.
+        let mut out = Vec::new();
+        let MuxCoordinator {
+            committee,
+            completed_tx,
+            sessions,
+            outcome,
+            ..
+        } = self;
+        sessions.retain(|session, s| {
+            let Some(sig) = s.combiner.try_combine(committee, &s.msg) else {
+                if round >= s.sent + RESEND_AFTER {
+                    s.sent = round;
+                    for &signer in committee.vks.keys() {
+                        if !s.combiner.held.contains_key(&signer)
+                            && !s.combiner.rejected.contains(&signer)
+                        {
+                            out.push(Outgoing {
+                                to: Recipient::Private(signer),
+                                msg: MuxMessage::Open {
+                                    session: *session,
+                                    msg: s.msg.clone(),
+                                },
+                            });
+                        }
+                    }
+                }
+                return true;
+            };
+            outcome.latencies.push(s.enqueued.elapsed());
+            if !s.combiner.rejected.is_empty() {
+                outcome
+                    .rejected
+                    .entry(s.id)
+                    .or_default()
+                    .extend(&s.combiner.rejected);
+            }
+            match completed_tx {
+                Some(tx) => {
+                    let _ = tx.send((s.id, sig));
+                }
+                None => {
+                    outcome.signatures.insert(s.id, sig);
+                }
+            }
+            false
+        });
 
         // Pull newly arrived requests (daemon path).
         if self.intake_open {
             if let Some(rx) = &self.intake {
                 loop {
                     match rx.try_recv() {
-                        Ok(req) => {
-                            self.enqueued.insert(req.0, Instant::now());
-                            self.pending.push_back(req);
+                        Ok((request, msg)) => {
+                            self.pending.push_back((request, msg, Instant::now()))
                         }
                         Err(mpsc::TryRecvError::Empty) => break,
                         Err(mpsc::TryRecvError::Disconnected) => {
@@ -513,25 +395,34 @@ impl Protocol for MuxCoordinator {
         }
 
         // Open sessions up to the backpressure bound.
-        let mut out = Vec::new();
-        while self.in_flight.len() < self.max_in_flight {
-            let Some((session, msg)) = self.pending.pop_front() else {
+        while self.sessions.len() < self.max_in_flight {
+            let Some((id, msg, enqueued)) = self.pending.pop_front() else {
                 break;
             };
-            if self.in_flight.contains(&session) || self.done.contains_key(&session) {
-                continue;
-            }
-            self.in_flight.insert(session);
-            self.open_msgs.insert(session, msg.clone());
+            let session = self.next_session;
+            self.next_session += 1;
             out.push(Outgoing {
                 to: Recipient::Broadcast,
-                msg: MuxMessage::Open { session, msg },
+                msg: MuxMessage::Open {
+                    session,
+                    msg: msg.clone(),
+                },
             });
+            self.sessions.insert(
+                session,
+                Session {
+                    id,
+                    msg,
+                    enqueued,
+                    sent: round,
+                    combiner: Combiner::default(),
+                },
+            );
         }
-        self.high_water = self.high_water.max(self.in_flight.len());
+        self.outcome.high_water = self.outcome.high_water.max(self.sessions.len());
 
         // Drained and idle with no way to get new work: close the run.
-        if !self.intake_open && self.pending.is_empty() && self.in_flight.is_empty() {
+        if !self.intake_open && self.pending.is_empty() && self.sessions.is_empty() {
             self.closing = true;
             out.push(Outgoing {
                 to: Recipient::Broadcast,
@@ -563,7 +454,7 @@ impl Protocol for MuxCoordinator {
 ///
 /// Transport failures ([`borndist_net::Error`]), including
 /// [`borndist_net::SimError::RoundLimitExceeded`] if `max_rounds` cannot cover the
-/// batch (each pipelined wave of sessions needs a handful of rounds).
+/// batch (each wave of sessions needs one round trip).
 ///
 /// # Panics
 ///
@@ -588,25 +479,19 @@ pub fn run_mux_sign(
         !signers.contains(&coordinator),
         "the coordinator must not be a signer"
     );
-    let signer_ids: Vec<PlayerId> = signers.to_vec();
     let mut players: Vec<BoxedPlayer<MuxMessage, MuxOutcome>> = signers
         .iter()
         .map(|id| {
             Box::new(MuxSignerPlayer::new(
                 scheme.clone(),
-                km.params,
-                km.public_key.clone(),
-                km.verification_keys.clone(),
                 km.shares[id].clone(),
-                signer_ids.clone(),
                 coordinator,
             )) as _
         })
         .collect();
     players.push(Box::new(MuxCoordinator::with_requests(
         coordinator,
-        scheme.clone(),
-        km.public_key.clone(),
+        signing_committee(scheme, km, signers),
         max_in_flight,
         requests.to_vec(),
     )));
@@ -617,27 +502,97 @@ pub fn run_mux_sign(
     Ok((outcome, metrics))
 }
 
+/// The committee of `km` narrowed to the `signers` on the mesh: the
+/// coordinator re-sends `Open` only to players that exist.
+fn signing_committee(
+    scheme: &ThresholdScheme,
+    km: &crate::ro::KeyMaterial,
+    signers: &[u32],
+) -> Committee {
+    Committee::new(
+        scheme.clone(),
+        km.params,
+        km.public_key.clone(),
+        signers
+            .iter()
+            .map(|id| (*id, km.verification_keys[id].clone()))
+            .collect(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ro::CombinerCalls;
-    use borndist_net::DeliveryPolicy;
+    use borndist_net::{encode_frame, DeliveryPolicy};
+    use borndist_shamir::ThresholdParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn setup() -> (ThresholdScheme, crate::ro::KeyMaterial) {
+        setup_tn(1, 4)
+    }
+
+    fn setup_tn(t: usize, n: usize) -> (ThresholdScheme, crate::ro::KeyMaterial) {
         let scheme = ThresholdScheme::new(b"netsign-tests");
         let mut r = StdRng::seed_from_u64(0x517);
-        let km = scheme.dealer_keygen(ThresholdParams::new(1, 4).unwrap(), &mut r);
+        let km = scheme.dealer_keygen(ThresholdParams::new(t, n).unwrap(), &mut r);
         (scheme, km)
     }
 
+    fn requests(count: u64) -> Vec<(u64, Vec<u8>)> {
+        (0..count)
+            .map(|i| (i, format!("byzantine {}", i).into_bytes()))
+            .collect()
+    }
+
     #[test]
-    fn retransmission_carries_signing_through_a_combiner_outage() {
-        // Session 1's combiner (player 2) has its links down for the
-        // first three rounds, so *only* the per-round retransmission of
-        // partial signatures can ever assemble the quorum — a broken
-        // retransmission path fails this test with RoundLimitExceeded.
+    fn an_honest_sign_costs_one_round_trip_and_one_plus_n_messages() {
+        let (scheme, km) = setup();
+        let n = km.params.n;
+        let run = |k: u64| {
+            run_mux_sign(
+                &scheme,
+                &km,
+                &requests(k),
+                &[1, 2, 3, 4],
+                9,
+                1,
+                &TransportKind::Lockstep,
+                80,
+            )
+            .unwrap()
+        };
+        let (few, m_few) = run(2);
+        let (many, m_many) = run(5);
+        assert_eq!(few.signatures.len(), 2);
+        assert_eq!(many.signatures.len(), 5);
+        // Per Sign: the Open broadcast and n partials back, then the one
+        // closing Shutdown — nothing is ever re-sent.
+        assert_eq!(m_few.messages, 2 * (1 + n) + 1);
+        assert_eq!(m_many.messages, 5 * (1 + n) + 1);
+        assert_eq!(m_many.total_rounds - m_few.total_rounds, 3 * 2);
+        let open = encode_frame(&MuxMessage::Open {
+            session: 0,
+            msg: requests(1)[0].1.clone(),
+        });
+        let partial = encode_frame(&MuxMessage::Partial {
+            session: 0,
+            psig: scheme.share_sign(&km.shares[&1], b"any"),
+        });
+        assert_eq!(
+            m_many.bytes - m_few.bytes,
+            3 * (open.len() + n * partial.len())
+        );
+    }
+
+    #[test]
+    fn re_sent_opens_carry_signing_through_a_coordinator_outage() {
+        // The coordinator's private links are down for the first three
+        // rounds: the broadcast Open arrives, but every partial answering
+        // it is lost, so *only* a re-sent Open can ever assemble the
+        // quorum — a broken re-send path fails this test with
+        // RoundLimitExceeded.
         let (scheme, km) = setup();
         let requests = vec![(1u64, b"outage signing".to_vec())];
         let run = |policy: DeliveryPolicy| {
@@ -656,7 +611,7 @@ mod tests {
         let (_, baseline) = run(DeliveryPolicy::reliable());
         let (outcome, metrics) = run(DeliveryPolicy {
             outages: vec![borndist_net::Outage {
-                player: 2,
+                player: 9,
                 from_round: 0,
                 until_round: 3,
             }],
@@ -664,10 +619,6 @@ mod tests {
         });
         assert_eq!(outcome.signatures.len(), 1);
         assert!(scheme.verify(&km.public_key, &requests[0].1, &outcome.signatures[&1]));
-        // Partials first arrive in round 3, combine in round 4 at the
-        // earliest: strictly more traffic and rounds than the loss-free
-        // baseline.
-        assert!(metrics.total_rounds > 3);
         assert!(metrics.total_rounds > baseline.total_rounds);
         assert!(metrics.messages > baseline.messages);
     }
@@ -676,11 +627,6 @@ mod tests {
     fn mux_message_wire_roundtrip() {
         let (scheme, km) = setup();
         let p = scheme.share_sign(&km.shares[&2], b"mux");
-        let partials: Vec<PartialSignature> = [1u32, 2]
-            .iter()
-            .map(|i| scheme.share_sign(&km.shares[i], b"mux"))
-            .collect();
-        let sig = scheme.combine(&km.params, &partials).unwrap();
         for msg in [
             MuxMessage::Open {
                 session: 9,
@@ -690,15 +636,17 @@ mod tests {
                 session: 9,
                 psig: p,
             },
-            MuxMessage::Done { session: 9, sig },
             MuxMessage::Shutdown,
         ] {
             assert_eq!(MuxMessage::decode_exact(&msg.encode()).unwrap(), msg);
         }
-        assert!(matches!(
-            MuxMessage::decode_exact(&[9]),
-            Err(CodecError::InvalidTag(9))
-        ));
+        // Tag 2 is unassigned; `Shutdown` keeps tag 3.
+        for tag in [2u8, 9] {
+            assert!(matches!(
+                MuxMessage::decode_exact(&[tag]),
+                Err(CodecError::InvalidTag(t)) if t == tag
+            ));
+        }
     }
 
     #[test]
@@ -719,6 +667,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.signatures.len(), 12);
+        assert_eq!(outcome.latencies.len(), 12);
         // The backpressure bound held, and the pipeline actually
         // overlapped sessions rather than serializing them.
         assert!(outcome.high_water <= 4);
@@ -727,7 +676,7 @@ mod tests {
             let sig = &outcome.signatures[session];
             assert!(scheme.verify(&km.public_key, msg, sig));
         }
-        // Uniqueness: the same message under another session id gets the
+        // Uniqueness: the same message under another request id gets the
         // same signature (signing is deterministic in the key).
         let (o2, _) = run_mux_sign(
             &scheme,
@@ -787,40 +736,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mux_live_intake_drives_sessions_to_completion() {
-        // The daemon path: requests arrive through a channel while the
-        // mesh is running, and completions flow back out.
-        let (scheme, km) = setup();
+    /// The daemon path: `requests` arrive through a channel while the
+    /// mesh is running. Returns the coordinator's outcome and every
+    /// `(request id, signature)` that flowed back out.
+    fn run_live(
+        scheme: &ThresholdScheme,
+        km: &crate::ro::KeyMaterial,
+        requests: Vec<(u64, Vec<u8>)>,
+    ) -> (MuxOutcome, Vec<(u64, Signature)>) {
         let (req_tx, req_rx) = std::sync::mpsc::channel();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let mut players: Vec<BoxedPlayer<MuxMessage, MuxOutcome>> = [1u32, 2, 3, 4]
+        let signers = [1u32, 2, 3, 4];
+        let mut players: Vec<BoxedPlayer<MuxMessage, MuxOutcome>> = signers
             .iter()
             .map(|id| {
                 Box::new(MuxSignerPlayer::new(
                     scheme.clone(),
-                    km.params,
-                    km.public_key.clone(),
-                    km.verification_keys.clone(),
                     km.shares[id].clone(),
-                    vec![1, 2, 3, 4],
                     9,
                 )) as _
             })
             .collect();
         players.push(Box::new(MuxCoordinator::with_intake(
             9,
-            scheme.clone(),
-            km.public_key.clone(),
+            signing_committee(scheme, km, &signers),
             4,
             req_rx,
             done_tx,
         )));
         let feeder = std::thread::spawn(move || {
-            for i in 0..8u64 {
-                req_tx
-                    .send((i, format!("live {}", i).into_bytes()))
-                    .unwrap();
+            for (i, request) in requests.into_iter().enumerate() {
+                req_tx.send(request).unwrap();
                 if i % 3 == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 }
@@ -828,24 +774,46 @@ mod tests {
             // Dropping the sender closes the intake; the coordinator
             // drains in-flight work and shuts the mesh down.
         });
-        let (outputs, _) = run_protocol(
+        let (mut outputs, _) = run_protocol(
             &TransportKind::Channel(DeliveryPolicy::reliable()),
             players,
             100_000,
         )
         .unwrap();
         feeder.join().unwrap();
-        let outcome = &outputs[&9];
-        assert_eq!(outcome.signatures.len(), 8);
-        let completions: Vec<(u64, Signature)> = done_rx.try_iter().collect();
+        (outputs.remove(&9).unwrap(), done_rx.try_iter().collect())
+    }
+
+    #[test]
+    fn mux_live_intake_drives_sessions_to_completion() {
+        let (scheme, km) = setup();
+        let requests: Vec<(u64, Vec<u8>)> = (0..8u64)
+            .map(|i| (i, format!("live {}", i).into_bytes()))
+            .collect();
+        let (outcome, completions) = run_live(&scheme, &km, requests);
+        // Each signature goes out on the channel and is not kept.
+        assert!(outcome.signatures.is_empty());
+        assert_eq!(outcome.latencies.len(), 8);
         assert_eq!(completions.len(), 8);
         for (i, sig) in &completions {
             assert!(scheme.verify(&km.public_key, format!("live {}", i).as_bytes(), sig));
         }
     }
 
+    #[test]
+    fn a_repeated_client_id_is_signed_and_answered_twice() {
+        let (scheme, km) = setup();
+        let (first, second) = (b"first".to_vec(), b"second".to_vec());
+        let (_, completions) =
+            run_live(&scheme, &km, vec![(5, first.clone()), (5, second.clone())]);
+        assert_eq!(completions.len(), 2);
+        for msg in [&first, &second] {
+            assert!(completions.contains(&(5, honest_signature(&scheme, &km, msg))));
+        }
+    }
+
     // -----------------------------------------------------------------
-    // Byzantine signers against the optimistic combiner.
+    // Byzantine signers against the coordinator's optimistic combine.
     // -----------------------------------------------------------------
 
     type Tamper<M> = Box<dyn FnMut(&mut Vec<Outgoing<M>>) + Send>;
@@ -882,14 +850,6 @@ mod tests {
 
     const DECOY: &[u8] = b"not the message being signed";
 
-    /// [`setup`] at other parameters.
-    fn setup_tn(t: usize, n: usize) -> (ThresholdScheme, crate::ro::KeyMaterial) {
-        let scheme = ThresholdScheme::new(b"netsign-tests");
-        let mut r = StdRng::seed_from_u64(0x517);
-        let km = scheme.dealer_keygen(ThresholdParams::new(t, n).unwrap(), &mut r);
-        (scheme, km)
-    }
-
     /// Well-formed, decodable, and invalid for every message but `DECOY`.
     fn forged_partial(
         scheme: &ThresholdScheme,
@@ -923,36 +883,22 @@ mod tests {
         counter.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// One mux run with every partial of `forgers` forged, each forger
-    /// also broadcasting a garbage `Done` for every session it is not
-    /// the combiner of. Returns every player's outcome and the pairing
-    /// checks all combiners ran.
+    /// One mux run with every partial of `forgers` forged. Returns the
+    /// coordinator's outcome and the pairing checks its combiners ran.
     fn mux_with_forgers(
         scheme: &ThresholdScheme,
         km: &crate::ro::KeyMaterial,
         requests: &[(u64, Vec<u8>)],
         forgers: &[u32],
         transport: &TransportKind,
-    ) -> (
-        BTreeMap<PlayerId, MuxOutcome>,
-        std::sync::Arc<CombinerCalls>,
-    ) {
-        let calls = std::sync::Arc::new(CombinerCalls::default());
+    ) -> (MuxOutcome, std::sync::Arc<CombinerCalls>) {
         let signer_ids: Vec<PlayerId> = km.shares.keys().copied().collect();
-        let garbage = honest_signature(scheme, km, DECOY);
+        let committee = signing_committee(scheme, km, &signer_ids);
+        let calls = committee.calls.clone();
         let mut players: Vec<BoxedPlayer<MuxMessage, MuxOutcome>> = signer_ids
             .iter()
             .map(|id| {
-                let mut player = MuxSignerPlayer::new(
-                    scheme.clone(),
-                    km.params,
-                    km.public_key.clone(),
-                    km.verification_keys.clone(),
-                    km.shares[id].clone(),
-                    signer_ids.clone(),
-                    99,
-                );
-                player.committee.calls = calls.clone();
+                let player = MuxSignerPlayer::new(scheme.clone(), km.shares[id].clone(), 99);
                 if !forgers.contains(id) {
                     return Box::new(player) as _;
                 }
@@ -960,114 +906,90 @@ mod tests {
                 Box::new(Forger {
                     inner: player,
                     tamper: Box::new(move |out| {
-                        let mut lies = Vec::new();
                         for o in out.iter_mut() {
-                            if let MuxMessage::Partial { session, psig } = &mut o.msg {
+                            if let MuxMessage::Partial { psig, .. } = &mut o.msg {
                                 *psig = forged;
-                                lies.push(Outgoing {
-                                    to: Recipient::Broadcast,
-                                    msg: MuxMessage::Done {
-                                        session: *session,
-                                        sig: garbage,
-                                    },
-                                });
                             }
                         }
-                        out.extend(lies);
                     }),
                 }) as _
             })
             .collect();
         players.push(Box::new(MuxCoordinator::with_requests(
             99,
-            scheme.clone(),
-            km.public_key.clone(),
+            committee,
             3,
             requests.to_vec(),
         )));
-        let (outputs, _) = run_protocol(transport, players, 400).unwrap();
-        (outputs, calls)
-    }
-
-    fn requests(count: u64) -> Vec<(u64, Vec<u8>)> {
-        (0..count)
-            .map(|i| (i, format!("byzantine {}", i).into_bytes()))
-            .collect()
+        let (mut outputs, _) = run_protocol(transport, players, 400).unwrap();
+        (outputs.remove(&99).unwrap(), calls)
     }
 
     /// Checks a forged mux run: every request carries the signature an
     /// all-honest run produces, only forgers are ever named, and — when
-    /// `exact` (no loss, so every partial reaches every combiner) — each
-    /// session names every forger but its own combiner.
+    /// `exact` (no loss, so every partial reaches the coordinator before
+    /// its first combine) — each request names every forger. Per
+    /// session, the combine costs at most `f + 1` verifies and `n`
+    /// `Share-Verify` calls.
     fn assert_mux_outcome(
         scheme: &ThresholdScheme,
         km: &crate::ro::KeyMaterial,
         requests: &[(u64, Vec<u8>)],
         forgers: &[u32],
-        outputs: &BTreeMap<PlayerId, MuxOutcome>,
+        (outcome, calls): &(MuxOutcome, std::sync::Arc<CombinerCalls>),
         exact: bool,
     ) {
-        let signer_ids: Vec<PlayerId> = km.shares.keys().copied().collect();
-        let coordinator = &outputs[&99];
-        assert_eq!(coordinator.signatures.len(), requests.len());
-        for (session, msg) in requests {
+        assert_eq!(outcome.signatures.len(), requests.len());
+        let forgers: BTreeSet<u32> = forgers.iter().copied().collect();
+        for (request, msg) in requests {
             assert_eq!(
-                coordinator.signatures[session],
+                outcome.signatures[request],
                 honest_signature(scheme, km, msg)
             );
-        }
-        let mut named: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
-        for id in &signer_ids {
-            let outcome = &outputs[id];
-            assert!(outcome.signatures.is_empty(), "signers verify no Done");
-            assert_eq!(outcome.finished, requests.len());
-            for (session, rejected) in &outcome.rejected {
-                assert_eq!(*id, combiner_of(&signer_ids, *session));
-                named.insert(*session, rejected.clone());
-            }
-        }
-        for (session, _) in requests {
-            let combiner = combiner_of(&signer_ids, *session);
-            let expected: BTreeSet<u32> =
-                forgers.iter().copied().filter(|f| *f != combiner).collect();
-            let got = named.remove(session).unwrap_or_default();
+            let named = outcome.rejected.get(request).cloned().unwrap_or_default();
             if exact {
-                assert_eq!(got, expected, "session {}", session);
+                assert_eq!(named, forgers, "request {}", request);
             } else {
-                assert!(got.is_subset(&expected), "session {}: {:?}", session, got);
+                assert!(
+                    named.is_subset(&forgers),
+                    "request {}: {:?}",
+                    request,
+                    named
+                );
             }
         }
+        assert!(outcome.rejected.len() <= requests.len());
+        let sessions = requests.len();
+        assert!(load(&calls.verifies) <= sessions * (forgers.len() + 1));
+        assert!(load(&calls.fallback_checks) <= sessions * km.params.n);
     }
 
     #[test]
     fn honest_runs_pay_one_verify_per_session_and_no_share_verify() {
         let (scheme, km) = setup();
         let requests = requests(6);
-        let (outputs, calls) =
-            mux_with_forgers(&scheme, &km, &requests, &[], &TransportKind::Lockstep);
-        assert_mux_outcome(&scheme, &km, &requests, &[], &outputs, true);
-        assert_eq!(load(&calls.verifies), requests.len());
-        assert_eq!(load(&calls.fallback_checks), 0);
+        let run = mux_with_forgers(&scheme, &km, &requests, &[], &TransportKind::Lockstep);
+        assert_mux_outcome(&scheme, &km, &requests, &[], &run, true);
+        assert_eq!(load(&run.1.verifies), requests.len());
+        assert_eq!(load(&run.1.fallback_checks), 0);
     }
 
     #[test]
     fn a_forger_inside_the_first_quorum_is_named_and_the_signature_is_unchanged() {
         // Index 1 is the lowest, so its partial is always among the
-        // first t+1 the combiner holds.
+        // first t+1 the coordinator holds.
         let (scheme, km) = setup();
         let lossy = TransportKind::Channel(DeliveryPolicy::lossy(0x10551, 0.4));
         let requests = requests(6);
-        let (outputs, calls) =
-            mux_with_forgers(&scheme, &km, &requests, &[1], &TransportKind::Lockstep);
-        assert_mux_outcome(&scheme, &km, &requests, &[1], &outputs, true);
-        // Sessions 0 and 4 are the forger's own to combine: nothing to
-        // reject there. The other four each pay one failed combine,
-        // Share-Verify over the three partials the combiner did not make
-        // itself, and one recombine.
-        assert_eq!(load(&calls.verifies), 2 + 4 * 2);
-        assert_eq!(load(&calls.fallback_checks), 4 * 3);
-        let (outputs, _) = mux_with_forgers(&scheme, &km, &requests, &[1], &lossy);
-        assert_mux_outcome(&scheme, &km, &requests, &[1], &outputs, false);
+        let run = mux_with_forgers(&scheme, &km, &requests, &[1], &TransportKind::Lockstep);
+        assert_mux_outcome(&scheme, &km, &requests, &[1], &run, true);
+        // Every session pays one failed combine, Share-Verify over all
+        // n partials (nothing is vouched for before the first
+        // fallback), and one recombine.
+        assert_eq!(load(&run.1.verifies), 6 * 2);
+        assert_eq!(load(&run.1.fallback_checks), 6 * 4);
+        let run = mux_with_forgers(&scheme, &km, &requests, &[1], &lossy);
+        assert_mux_outcome(&scheme, &km, &requests, &[1], &run, false);
     }
 
     #[test]
@@ -1075,143 +997,20 @@ mod tests {
         let (scheme, km) = setup_tn(2, 5);
         let lossy = TransportKind::Channel(DeliveryPolicy::lossy(0x70551, 0.3));
         let requests = requests(5);
-        let (outputs, _) =
-            mux_with_forgers(&scheme, &km, &requests, &[1, 2], &TransportKind::Lockstep);
-        assert_mux_outcome(&scheme, &km, &requests, &[1, 2], &outputs, true);
-        let (outputs, _) = mux_with_forgers(&scheme, &km, &requests, &[1, 2], &lossy);
-        assert_mux_outcome(&scheme, &km, &requests, &[1, 2], &outputs, false);
-    }
-
-    #[test]
-    fn only_the_sessions_combiner_can_tell_a_signer_it_is_done() {
-        let (scheme, km) = setup();
-        let signer = |id: u32| {
-            MuxSignerPlayer::new(
-                scheme.clone(),
-                km.params,
-                km.public_key.clone(),
-                km.verification_keys.clone(),
-                km.shares[&id].clone(),
-                vec![1, 2, 3, 4],
-                9,
-            )
-        };
-        let msg = b"session one".to_vec();
-        let open = || {
-            delivered(
-                9,
-                true,
-                MuxMessage::Open {
-                    session: 1,
-                    msg: msg.clone(),
-                },
-            )
-        };
-        let done_from = |from: PlayerId| {
-            delivered(
-                from,
-                true,
-                MuxMessage::Done {
-                    session: 1,
-                    sig: honest_signature(&scheme, &km, DECOY),
-                },
-            )
-        };
-        let sent = |action: RoundAction<MuxMessage, MuxOutcome>| match action {
-            RoundAction::Continue(out) => {
-                out.into_iter().map(|o| (o.to, o.msg)).collect::<Vec<_>>()
-            }
-            RoundAction::Finish(_) => panic!("finished early"),
-        };
-
-        // Session 1 is combined by player 2; player 3 only signs.
-        let mut three = signer(3);
-        let retransmission = sent(three.round(0, &[open()]));
-        assert!(matches!(
-            retransmission[..],
-            [(
-                Recipient::Private(2),
-                MuxMessage::Partial { session: 1, .. }
-            )]
-        ));
-        // A Done from anybody else changes nothing ...
-        assert_eq!(sent(three.round(1, &[done_from(1)])), retransmission);
-        // ... the combiner's ends the session, unverified, and leaves
-        // neither the message nor a partial behind; a replayed Open does
-        // not bring it back.
-        assert!(sent(three.round(2, &[done_from(2)])).is_empty());
-        assert!(three.sessions.is_empty());
-        assert_eq!(three.finished, BTreeSet::from([1]));
-        assert!(sent(three.round(3, &[open()])).is_empty());
-        assert!(three.sessions.is_empty());
-        match three.round(4, &[delivered(9, true, MuxMessage::Shutdown)]) {
-            RoundAction::Finish(outcome) => {
-                assert!(outcome.signatures.is_empty());
-                assert_eq!(outcome.finished, 1);
-                assert!(outcome.rejected.is_empty());
-            }
-            RoundAction::Continue(_) => panic!("ignored Shutdown"),
-        }
-
-        // At the combiner, strays are never collected, and its own
-        // broadcast finishes the session on the spot.
-        let partial = |i: u32| scheme.share_sign(&km.shares[&i], &msg);
-        let mut two = signer(2);
-        let stray = |from: PlayerId, index: u32, like: u32| {
-            delivered(
-                from,
-                false,
-                MuxMessage::Partial {
-                    session: 1,
-                    psig: PartialSignature {
-                        index,
-                        ..partial(like)
-                    },
-                },
-            )
-        };
-        assert!(sent(two.round(0, &[open()])).is_empty());
-        assert!(sent(two.round(1, &[stray(3, 4, 4), stray(7, 7, 3)])).is_empty());
-        let held: Vec<u32> = two.sessions[&1]
-            .combiner
-            .as_ref()
-            .unwrap()
-            .held
-            .keys()
-            .copied()
-            .collect();
-        assert_eq!(held, [2]);
-        let out = sent(two.round(2, &[stray(3, 3, 3)]));
-        assert_eq!(
-            out,
-            [(
-                Recipient::Broadcast,
-                MuxMessage::Done {
-                    session: 1,
-                    sig: honest_signature(&scheme, &km, &msg),
-                }
-            )]
-        );
-        assert!(two.sessions.is_empty());
-        assert_eq!(two.finished, BTreeSet::from([1]));
+        let run = mux_with_forgers(&scheme, &km, &requests, &[1, 2], &TransportKind::Lockstep);
+        assert_mux_outcome(&scheme, &km, &requests, &[1, 2], &run, true);
+        let run = mux_with_forgers(&scheme, &km, &requests, &[1, 2], &lossy);
+        assert_mux_outcome(&scheme, &km, &requests, &[1, 2], &run, false);
     }
 
     #[test]
     fn only_the_coordinator_opens_and_closes_sessions() {
         let (scheme, km) = setup();
-        let mut three = MuxSignerPlayer::new(
-            scheme.clone(),
-            km.params,
-            km.public_key.clone(),
-            km.verification_keys.clone(),
-            km.shares[&3].clone(),
-            vec![1, 2, 3, 4],
-            9,
-        );
-        let open_from = |from: PlayerId| {
+        let mut three = MuxSignerPlayer::new(scheme.clone(), km.shares[&3].clone(), 9);
+        let open_from = |from: PlayerId, broadcast: bool| {
             delivered(
                 from,
-                true,
+                broadcast,
                 MuxMessage::Open {
                     session: 777,
                     msg: b"evil".to_vec(),
@@ -1219,54 +1018,109 @@ mod tests {
             )
         };
         let sent = |action: RoundAction<MuxMessage, MuxOutcome>| match action {
-            RoundAction::Continue(out) => out.len(),
+            RoundAction::Continue(out) => {
+                out.into_iter().map(|o| (o.to, o.msg)).collect::<Vec<_>>()
+            }
             RoundAction::Finish(_) => panic!("a signer's Shutdown finished the player"),
         };
 
-        // A signer's Open yields no partial, its Shutdown ends nothing.
-        assert_eq!(sent(three.round(0, &[open_from(1)])), 0);
-        assert!(three.sessions.is_empty());
-        assert_eq!(
-            sent(three.round(1, &[delivered(1, true, MuxMessage::Shutdown)])),
-            0
-        );
-        // The coordinator's do both.
-        assert_eq!(sent(three.round(2, &[open_from(9)])), 1);
+        // Anybody else's Open, broadcast or private, yields no frame,
+        // and their Shutdown ends nothing.
+        assert!(sent(three.round(0, &[open_from(1, true), open_from(4, false)])).is_empty());
+        assert!(sent(three.round(
+            1,
+            &[
+                delivered(1, true, MuxMessage::Shutdown),
+                delivered(2, false, MuxMessage::Shutdown),
+            ]
+        ))
+        .is_empty());
+        // The coordinator's Open — broadcast, or re-sent privately — is
+        // answered with the identical partial, addressed to it alone.
+        let answer = vec![(
+            Recipient::Private(9),
+            MuxMessage::Partial {
+                session: 777,
+                psig: scheme.share_sign(&km.shares[&3], b"evil"),
+            },
+        )];
+        assert_eq!(sent(three.round(2, &[open_from(9, true)])), answer);
+        assert_eq!(sent(three.round(3, &[open_from(9, false)])), answer);
+        // Its Shutdown finishes the player.
         assert!(matches!(
-            three.round(3, &[delivered(9, true, MuxMessage::Shutdown)]),
+            three.round(4, &[delivered(9, true, MuxMessage::Shutdown)]),
             RoundAction::Finish(_)
         ));
     }
 
     #[test]
-    fn the_coordinator_releases_only_a_done_that_verifies() {
+    fn the_coordinator_releases_nothing_until_t_plus_one_valid_partials_are_held() {
         let (scheme, km) = setup();
         let (req_tx, req_rx) = std::sync::mpsc::channel();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let mut coordinator = MuxCoordinator::with_intake(
             9,
-            scheme.clone(),
-            km.public_key.clone(),
+            signing_committee(&scheme, &km, &[1, 2, 3, 4]),
             4,
             req_rx,
             done_tx,
         );
-        let msg = b"session five".to_vec();
+        let msg = b"request five".to_vec();
         req_tx.send((5u64, msg.clone())).unwrap();
-        assert!(matches!(
-            coordinator.round(0, &[]),
-            RoundAction::Continue(out) if out.len() == 1
-        ));
-        let done = |from: PlayerId, sig: Signature| {
-            delivered(from, true, MuxMessage::Done { session: 5, sig })
+        let session = match coordinator.round(0, &[]) {
+            RoundAction::Continue(out) => match &out[..] {
+                [Outgoing {
+                    to: Recipient::Broadcast,
+                    msg: MuxMessage::Open { session, .. },
+                }] => *session,
+                other => panic!("expected one Open broadcast, got {:?}", other),
+            },
+            RoundAction::Finish(_) => panic!("finished with a request open"),
         };
-        // Garbage — from a bystander or from session 5's own combiner
-        // (player 2) — never reaches the client.
-        let garbage = honest_signature(&scheme, &km, DECOY);
-        let _ = coordinator.round(1, &[done(1, garbage), done(2, garbage)]);
+        let partial = |from: PlayerId, psig: PartialSignature| {
+            delivered(from, false, MuxMessage::Partial { session, psig })
+        };
+        let valid = |i: u32| scheme.share_sign(&km.shares[&i], &msg);
+
+        // Two forgeries make a quorum whose combine fails Verify: both
+        // are named and nothing reaches the client.
+        let _ = coordinator.round(
+            1,
+            &[
+                partial(1, forged_partial(&scheme, &km, 1)),
+                partial(2, forged_partial(&scheme, &km, 2)),
+            ],
+        );
         assert!(done_rx.try_recv().is_err());
-        let sig = honest_signature(&scheme, &km, &msg);
-        let _ = coordinator.round(2, &[done(2, sig)]);
-        assert_eq!(done_rx.try_recv().unwrap(), (5, sig));
+        // A valid partial under somebody else's index, and a rejected
+        // signer's now-valid one, are not collected: one valid partial
+        // is held, short of t+1.
+        let _ = coordinator.round(
+            2,
+            &[
+                partial(4, valid(3)),
+                partial(1, valid(1)),
+                partial(3, valid(3)),
+            ],
+        );
+        assert!(done_rx.try_recv().is_err());
+        // The second valid partial releases the verified signature.
+        let _ = coordinator.round(3, &[partial(4, valid(4))]);
+        assert_eq!(
+            done_rx.try_recv().unwrap(),
+            (5, honest_signature(&scheme, &km, &msg))
+        );
+        drop(req_tx);
+        let _ = coordinator.round(4, &[]);
+        match coordinator.round(5, &[]) {
+            RoundAction::Finish(outcome) => {
+                assert_eq!(
+                    outcome.rejected,
+                    BTreeMap::from([(5, BTreeSet::from([1, 2]))])
+                );
+                assert!(outcome.signatures.is_empty());
+            }
+            RoundAction::Continue(_) => panic!("no Shutdown after the intake closed"),
+        }
     }
 }

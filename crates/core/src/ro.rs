@@ -557,7 +557,7 @@ pub struct Committee {
     pub(crate) scheme: ThresholdScheme,
     params: ThresholdParams,
     public_key: PublicKey,
-    vks: BTreeMap<u32, VerificationKey>,
+    pub(crate) vks: BTreeMap<u32, VerificationKey>,
     /// Pairing checks the combiners of this committee ran.
     #[cfg(test)]
     pub(crate) calls: std::sync::Arc<CombinerCalls>,
@@ -602,24 +602,15 @@ impl Committee {
 pub struct Combiner {
     /// Partials held, by signer index (the first one per index wins).
     pub(crate) held: BTreeMap<u32, PartialSignature>,
-    /// Held indices known valid: a signer's own partial and the
-    /// survivors of a fallback, which a later fallback does not re-check.
+    /// Held indices known valid: the survivors of a fallback, which a
+    /// later fallback does not re-check.
     vouched: BTreeSet<u32>,
     /// Indices `Share-Verify` rejected. Nothing from them is collected
-    /// again, so a rejected signer's retransmissions cost no pairing.
+    /// again, so anything more a rejected signer sends costs no pairing.
     pub(crate) rejected: BTreeSet<u32>,
 }
 
 impl Combiner {
-    /// A signer's combiner: it holds and vouches for its own partial.
-    pub fn with_own(own: PartialSignature) -> Self {
-        Combiner {
-            held: BTreeMap::from([(own.index, own)]),
-            vouched: BTreeSet::from([own.index]),
-            rejected: BTreeSet::new(),
-        }
-    }
-
     /// Collects `psig`, unverified, if `from` sent it under its own
     /// index, that index has a verification key and was not rejected.
     pub fn offer(&mut self, committee: &Committee, from: u32, psig: &PartialSignature) {
@@ -895,8 +886,8 @@ mod tests {
         };
         let calls = |c: &Committee| (load(&c.calls.verifies), load(&c.calls.fallback_checks));
         let held = |c: &Combiner| -> Vec<u32> { c.held.keys().copied().collect() };
-        // Signer 4 combines, holding its own partial.
-        let mut combiner = Combiner::with_own(partial(4));
+        let mut combiner = Combiner::default();
+        combiner.offer(&committee, 4, &partial(4));
 
         // A valid partial under somebody else's index, and one under an
         // index with no verification key: never collected.
@@ -911,20 +902,21 @@ mod tests {
         assert_eq!(calls(&committee), (0, 0));
 
         // The forgery completes a quorum, fails the combined check and
-        // is named by the fallback.
+        // is named by the fallback, which checks every held partial:
+        // nothing is vouched for yet.
         let forged = scheme.share_sign(&km.shares[&1], b"not the message being signed");
         combiner.offer(&committee, 1, &forged);
         assert_eq!(combiner.try_combine(&committee, msg), None);
         assert_eq!(held(&combiner), [4]);
         assert_eq!(combiner.rejected, BTreeSet::from([1]));
-        assert_eq!(calls(&committee), (1, 1));
+        assert_eq!(calls(&committee), (1, 2));
 
-        // Its retransmissions — even a now-valid one — cost nothing.
+        // Anything more from it — even a now-valid partial — costs nothing.
         combiner.offer(&committee, 1, &forged);
         combiner.offer(&committee, 1, &partial(1));
         assert_eq!(combiner.try_combine(&committee, msg), None);
         assert_eq!(held(&combiner), [4]);
-        assert_eq!(calls(&committee), (1, 1));
+        assert_eq!(calls(&committee), (1, 2));
 
         // An honest partial finishes the job.
         let expected = scheme
@@ -932,7 +924,7 @@ mod tests {
             .unwrap();
         combiner.offer(&committee, 2, &partial(2));
         assert_eq!(combiner.try_combine(&committee, msg), Some(expected));
-        assert_eq!(calls(&committee), (2, 1));
+        assert_eq!(calls(&committee), (2, 2));
     }
 
     #[test]

@@ -91,8 +91,9 @@ fn run_mesh<M: Wire, O>(
 
 /// One signing node, start to finish: DKG over the TCP mesh, local key
 /// assembly, then the signing mesh until the front-end shuts the
-/// deployment down. Returns the number of sessions this node saw
-/// finish.
+/// deployment down. Returns the number of messages this node sent on
+/// the signing mesh: its `Ready` hand-off and one partial signature per
+/// `Open` it answered.
 pub fn run_player(top: &Topology, id: PlayerId) -> Result<usize, ServiceError> {
     let n = top.params.n as PlayerId;
     let scheme = ThresholdScheme::new(&top.domain);
@@ -113,13 +114,13 @@ pub fn run_player(top: &Topology, id: PlayerId) -> Result<usize, ServiceError> {
 
     // Phase 2: the signing mesh, now including the front-end at n+1.
     let player = ServicePlayer::new(scheme, &km, id, dkg_metrics, dkg_transport);
-    let (outcome, _, _) = run_mesh(
+    let (_, metrics, _) = run_mesh(
         Box::new(player) as BoxedPlayer<_, ServiceOutcome>,
         Topology::addr(top.sign_base, id),
         Topology::peers(top.sign_base, id, n + 1),
         SIGN_ROUND_BUDGET,
     )?;
-    Ok(outcome.mux.finished)
+    Ok(metrics.messages)
 }
 
 /// The front-end: joins the signing mesh as node `n+1`, accepts one
@@ -295,7 +296,6 @@ pub fn run_frontend(top: &Topology, client_listener: TcpListener) -> Result<(), 
     let info = outcome
         .ready
         .ok_or_else(|| proto("front-end finished without Ready info"))?;
-    let latencies: Vec<std::time::Duration> = outcome.mux.latencies.values().copied().collect();
     // Deployment-wide socket counters: every player's DKG-mesh view
     // (shipped inside Ready) plus this process's signing-mesh view.
     let mut transport = info.dkg_transport;
@@ -308,7 +308,7 @@ pub fn run_frontend(top: &Topology, client_listener: TcpListener) -> Result<(), 
             high_water: outcome.mux.high_water as u64,
             served,
             verified,
-            sign_latency: LatencySummary::from_samples(&latencies),
+            sign_latency: LatencySummary::from_samples(&outcome.mux.latencies),
             verify_latency: LatencySummary::from_samples(&verify_samples),
             transport,
         },

@@ -11,13 +11,17 @@
 //!    holds the key.
 //! 2. **Ready** — each player joins a second mesh that includes the
 //!    front-end and ships it a [`ServiceMessage::Ready`] carrying the
-//!    public key and that player's local DKG traffic metrics; the
-//!    front-end merges them ([`borndist_net::Metrics::merge`]) into the
+//!    committee it holds keys for (threshold parameters, public key,
+//!    verification keys) and its local DKG traffic metrics; the
+//!    front-end adopts the committee a strict majority reports and
+//!    merges the metrics ([`borndist_net::Metrics::merge`]) into the
 //!    same global view an in-process transport would have metered.
 //! 3. **Serve** — the front-end accepts framed [`ClientRequest`]s on a
 //!    client socket and drives concurrent `core::netsign` mux sessions,
-//!    bounded by `max_in_flight` (backpressure); combined signatures
-//!    stream back as [`ClientResponse::Signed`].
+//!    bounded by `max_in_flight` (backpressure): the players answer each
+//!    `Open` with a partial signature, the front-end is the one
+//!    combiner, and combined signatures that pass `Verify` stream back
+//!    as [`ClientResponse::Signed`].
 //! 4. **Shutdown** — a [`ClientRequest::Shutdown`] drains in-flight
 //!    sessions, closes the mesh, and answers with a final
 //!    [`ClientResponse::Summary`] (public key, merged DKG metrics,
@@ -33,7 +37,9 @@
 use borndist_core::aggregate::AggPublicKey;
 use borndist_core::gateway::{AggregationGateway, GatewayStats, VerifyRequest};
 use borndist_core::netsign::{MuxCoordinator, MuxMessage, MuxOutcome, MuxSignerPlayer};
-use borndist_core::ro::{KeyMaterial, PublicKey, Signature, ThresholdScheme};
+use borndist_core::ro::{
+    Committee, KeyMaterial, PublicKey, Signature, ThresholdScheme, VerificationKey,
+};
 use borndist_net::{
     CodecError, Delivered, LatencySummary, Metrics, Outgoing, PlayerId, Protocol, Recipient,
     RoundAction, TransportStats, Wire,
@@ -68,19 +74,25 @@ const TAG_MUX: u8 = 1;
 /// Wire message of the signing mesh (players `1..=n` plus the
 /// front-end at id `n+1`).
 //
-// `Ready` dominates the enum size (a public key plus a full `Metrics`
-// snapshot), but it crosses the wire only during the one-shot handoff
-// after DKG; boxing it would complicate the `Wire` impl for no steady-
-// state gain.
+// `Ready` dominates the enum size (the committee's keys plus a full
+// `Metrics` snapshot), but it crosses the wire only during the one-shot
+// handoff after DKG; boxing it would complicate the `Wire` impl for no
+// steady-state gain.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum ServiceMessage {
     /// Player → front-end (private): the DKG finished; here is the
-    /// public key and this player's local traffic view. Retransmitted
-    /// until the front-end's first broadcast proves receipt.
+    /// committee this player holds a share of and its local traffic
+    /// view. Retransmitted until the front-end's first frame proves
+    /// receipt.
     Ready {
+        /// The committee's threshold parameters (on the wire: `t`, `n`).
+        params: ThresholdParams,
         /// The jointly generated public key.
         public_key: PublicKey,
+        /// Every signer's verification key, by index (on the wire: the
+        /// keys in index order; each carries its index).
+        verification_keys: BTreeMap<u32, VerificationKey>,
         /// This player's sender-side DKG metrics (merged by the
         /// front-end into the global view).
         dkg_metrics: Metrics,
@@ -96,12 +108,18 @@ impl Wire for ServiceMessage {
     fn encode_to(&self, out: &mut Vec<u8>) {
         match self {
             ServiceMessage::Ready {
+                params,
                 public_key,
+                verification_keys,
                 dkg_metrics,
                 dkg_transport,
             } => {
                 out.push(TAG_READY);
+                (params.t as u64).encode_to(out);
+                (params.n as u64).encode_to(out);
                 public_key.encode_to(out);
+                let vks: Vec<VerificationKey> = verification_keys.values().cloned().collect();
+                vks.encode_to(out);
                 dkg_metrics.encode_to(out);
                 dkg_transport.encode_to(out);
             }
@@ -114,7 +132,15 @@ impl Wire for ServiceMessage {
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(input)? {
             TAG_READY => Ok(ServiceMessage::Ready {
+                params: ThresholdParams {
+                    t: u64::decode(input)? as usize,
+                    n: u64::decode(input)? as usize,
+                },
                 public_key: PublicKey::decode(input)?,
+                verification_keys: Vec::<VerificationKey>::decode(input)?
+                    .into_iter()
+                    .map(|vk| (vk.index, vk))
+                    .collect(),
                 dkg_metrics: Metrics::decode(input)?,
                 dkg_transport: TransportStats::decode(input)?,
             }),
@@ -141,7 +167,7 @@ pub struct ReadyInfo {
 pub struct ServiceOutcome {
     /// The multiplexed-signing outcome (the front-end's carries the
     /// verified signatures and the backpressure high-water mark; a
-    /// player's only counts the sessions it saw finish).
+    /// player's is empty).
     pub mux: MuxOutcome,
     /// Front-end only: the merged `Ready` information.
     pub ready: Option<ReadyInfo>,
@@ -183,11 +209,11 @@ pub struct ServicePlayer {
     inner: MuxSignerPlayer,
     id: PlayerId,
     frontend: PlayerId,
-    /// `Ready` payload, retransmitted every round until any frame from
-    /// the front-end arrives (its first `Open`/`Shutdown` broadcast
-    /// proves the handoff landed — it only opens sessions once all
-    /// `Ready`s are in).
-    ready: Option<(PublicKey, Metrics, TransportStats)>,
+    /// The `Ready` message, retransmitted every round until any frame
+    /// from the front-end arrives (its first `Open` or `Shutdown` proves
+    /// the handoff landed — it only opens sessions once all `Ready`s
+    /// are in).
+    ready: Option<ServiceMessage>,
 }
 
 impl ServicePlayer {
@@ -201,22 +227,18 @@ impl ServicePlayer {
         dkg_metrics: Metrics,
         dkg_transport: TransportStats,
     ) -> Self {
-        let n = km.params.n as PlayerId;
-        let signer_ids: Vec<PlayerId> = (1..=n).collect();
-        let inner = MuxSignerPlayer::new(
-            scheme,
-            km.params,
-            km.public_key.clone(),
-            km.verification_keys.clone(),
-            km.shares[&id].clone(),
-            signer_ids,
-            n + 1,
-        );
+        let frontend = km.params.n as PlayerId + 1;
         ServicePlayer {
-            inner,
+            inner: MuxSignerPlayer::new(scheme, km.shares[&id].clone(), frontend),
             id,
-            frontend: n + 1,
-            ready: Some((km.public_key.clone(), dkg_metrics, dkg_transport)),
+            frontend,
+            ready: Some(ServiceMessage::Ready {
+                params: km.params,
+                public_key: km.public_key.clone(),
+                verification_keys: km.verification_keys.clone(),
+                dkg_metrics,
+                dkg_transport,
+            }),
         }
     }
 }
@@ -236,16 +258,10 @@ impl Protocol for ServicePlayer {
         match self.inner.round(round, &mux_inbox(inbox)) {
             RoundAction::Continue(out) => {
                 let mut out = wrap_mux(out);
-                if let Some((public_key, dkg_metrics, dkg_transport)) = self.ready.clone() {
-                    out.push(Outgoing {
-                        to: Recipient::Private(self.frontend),
-                        msg: ServiceMessage::Ready {
-                            public_key,
-                            dkg_metrics,
-                            dkg_transport,
-                        },
-                    });
-                }
+                out.extend(self.ready.clone().map(|msg| Outgoing {
+                    to: Recipient::Private(self.frontend),
+                    msg,
+                }));
                 RoundAction::Continue(out)
             }
             RoundAction::Finish(mux) => RoundAction::Finish(ServiceOutcome { mux, ready: None }),
@@ -268,16 +284,27 @@ enum CoordinatorSource {
     },
 }
 
+/// One player's `Ready` report, as the front-end keeps it.
+struct Report {
+    /// `(params, public key, verification keys)`: what the majority
+    /// rule compares.
+    committee: (ThresholdParams, PublicKey, BTreeMap<u32, VerificationKey>),
+    dkg_metrics: Metrics,
+    dkg_transport: TransportStats,
+}
+
 /// The daemon front-end as a protocol player: waits for every player's
 /// [`ServiceMessage::Ready`], merges the DKG metrics, then runs a
-/// [`MuxCoordinator`] over the public key a strict majority reported.
+/// [`MuxCoordinator`] — the one combiner — over the committee
+/// (threshold parameters, public key and verification keys) a strict
+/// majority reported.
 pub struct ServiceCoordinator {
     id: PlayerId,
     n: usize,
     scheme: ThresholdScheme,
     max_in_flight: usize,
     source: Option<CoordinatorSource>,
-    ready: BTreeMap<PlayerId, (PublicKey, Metrics, TransportStats)>,
+    ready: BTreeMap<PlayerId, Report>,
     inner: Option<MuxCoordinator>,
     info: Option<ReadyInfo>,
 }
@@ -326,51 +353,52 @@ impl ServiceCoordinator {
     fn absorb_ready(&mut self, inbox: &[Delivered<ServiceMessage>]) {
         for d in inbox {
             if let Ok(ServiceMessage::Ready {
+                params,
                 public_key,
+                verification_keys,
                 dkg_metrics,
                 dkg_transport,
             }) = &d.msg
             {
                 if !d.broadcast && d.from >= 1 && d.from <= self.n as PlayerId {
-                    self.ready.entry(d.from).or_insert_with(|| {
-                        (public_key.clone(), dkg_metrics.clone(), *dkg_transport)
+                    self.ready.entry(d.from).or_insert_with(|| Report {
+                        committee: (*params, public_key.clone(), verification_keys.clone()),
+                        dkg_metrics: dkg_metrics.clone(),
+                        dkg_transport: *dkg_transport,
                     });
                 }
             }
         }
         if self.inner.is_none() && self.ready.len() == self.n {
             // With n >= 2t+1 and at most t faulty, the honest players are
-            // a strict majority and all hold the one DKG key. Without a
-            // majority, keep waiting: the run ends at the round limit.
-            let reports = || self.ready.values().map(|(pk, _, _)| pk);
-            let Some(key) = reports()
-                .find(|pk| reports().filter(|other| other == pk).count() * 2 > self.n)
+            // a strict majority and all hold the one DKG committee.
+            // Without a majority, keep waiting: the run ends at the round
+            // limit.
+            let reports = || self.ready.values().map(|r| &r.committee);
+            let Some((params, key, vks)) = reports()
+                .find(|c| reports().filter(|other| other == c).count() * 2 > self.n)
                 .cloned()
             else {
                 return;
             };
-            let merged = Metrics::merge(self.ready.values().map(|(_, m, _)| m));
+            let merged = Metrics::merge(self.ready.values().map(|r| &r.dkg_metrics));
             let mut transport = TransportStats::default();
-            for (_, _, t) in self.ready.values() {
-                transport.absorb(t);
+            for r in self.ready.values() {
+                transport.absorb(&r.dkg_transport);
             }
             self.info = Some(ReadyInfo {
                 public_key: key.clone(),
                 dkg_metrics: merged,
                 dkg_transport: transport,
             });
+            let committee = Committee::new(self.scheme.clone(), params, key, vks);
             let inner = match self.source.take().expect("source consumed once") {
-                CoordinatorSource::Queue(requests) => MuxCoordinator::with_requests(
-                    self.id,
-                    self.scheme.clone(),
-                    key,
-                    self.max_in_flight,
-                    requests,
-                ),
+                CoordinatorSource::Queue(requests) => {
+                    MuxCoordinator::with_requests(self.id, committee, self.max_in_flight, requests)
+                }
                 CoordinatorSource::Live { intake, completed } => MuxCoordinator::with_intake(
                     self.id,
-                    self.scheme.clone(),
-                    key,
+                    committee,
                     self.max_in_flight,
                     intake,
                     completed,
@@ -813,7 +841,9 @@ mod tests {
             .keygen_session(params, &BTreeMap::new(), 5, &TransportKind::Lockstep)
             .unwrap();
         let ready = ServiceMessage::Ready {
+            params: km.params,
             public_key: km.public_key.clone(),
+            verification_keys: km.verification_keys.clone(),
             dkg_metrics: metrics,
             dkg_transport: TransportStats {
                 connections_high_water: 2,
@@ -823,7 +853,16 @@ mod tests {
             },
         };
         match ServiceMessage::decode_exact(&ready.encode()).unwrap() {
-            ServiceMessage::Ready { public_key, .. } => assert_eq!(public_key, km.public_key),
+            ServiceMessage::Ready {
+                params,
+                public_key,
+                verification_keys,
+                ..
+            } => {
+                assert_eq!(params, km.params);
+                assert_eq!(public_key, km.public_key);
+                assert_eq!(verification_keys, km.verification_keys);
+            }
             other => panic!("wrong variant: {:?}", other),
         }
         let mux = ServiceMessage::Mux(MuxMessage::Open {

@@ -183,8 +183,11 @@ fn run() -> Result<(), String> {
             let args = parse(&["id"])?;
             let top = topology(&args)?;
             let id = player_id(&args, top.params.n)?;
-            let served = run_player(&top, id).map_err(|e| e.to_string())?;
-            println!("player {} done: {} sessions observed", id, served);
+            let sent = run_player(&top, id).map_err(|e| e.to_string())?;
+            println!(
+                "player {} done: {} messages sent on the signing mesh",
+                id, sent
+            );
             Ok(())
         }
         "frontend" => {

@@ -2,7 +2,7 @@
 //! and the player wrapper that enacts them.
 
 use borndist_core::netsign::{MuxMessage, MuxOutcome, MuxSignerPlayer};
-use borndist_core::ro::{PartialSignature, Signature};
+use borndist_core::ro::PartialSignature;
 use borndist_dkg::{Behavior, DkgAbort, DkgConfig, DkgMessage, DkgOutput, DkgPlayer};
 use borndist_net::{BoxedPlayer, Delivered, Outgoing, PlayerId, Protocol, Recipient, RoundAction};
 use std::collections::{BTreeMap, BTreeSet};
@@ -291,15 +291,12 @@ pub fn adaptive_dkg_players(
 }
 
 /// A Byzantine signing node: the honest [`MuxSignerPlayer`] runs, but
-/// every partial signature it sends is replaced by `forged`, and — with
-/// `lie` set — each one is accompanied by a broadcast `Done` carrying
-/// that signature for a session this player does not combine. Whatever
+/// every partial signature it sends is replaced by `forged`. Whatever
 /// is in `usurp` it broadcasts once, in its first round, as if it were
 /// the coordinator (a rogue `Open`, a `Shutdown`).
 pub(crate) struct ForgingSigner {
     pub(crate) inner: MuxSignerPlayer,
     pub(crate) forged: PartialSignature,
-    pub(crate) lie: Option<Signature>,
     pub(crate) usurp: Vec<MuxMessage>,
 }
 
@@ -316,25 +313,62 @@ impl Protocol for ForgingSigner {
             RoundAction::Continue(out) => out,
             finish => return finish,
         };
-        let mut lies = Vec::new();
         for o in out.iter_mut() {
-            if let MuxMessage::Partial { session, psig } = &mut o.msg {
+            if let MuxMessage::Partial { psig, .. } = &mut o.msg {
                 *psig = self.forged;
-                lies.extend(self.lie.map(|sig| Outgoing {
-                    to: Recipient::Broadcast,
-                    msg: MuxMessage::Done {
-                        session: *session,
-                        sig,
-                    },
-                }));
             }
         }
-        out.extend(lies);
         out.extend(self.usurp.drain(..).map(|msg| Outgoing {
             to: Recipient::Broadcast,
             msg,
         }));
         RoundAction::Continue(out)
+    }
+
+    fn id(&self) -> PlayerId {
+        self.inner.id()
+    }
+}
+
+/// What a [`Watched`] player did: the sessions it sent a partial for,
+/// and the round it finished in.
+#[derive(Default)]
+pub(crate) struct Watch {
+    pub(crate) partials: BTreeSet<u64>,
+    pub(crate) finished: Option<usize>,
+}
+
+/// A signing-mesh player run unchanged, with what it does recorded
+/// into `log` under its id.
+pub(crate) struct Watched<P> {
+    pub(crate) inner: P,
+    pub(crate) log: Arc<Mutex<BTreeMap<PlayerId, Watch>>>,
+}
+
+impl<P: Protocol<Message = MuxMessage, Output = MuxOutcome>> Protocol for Watched<P> {
+    type Message = MuxMessage;
+    type Output = MuxOutcome;
+
+    fn round(
+        &mut self,
+        round: usize,
+        inbox: &[Delivered<MuxMessage>],
+    ) -> RoundAction<MuxMessage, MuxOutcome> {
+        let action = self.inner.round(round, inbox);
+        let mut log = self.log.lock().expect("watch log poisoned");
+        let watch = log.entry(self.inner.id()).or_default();
+        match &action {
+            RoundAction::Continue(out) => {
+                watch
+                    .partials
+                    .extend(out.iter().filter_map(|o| match o.msg {
+                        MuxMessage::Partial { session, .. } => Some(session),
+                        _ => None,
+                    }))
+            }
+            RoundAction::Finish(_) => watch.finished = Some(round),
+        }
+        action
     }
 
     fn id(&self) -> PlayerId {

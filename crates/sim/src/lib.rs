@@ -16,10 +16,10 @@
 //! A fifth scenario, `forged-partials`, turns the same harness on the
 //! signing mesh ([`borndist_core::netsign`]): up to `t` Byzantine
 //! signers forge every partial signature they send, one of them also
-//! forges the `Done` broadcast, and the criteria are the paper's
-//! robustness promises — every session completes with the one valid
-//! signature, and the combiner's `Share-Verify` fallback names exactly
-//! the forgers.
+//! poses as the coordinator with a rogue `Open` and `Shutdown`, and the
+//! criteria are the paper's robustness promises — every session
+//! completes with the one valid signature, and the coordinator's
+//! `Share-Verify` fallback names exactly the forgers.
 //!
 //! Adaptivity is implemented without breaking determinism: every
 //! observation the adversary conditions on comes from the broadcast

@@ -4,11 +4,12 @@
 
 use crate::adversary::{
     adaptive_dkg_players, Adversary, AdversaryScript, CorruptAction, CorruptionRule, ForgingSigner,
+    Watched,
 };
 use borndist_core::netsign::{
     run_mux_sign, MuxCoordinator, MuxMessage, MuxOutcome, MuxSignerPlayer,
 };
-use borndist_core::ro::{PartialSignature, ThresholdScheme};
+use borndist_core::ro::{Committee, ThresholdScheme};
 use borndist_dkg::{dkg_session, standard_config, Behavior, DkgAbort, DkgConfig, DkgOutput};
 use borndist_net::{
     run_protocol, BoxedPlayer, DeliveryPolicy, Metrics, Outage, PlayerId, TransportKind,
@@ -16,6 +17,7 @@ use borndist_net::{
 use borndist_pairing::G2Affine;
 use borndist_shamir::{PedersenShare, ThresholdParams};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
 /// Every scenario of the matrix, in CI order.
 pub const SCENARIOS: &[&str] = &[
@@ -496,18 +498,18 @@ fn churn(seed: u64) -> Result<ScenarioReport, String> {
     })
 }
 
-/// Byzantine signers against the optimistic combiner. A committee born
-/// by `Dist-Keygen` serves ten signing sessions over a duplicating,
-/// reordering network while `t` signers (the two lowest indices, so
-/// their partials are always among the first `t+1` a combiner holds)
-/// forge every partial they send, and one of them also broadcasts a
-/// forged `Done` for every session, plus — posing as the coordinator —
-/// an `Open` nobody requested and a `Shutdown`. Neither may reach an
-/// honest signer: every signer must finish exactly the requested
-/// sessions. Each honest combiner's first combine
-/// must fail, its `Share-Verify` fallback must name exactly the forgers,
-/// and the client-side outcome must be indistinguishable from an
-/// all-honest run: signatures are unique.
+/// Byzantine signers against the front-end's optimistic combine. A
+/// committee born by `Dist-Keygen` serves ten signing sessions over a
+/// duplicating, reordering network while `t` signers (the two lowest
+/// indices, so their partials are always among the first `t+1` the
+/// coordinator holds) forge every partial they send, and one of them —
+/// posing as the coordinator — broadcasts an `Open` nobody requested and
+/// a `Shutdown`. Neither may reach an honest signer: none answers the
+/// rogue `Open`, and every one runs until the coordinator's own
+/// `Shutdown`. Each session's first combine must fail, its
+/// `Share-Verify` fallback must name exactly the forgers, and the
+/// client-side outcome must be indistinguishable from an all-honest
+/// run: signatures are unique.
 fn forged_partials(seed: u64) -> Result<ScenarioReport, String> {
     let (t, n) = (2, 5);
     let scheme = ThresholdScheme::new(b"borndist/sim/scenario");
@@ -533,57 +535,51 @@ fn forged_partials(seed: u64) -> Result<ScenarioReport, String> {
     )
     .map_err(|e| e.to_string())?;
 
-    // Well-formed group elements that verify for no request: partials
-    // and a combined signature over a message nobody asked for.
+    // Well-formed partials that verify for no request.
     let decoy = b"forged-partials decoy";
-    let decoys: Vec<PartialSignature> = signers
-        .iter()
-        .map(|id| scheme.share_sign(&km.shares[id], decoy))
-        .collect();
-    let lie = scheme
-        .combine(&km.params, &decoys)
-        .map_err(|e| format!("decoy signature: {:?}", e))?;
+    const ROGUE_SESSION: u64 = 777;
     // Forger 1 also plays coordinator: it opens a session nobody
     // requested and tries to shut every signer down.
     let usurp = vec![
         MuxMessage::Open {
-            session: 777,
+            session: ROGUE_SESSION,
             msg: decoy.to_vec(),
         },
         MuxMessage::Shutdown,
     ];
+    let log = Arc::new(Mutex::new(BTreeMap::new()));
     let mut players: Vec<BoxedPlayer<MuxMessage, MuxOutcome>> = signers
         .iter()
-        .zip(&decoys)
-        .map(|(id, forged)| {
-            let inner = MuxSignerPlayer::new(
+        .map(|id| {
+            let inner = MuxSignerPlayer::new(scheme.clone(), km.shares[id].clone(), coordinator);
+            if forgers.contains(id) {
+                Box::new(ForgingSigner {
+                    inner,
+                    forged: scheme.share_sign(&km.shares[id], decoy),
+                    usurp: if *id == 1 { usurp.clone() } else { Vec::new() },
+                }) as _
+            } else {
+                Box::new(Watched {
+                    inner,
+                    log: Arc::clone(&log),
+                }) as _
+            }
+        })
+        .collect();
+    players.push(Box::new(Watched {
+        inner: MuxCoordinator::with_requests(
+            coordinator,
+            Committee::new(
                 scheme.clone(),
                 km.params,
                 km.public_key.clone(),
                 km.verification_keys.clone(),
-                km.shares[id].clone(),
-                signers.clone(),
-                coordinator,
-            );
-            if forgers.contains(id) {
-                Box::new(ForgingSigner {
-                    inner,
-                    forged: *forged,
-                    lie: (*id == 1).then_some(lie),
-                    usurp: if *id == 1 { usurp.clone() } else { Vec::new() },
-                }) as _
-            } else {
-                Box::new(inner) as _
-            }
-        })
-        .collect();
-    players.push(Box::new(MuxCoordinator::with_requests(
-        coordinator,
-        scheme.clone(),
-        km.public_key.clone(),
-        4,
-        requests.clone(),
-    )));
+            ),
+            4,
+            requests.clone(),
+        ),
+        log: Arc::clone(&log),
+    }));
     let policy = DeliveryPolicy {
         seed,
         duplicate_rate: 0.25,
@@ -593,55 +589,55 @@ fn forged_partials(seed: u64) -> Result<ScenarioReport, String> {
     let (outputs, _) =
         run_protocol(&TransportKind::Channel(policy), players, 200).map_err(|e| e.to_string())?;
 
-    let served = &outputs[&coordinator].signatures;
-    let unfinished: Vec<PlayerId> = signers
+    let outcome = &outputs[&coordinator];
+    let log = log.lock().expect("watch log poisoned");
+    let closed = log[&coordinator].finished;
+    let obeyed_a_forger: Vec<PlayerId> = signers
         .iter()
-        .filter(|id| outputs[id].finished != requests.len())
+        .filter(|id| !forgers.contains(id))
+        .filter(|id| log[id].partials.contains(&ROGUE_SESSION) || log[id].finished != closed)
         .copied()
         .collect();
-    // No link drops anything, so every combiner holds every forger's
-    // partial when it first combines: session `s`, combined by signer
-    // `s mod n`, must name every forger but that combiner itself.
+    // No link drops anything, so the coordinator holds every forger's
+    // partial when it first combines: every request must name exactly
+    // the forgers.
     let mut misnamed = Vec::new();
     let mut honest_named = BTreeSet::new();
-    for (session, _) in &requests {
-        let combiner = signers[(session % n as u64) as usize];
-        let expected: BTreeSet<PlayerId> =
-            forgers.iter().copied().filter(|f| *f != combiner).collect();
-        let named = outputs[&combiner]
-            .rejected
-            .get(session)
-            .cloned()
-            .unwrap_or_default();
+    for (request, _) in &requests {
+        let named = outcome.rejected.get(request).cloned().unwrap_or_default();
         honest_named.extend(named.difference(&forgers).copied());
-        if named != expected {
-            misnamed.push((*session, named));
+        if named != forgers {
+            misnamed.push((*request, named));
         }
     }
     let criteria = vec![
         Criterion {
             name: "completes",
-            pass: served.len() == requests.len() && unfinished.is_empty(),
+            pass: outcome.signatures.len() == requests.len(),
             detail: format!(
-                "{} of {} sessions signed; signers with open sessions: {:?}",
-                served.len(),
-                requests.len(),
-                unfinished
+                "{} of {} sessions signed",
+                outcome.signatures.len(),
+                requests.len()
+            ),
+        },
+        Criterion {
+            name: "coordinator-only",
+            pass: obeyed_a_forger.is_empty(),
+            detail: format!(
+                "honest signers that answered the rogue Open or stopped before the coordinator's Shutdown: {:?}",
+                obeyed_a_forger
             ),
         },
         Criterion {
             name: "signatures-unchanged",
-            pass: *served == honest.signatures,
+            pass: outcome.signatures == honest.signatures,
             detail: "every session returns the signature of the all-honest run".to_string(),
         },
         Criterion {
             name: "forgers-named",
             pass: misnamed.is_empty(),
             detail: if misnamed.is_empty() {
-                format!(
-                    "every combiner rejected exactly {:?} (less itself)",
-                    forgers
-                )
+                format!("every session's combine rejected exactly {:?}", forgers)
             } else {
                 format!("sessions naming the wrong set: {:?}", misnamed)
             },

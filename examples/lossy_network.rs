@@ -4,10 +4,12 @@
 //! `TransportKind::Channel` runs each player on its own thread and the
 //! `DeliveryPolicy` drops 10% of private frames and reorders every
 //! inbox. The DKG absorbs share loss through its complaint machinery
-//! (complaints and answers ride the reliable broadcast channel); the
+//! (complaints and answers ride the reliable broadcast channel). On the
 //! signing mesh (`run_mux_sign`: the daemon's signers plus a
-//! coordinator) retransmits idempotent partial signatures until each
-//! session's combiner assembles a quorum. The run asserts:
+//! coordinator, which is the one combiner) the coordinator re-sends
+//! `Open` to every signer it has not heard from, one round trip after
+//! its last send, until it holds a quorum; a signer answers each `Open`
+//! with the same deterministic partial. The run asserts:
 //!
 //! * every player finishes both protocols with agreeing outputs;
 //! * nobody is disqualified by loss alone;
@@ -15,7 +17,7 @@
 //!   transport exactly for the DKG (frames are frames, whatever
 //!   transport carries them);
 //! * every signature verifies and equals the all-honest combine;
-//! * the signing mesh demonstrably retransmitted (loss was real).
+//! * the signing mesh demonstrably re-sent (loss was real).
 //!
 //! Run with: `cargo run --example lossy_network`
 
@@ -87,10 +89,10 @@ fn main() {
     );
 
     // Threshold signing over the same lossy network: a quorum of exactly
-    // t+1 players signs eight requests, each session combined by its
-    // rotating combiner, and the coordinator (player 8) verifies every
-    // result. With no spare signer every partial is needed, so each one
-    // the lossy private links drop must be retransmitted.
+    // t+1 players signs eight requests, and the coordinator (player 8)
+    // combines and verifies every one. With no spare signer every
+    // partial is needed, so each one the lossy private links drop must
+    // be asked for again.
     let signers: Vec<u32> = (1..=params.reconstruction_size() as u32).collect();
     let coordinator = params.n as u32 + 1;
     let requests: Vec<(u64, Vec<u8>)> = (0..8u64)
@@ -132,7 +134,7 @@ fn main() {
         m_clean.total_rounds
     );
     assert_eq!(
-        outcome.finished,
+        outcome.signatures.len(),
         requests.len(),
         "gate: every session finishes"
     );
@@ -156,7 +158,7 @@ fn main() {
     }
     assert!(
         m_sign.messages > m_clean.messages,
-        "gate: loss must force retransmission"
+        "gate: loss must force re-sends"
     );
     println!(
         "   ✓ all {} signers finished; every signature verifies and equals the all-honest combine\n   ✓ loss cost {} more messages than the loss-free run",

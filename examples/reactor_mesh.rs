@@ -190,10 +190,9 @@ fn service_leg(
         outcome.mux.high_water,
         max_in_flight
     );
-    let latencies: Vec<Duration> = outcome.mux.latencies.values().copied().collect();
     (
         elapsed,
-        LatencySummary::from_samples(&latencies),
+        LatencySummary::from_samples(&outcome.mux.latencies),
         outcome.mux.high_water as u64,
         stats,
     )

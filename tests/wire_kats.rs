@@ -113,10 +113,6 @@ fn kat_frames() -> Vec<(&'static str, Vec<u8>)> {
             }),
         ),
         ("mux_partial", mux_partial.clone()),
-        (
-            "mux_done",
-            encode_frame(&MuxMessage::Done { session: 7, sig }),
-        ),
         ("mux_shutdown", encode_frame(&MuxMessage::Shutdown)),
         (
             "envelope_hello",
@@ -164,7 +160,6 @@ const EXPECTED: &[(&str, &str)] = &[
     ("one_time_signature", "0195396de88c137500a3eb076f9a2cbe8b250d7a63d3a19378335ffcbafb489b5fadcce05a46257e72413942876df1d2bb875c15b089c86cbc12b52c21569f4239cbe4f2103c4cb9613a309c2a0ad332ff1e2f218628be0ccf6a490e25d60c5e6c"),
     ("mux_open", "010000000000000000070000000b6b6174206d657373616765"),
     ("mux_partial", "01010000000000000007000000019287750b355ec34f52fac59b91c47a12eda1de9194de526f8a3aaa06b56848fbf84e2868558d4c393b1bf1cc058f8523879d8e2eb7b44f128ddf714a09b1b53f6358fe6876697a1b86e670365e4c1ff939737921ee72423f367580ce0282fc7d"),
-    ("mux_done", "0102000000000000000795396de88c137500a3eb076f9a2cbe8b250d7a63d3a19378335ffcbafb489b5fadcce05a46257e72413942876df1d2bb875c15b089c86cbc12b52c21569f4239cbe4f2103c4cb9613a309c2a0ad332ff1e2f218628be0ccf6a490e25d60c5e6c"),
     ("mux_shutdown", "0103"),
     ("envelope_hello", "00000009000000000300000001"),
     ("envelope_hello_ack", "000000050100000001"),
