@@ -702,11 +702,8 @@ mod tests {
             run_mux_sign(&scheme, &km, &requests, &[1, 2, 3, 4], 9, 3, t, 80).unwrap()
         };
         let (o_l, m_l) = run(&TransportKind::Lockstep);
-        let (o_c, m_c) = run(&TransportKind::Channel(DeliveryPolicy::reliable()));
         let (o_t, m_t) = run(&TransportKind::TcpReactor(DeliveryPolicy::reliable()));
-        assert_eq!(o_l.signatures, o_c.signatures);
         assert_eq!(o_l.signatures, o_t.signatures);
-        assert!(m_l.same_traffic(&m_c));
         assert!(
             m_l.same_traffic(&m_t),
             "real sockets must meter the same frames"
@@ -774,12 +771,7 @@ mod tests {
             // Dropping the sender closes the intake; the coordinator
             // drains in-flight work and shuts the mesh down.
         });
-        let (mut outputs, _) = run_protocol(
-            &TransportKind::Channel(DeliveryPolicy::reliable()),
-            players,
-            100_000,
-        )
-        .unwrap();
+        let (mut outputs, _) = run_protocol(&TransportKind::Lockstep, players, 100_000).unwrap();
         feeder.join().unwrap();
         (outputs.remove(&9).unwrap(), done_rx.try_iter().collect())
     }

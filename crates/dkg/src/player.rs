@@ -834,9 +834,10 @@ pub fn dkg_players(
 /// Runs a full DKG session over any transport — the single driver
 /// behind every network the runtime offers:
 /// [`borndist_net::TransportKind::Lockstep`] for the paper's idealized
-/// model, [`borndist_net::TransportKind::Channel`] with a lossy
-/// [`borndist_net::DeliveryPolicy`] for unreliable-network scenarios,
-/// and [`borndist_net::TransportKind::TcpReactor`] for real sockets.
+/// model and [`borndist_net::TransportKind::Channel`] with a lossy
+/// [`borndist_net::DeliveryPolicy`] for unreliable-network scenarios
+/// (both in memory, every player on the caller's thread), and
+/// [`borndist_net::TransportKind::TcpReactor`] for real sockets.
 ///
 /// `behaviors` maps player ids to fault hooks; unlisted players are
 /// honest. Returns per-player outputs plus network metrics. Byte

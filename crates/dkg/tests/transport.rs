@@ -24,31 +24,6 @@ fn agreed_output(outputs: &BTreeMap<u32, Result<DkgOutput, borndist_dkg::DkgAbor
 }
 
 #[test]
-fn channel_transport_matches_lockstep_byte_for_byte() {
-    let params = ThresholdParams::new(1, 4).unwrap();
-    let cfg = standard_config(params, 2, b"parity", false);
-    let behaviors = BTreeMap::new();
-    let (out_lock, m_lock) = dkg_session(&cfg, &behaviors, 42, &TransportKind::Lockstep).unwrap();
-    let (out_chan, m_chan) = dkg_session(
-        &cfg,
-        &behaviors,
-        42,
-        &TransportKind::Channel(DeliveryPolicy::reliable()),
-    )
-    .unwrap();
-    // Identical traffic: every message is the same frame in both
-    // runtimes, metered by the same router.
-    assert!(m_lock.same_traffic(&m_chan), "byte metrics must not drift");
-    assert!(m_lock.bytes > 0);
-    // Identical protocol results.
-    let ref_lock = agreed_output(&out_lock);
-    let ref_chan = agreed_output(&out_chan);
-    assert_eq!(ref_lock.qualified, ref_chan.qualified);
-    assert_eq!(ref_lock.combined_commitments, ref_chan.combined_commitments);
-    assert_eq!(ref_lock.share, ref_chan.share);
-}
-
-#[test]
 fn byzantine_run_parity_across_transports() {
     let params = ThresholdParams::new(2, 7).unwrap();
     let cfg = standard_config(params, 2, b"parity-byz", false);
@@ -69,16 +44,16 @@ fn byzantine_run_parity_across_transports() {
         },
     );
     let (out_lock, m_lock) = dkg_session(&cfg, &behaviors, 7, &TransportKind::Lockstep).unwrap();
-    let (out_chan, m_chan) = dkg_session(
+    let (out_rx, m_rx) = dkg_session(
         &cfg,
         &behaviors,
         7,
-        &TransportKind::Channel(DeliveryPolicy::reliable()),
+        &TransportKind::TcpReactor(DeliveryPolicy::reliable()),
     )
     .unwrap();
-    assert!(m_lock.same_traffic(&m_chan));
+    assert!(m_lock.same_traffic(&m_rx));
     let q = &agreed_output(&out_lock).qualified;
-    assert_eq!(q, &agreed_output(&out_chan).qualified);
+    assert_eq!(q, &agreed_output(&out_rx).qualified);
     assert!(!q.contains(&2) && !q.contains(&3));
 }
 
@@ -227,19 +202,15 @@ fn round_zero_outage_reads_as_crashed_dealer() {
 #[test]
 fn reactor_matches_channel_byte_for_byte() {
     // The event-driven reactor runs the same DKG through one poll loop
-    // per process instead of a thread pair per peer. Routing, metering
-    // and fault injection live in the shared mesh engine, so the merged
-    // metrics must equal the in-process transports bit for bit.
+    // per player over real sockets; the in-memory link (`Lockstep`, the
+    // reliable `Channel`) runs every player on one thread. Routing,
+    // metering and fault injection live in the shared mesh engine, so
+    // every message is the same frame on both and the merged metrics
+    // must be equal bit for bit.
     let params = ThresholdParams::new(1, 4).unwrap();
     let cfg = standard_config(params, 2, b"reactor-parity", false);
     let behaviors = BTreeMap::new();
-    let (out_chan, m_chan) = dkg_session(
-        &cfg,
-        &behaviors,
-        42,
-        &TransportKind::Channel(DeliveryPolicy::reliable()),
-    )
-    .unwrap();
+    let (out_lock, m_lock) = dkg_session(&cfg, &behaviors, 42, &TransportKind::Lockstep).unwrap();
     let (out_rx, m_rx) = dkg_session(
         &cfg,
         &behaviors,
@@ -248,16 +219,17 @@ fn reactor_matches_channel_byte_for_byte() {
     )
     .unwrap();
     assert!(
-        m_chan.same_traffic(&m_rx),
+        m_lock.same_traffic(&m_rx),
         "reactor frames must meter byte-identically: {:?} vs {:?}",
-        m_chan,
+        m_lock,
         m_rx
     );
-    let ref_chan = agreed_output(&out_chan);
+    assert!(m_lock.bytes > 0);
+    let ref_lock = agreed_output(&out_lock);
     let ref_rx = agreed_output(&out_rx);
-    assert_eq!(ref_chan.qualified, ref_rx.qualified);
-    assert_eq!(ref_chan.combined_commitments, ref_rx.combined_commitments);
-    assert_eq!(ref_chan.share, ref_rx.share);
+    assert_eq!(ref_lock.qualified, ref_rx.qualified);
+    assert_eq!(ref_lock.combined_commitments, ref_rx.combined_commitments);
+    assert_eq!(ref_lock.share, ref_rx.share);
 }
 
 #[test]

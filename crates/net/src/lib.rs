@@ -21,13 +21,15 @@
 //! nothing but a link that moves the [`mesh::Envelope`]s it emits.
 //! [`TransportKind`] names the three ways to run it:
 //!
-//! * `Lockstep` — the in-memory link, every player on the caller's
-//!   thread: the faithful idealized model (formerly `Simulator`),
-//!   synchronous rounds, reliable delivery;
-//! * `Channel` — the same link, each player on its own worker thread,
-//!   under a deterministic fault-injection [`DeliveryPolicy`] (per-link
-//!   drop, duplication, reordering, partitions, crash-restart outages,
-//!   frame tampering);
+//! * `Lockstep` — the in-memory link: every player on the caller's
+//!   thread, driven by one loop that is the round barrier; the faithful
+//!   idealized model (formerly `Simulator`), synchronous rounds,
+//!   reliable delivery;
+//! * `Channel` — the same link on the same thread under a deterministic
+//!   fault-injection [`DeliveryPolicy`] (per-link drop, duplication,
+//!   reordering, partitions, crash-restart outages, frame tampering);
+//!   `Channel(DeliveryPolicy::reliable())` runs exactly what `Lockstep`
+//!   runs;
 //! * `TcpReactor` — the socket link: [`ReactorTransport`] runs one
 //!   player over real `std::net::TcpStream` sockets, so a run can span
 //!   OS processes and machines; each player is **one event loop and
@@ -482,8 +484,9 @@ pub enum TransportKind {
     /// idealized synchronous model of §2.1.
     #[default]
     Lockstep,
-    /// The in-memory link, each player on its own worker thread, with
-    /// the given fault policy.
+    /// The same caller-thread in-memory link under the given fault
+    /// policy; `Channel(DeliveryPolicy::reliable())` runs exactly what
+    /// [`Self::Lockstep`] runs.
     Channel(DeliveryPolicy),
     /// An in-process mesh of [`ReactorTransport`]s over real loopback
     /// sockets (one thread, one event loop and one ephemeral
@@ -511,8 +514,8 @@ pub fn run_protocol<M: Wire + Clone, O: Send>(
     max_rounds: usize,
 ) -> Result<(BTreeMap<PlayerId, O>, Metrics), Error> {
     match kind {
-        TransportKind::Lockstep => inproc::run_on_caller(players, max_rounds),
-        TransportKind::Channel(policy) => inproc::run_on_workers(players, policy, max_rounds),
+        TransportKind::Lockstep => inproc::run(players, &DeliveryPolicy::reliable(), max_rounds),
+        TransportKind::Channel(policy) => inproc::run(players, policy, max_rounds),
         TransportKind::TcpReactor(policy) => run_tcp_reactor_loopback_with(
             players,
             TcpOptions::with_policy(policy.clone()),
@@ -616,7 +619,7 @@ mod tests {
         })
     }
 
-    /// `run_protocol` over the in-memory link with a worker per player.
+    /// `run_protocol` over the in-memory link under `policy`.
     fn channel(
         players: Vec<BoxedPlayer<u64, u64>>,
         policy: DeliveryPolicy,
@@ -653,24 +656,8 @@ mod tests {
     }
 
     #[test]
-    fn channel_transport_agrees_with_lockstep() {
-        let (out_l, metrics_l) = lockstep(summers(5), 10).unwrap();
-        let (out_c, metrics_c) = channel(summers(5), DeliveryPolicy::reliable());
-        assert_eq!(out_l, out_c);
-        assert!(metrics_l.same_traffic(&metrics_c));
-    }
-
-    #[test]
     fn run_protocol_dispatches_all_kinds() {
         let (out, metrics) = run_protocol(&TransportKind::Lockstep, summers(3), 10).unwrap();
-        let (out2, metrics2) = run_protocol(
-            &TransportKind::Channel(DeliveryPolicy::reliable()),
-            summers(3),
-            10,
-        )
-        .unwrap();
-        assert_eq!(out, out2);
-        assert!(metrics.same_traffic(&metrics2));
         // The real-socket mesh produces the same outputs and — merged
         // across players — byte-identical traffic metrics (the parity
         // gate of the socket transport).
@@ -927,9 +914,6 @@ mod tests {
     fn links_agree_whatever_the_registration_order() {
         let run = |kind: TransportKind| run_protocol(&kind, scribes(None), 10).unwrap();
         let (out_l, metrics_l) = run(TransportKind::Lockstep);
-        let (out_c, metrics_c) = run(TransportKind::Channel(DeliveryPolicy::reliable()));
-        assert_eq!(out_l, out_c);
-        assert!(metrics_l.same_traffic(&metrics_c));
         // Inboxes are assembled in ascending sender id on every
         // transport, whatever order the players were registered in.
         let senders: Vec<PlayerId> = out_l[&1][..8].iter().map(|(from, _)| *from).collect();
@@ -960,7 +944,7 @@ mod tests {
     fn a_panicking_player_fails_the_run_on_every_transport() {
         for kind in [
             TransportKind::Lockstep,
-            TransportKind::Channel(DeliveryPolicy::reliable()),
+            TransportKind::Channel(DeliveryPolicy::lossy(5, 0.3)),
             TransportKind::TcpReactor(DeliveryPolicy::reliable()),
         ] {
             // The runner holds `done` until it returns or unwinds, so
@@ -986,5 +970,35 @@ mod tests {
                 kind
             );
         }
+    }
+
+    #[test]
+    fn faulted_runs_stay_on_the_callers_thread() {
+        use std::sync::{Arc, Mutex};
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let players = (1..=4)
+            .map(|id| {
+                let seen = Arc::clone(&seen);
+                toy(id, move |round, _| {
+                    seen.lock().unwrap().push(std::thread::current().id());
+                    if round == 3 {
+                        return RoundAction::Finish(0);
+                    }
+                    let sends = (1..=4)
+                        .map(Recipient::Private)
+                        .chain([Recipient::Broadcast]);
+                    let msg = round as u64;
+                    RoundAction::Continue(sends.map(|to| Outgoing { to, msg }).collect())
+                })
+            })
+            .collect();
+        channel(players, DeliveryPolicy::lossy(3, 0.5));
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 4 * 4);
+        let me = std::thread::current().id();
+        assert!(
+            seen.iter().all(|id| *id == me),
+            "a player ran off the caller's thread"
+        );
     }
 }

@@ -104,9 +104,9 @@ pub struct Outage {
 
 /// Deterministic fault injection for a protocol run.
 ///
-/// The default policy is fully reliable (what
-/// [`crate::TransportKind::Lockstep`] always provides); each field
-/// switches on one failure mode.
+/// The default policy is fully reliable (the one
+/// [`crate::TransportKind::Lockstep`] runs the in-memory link under);
+/// each field switches on one failure mode.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DeliveryPolicy {
     /// Seed of the fault RNG (drops, duplicates and reorder shuffles).
@@ -143,16 +143,6 @@ impl DeliveryPolicy {
         }
     }
 
-    /// `true` if the policy never interferes with delivery.
-    pub fn is_reliable(&self) -> bool {
-        self.drop_rate == 0.0
-            && self.duplicate_rate == 0.0
-            && !self.reorder
-            && self.partitions.is_empty()
-            && self.outages.is_empty()
-            && self.tamper.is_empty()
-    }
-
     /// `true` if the private link `a → b` is administratively up in
     /// `round` (partitions and outages; random drops come on top).
     pub fn link_up(&self, round: usize, a: PlayerId, b: PlayerId) -> bool {
@@ -186,7 +176,7 @@ impl DeliveryPolicy {
     /// injection schedule from this same stream — one decision drawn per
     /// private frame the sender emits on an administratively-up link, in
     /// emission order — so a faulted run injects the identical schedule
-    /// whether the players share a process
+    /// whether the players take turns on one thread
     /// ([`crate::TransportKind::Channel`]) or sit behind real sockets
     /// ([`crate::ReactorTransport`]).
     pub fn sender_rng(&self, id: PlayerId) -> StdRng {
@@ -214,12 +204,6 @@ impl DeliveryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reliable_is_reliable() {
-        assert!(DeliveryPolicy::reliable().is_reliable());
-        assert!(!DeliveryPolicy::lossy(1, 0.1).is_reliable());
-    }
 
     #[test]
     fn partitions_cut_cross_links_only() {

@@ -48,9 +48,10 @@
 //! All routing, metering, fault injection and inbox assembly is the
 //! [`crate::mesh`] round engine — the reactor holds one `Node` and
 //! moves its envelopes; it never decides which frames exist. The
-//! in-memory link seats the same engine, so a run's merged [`Metrics`]
-//! (see [`Metrics::merge`]) are **byte-identical** to the same protocol
-//! under [`crate::TransportKind::Channel`] — the cross-transport parity
+//! in-memory link seats the same engine on one thread, so a run's
+//! merged [`Metrics`] (see [`Metrics::merge`]) are **byte-identical**
+//! to the same protocol and policy there ([`crate::TransportKind::Lockstep`]
+//! or [`crate::TransportKind::Channel`]) — the cross-transport parity
 //! gate CI enforces, lossy runs included.
 
 use crate::error::{Error, TcpError};
@@ -611,8 +612,9 @@ impl<M: Wire, O> ReactorTransport<M, O> {
             let round_start = Instant::now();
             let r32 = round as u32;
 
-            // Pinned sequential like the in-memory link's workers, so
-            // nested parallel primitives never oversubscribe the machine.
+            // Pinned sequential: a mesh may run one such loop per player
+            // in one process, and nested parallel primitives must not
+            // oversubscribe the machine.
             let (node, conns, stats) = (&mut self.node, &mut self.conns, &mut self.stats);
             let finished = with_parallelism(Parallelism::Sequential, || {
                 node.turn(

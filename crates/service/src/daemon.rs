@@ -7,7 +7,7 @@
 //! * [`run_smoke`] — the CI gate: spawns a whole deployment as child
 //!   processes, pushes signing requests through it, and asserts the
 //!   merged cross-process DKG metrics are byte-identical to an
-//!   in-process [`borndist_net::TransportKind::Channel`] run of the
+//!   in-process [`borndist_net::TransportKind::Lockstep`] run of the
 //!   same protocol.
 
 use crate::{
@@ -19,8 +19,8 @@ use borndist_core::gateway::{AggregationGateway, GatewayConfig, VerifyRequest};
 use borndist_core::ro::ThresholdScheme;
 use borndist_dkg::dkg_players;
 use borndist_net::{
-    BoxedPlayer, DeliveryPolicy, LatencySummary, Metrics, PlayerId, ReactorTransport, TcpOptions,
-    TransportKind, TransportStats, Wire,
+    BoxedPlayer, LatencySummary, Metrics, PlayerId, ReactorTransport, TcpOptions, TransportKind,
+    TransportStats, Wire,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -348,8 +348,7 @@ fn wait_ok(mut child: Child, what: &str) -> Result<(), ServiceError> {
 
 /// The multi-process smoke gate. Spawns `n` player processes and one
 /// front-end (children of the current executable), replays the same DKG
-/// in-process over a reliable [`borndist_net::TransportKind::Channel`],
-/// then:
+/// in-process over [`borndist_net::TransportKind::Lockstep`], then:
 ///
 /// * pushes `requests` signing requests through the client socket and
 ///   verifies every signature against the *reference* public key;
@@ -364,14 +363,14 @@ pub fn run_smoke(top: &Topology, requests: u64) -> Result<(), ServiceError> {
     let n = top.params.n as PlayerId;
     let scheme = ThresholdScheme::new(&top.domain);
 
-    // In-process reference run: same protocol, same seed, in one
-    // process over threaded channels.
+    // In-process reference run: same protocol, same seed, every player
+    // on this thread.
     let (km_ref, metrics_ref) = scheme
         .keygen_session(
             top.params,
             &BTreeMap::new(),
             top.seed,
-            &TransportKind::Channel(DeliveryPolicy::reliable()),
+            &TransportKind::Lockstep,
         )
         .map_err(|e| proto(format!("reference DKG failed: {}", e)))?;
 

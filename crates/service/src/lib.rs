@@ -29,7 +29,7 @@
 //!
 //! The `smoke` mode wires all of the above together: it spawns the
 //! player and front-end processes, replays the same DKG in-process over
-//! [`borndist_net::TransportKind::Channel`], and asserts the merged
+//! [`borndist_net::TransportKind::Lockstep`], and asserts the merged
 //! cross-process metrics are **byte-identical**
 //! ([`borndist_net::Metrics::same_traffic`]) — the CI gate that the TCP
 //! path is the same protocol, not a lookalike.
@@ -939,12 +939,7 @@ mod tests {
             .map(|i| (i, format!("req {}", i).into_bytes()))
             .collect();
         let (scheme, _, players) = mesh(4, 1, 11, requests.clone(), 3);
-        let (outputs, _) = run_protocol(
-            &TransportKind::Channel(DeliveryPolicy::reliable()),
-            players,
-            10_000,
-        )
-        .unwrap();
+        let (outputs, _) = run_protocol(&TransportKind::Lockstep, players, 10_000).unwrap();
         let frontend = &outputs[&5];
         let info = frontend.ready.as_ref().expect("frontend learned the key");
         assert_eq!(frontend.mux.signatures.len(), requests.len());

@@ -221,11 +221,11 @@ fn equivocation(seed: u64) -> Result<ScenarioReport, String> {
         .collect();
     let (out_lock, m_lock) =
         dkg_session(&cfg, &behaviors, seed, &TransportKind::Lockstep).map_err(|e| e.to_string())?;
-    let (_, m_chan) = dkg_session(
+    let (_, m_rx) = dkg_session(
         &cfg,
         &behaviors,
         seed,
-        &TransportKind::Channel(DeliveryPolicy::reliable()),
+        &TransportKind::TcpReactor(DeliveryPolicy::reliable()),
     )
     .map_err(|e| e.to_string())?;
 
@@ -248,7 +248,7 @@ fn equivocation(seed: u64) -> Result<ScenarioReport, String> {
             ),
         },
         honest_shares_verify(&cfg, &out_lock, &honest),
-        transport_parity(&m_lock, &m_chan),
+        transport_parity(&m_lock, &m_rx),
     ];
     Ok(ScenarioReport {
         name: "equivocation".into(),
@@ -265,7 +265,7 @@ fn transport_parity(a: &Metrics, b: &Metrics) -> Criterion {
         name: "transport-parity",
         pass: a.same_traffic(b),
         detail: format!(
-            "lockstep {} msgs / {} bytes vs channel {} msgs / {} bytes",
+            "lockstep {} msgs / {} bytes vs reactor sockets {} msgs / {} bytes",
             a.messages, a.bytes, b.messages, b.bytes
         ),
     }

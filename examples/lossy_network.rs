@@ -1,9 +1,9 @@
 //! CI gate: the full lifecycle — DKG then threshold signing — completing
 //! over an *unreliable* network, with every message a real byte frame.
 //!
-//! `TransportKind::Channel` runs each player on its own thread and the
-//! `DeliveryPolicy` drops 10% of private frames and reorders every
-//! inbox. The DKG absorbs share loss through its complaint machinery
+//! `TransportKind::Channel` runs every player on the caller's thread
+//! under a `DeliveryPolicy` that drops 10% of private frames and
+//! reorders every inbox. The DKG absorbs share loss through its complaint machinery
 //! (complaints and answers ride the reliable broadcast channel). On the
 //! signing mesh (`run_mux_sign`: the daemon's signers plus a
 //! coordinator, which is the one combiner) the coordinator re-sends
@@ -12,10 +12,8 @@
 //! with the same deterministic partial. The run asserts:
 //!
 //! * every player finishes both protocols with agreeing outputs;
-//! * nobody is disqualified by loss alone;
-//! * byte metering over a reliable channel matches the lockstep
-//!   transport exactly for the DKG (frames are frames, whatever
-//!   transport carries them);
+//! * nobody is disqualified by loss alone, and the key is the lockstep
+//!   run's;
 //! * every signature verifies and equals the all-honest combine;
 //! * the signing mesh demonstrably re-sent (loss was real).
 //!
@@ -44,13 +42,6 @@ fn main() {
         .keygen_session(params, &behaviors, 0x10551, &TransportKind::Lockstep)
         .expect("lockstep DKG");
 
-    // Byte-parity leg: the same DKG over the threaded channel transport
-    // with a *reliable* policy must meter exactly the same frames.
-    let reliable = TransportKind::Channel(DeliveryPolicy::reliable());
-    let (_, m_reliable) = scheme
-        .keygen_session(params, &behaviors, 0x10551, &reliable)
-        .expect("reliable channel DKG");
-
     // Liveness leg: the same DKG over a lossy, reordering network.
     let lossy = TransportKind::Channel(DeliveryPolicy::lossy(0xdeadbeef, drop_rate));
     let (km, m_lossy) = scheme
@@ -63,16 +54,8 @@ fn main() {
         m_lock.messages, m_lock.bytes, m_lock.total_rounds
     );
     println!(
-        "   channel/reliable: {} msgs, {} bytes over {} rounds",
-        m_reliable.messages, m_reliable.bytes, m_reliable.total_rounds
-    );
-    println!(
         "   channel/lossy:    {} msgs, {} bytes over {} rounds (complaint traffic = loss recovery)",
         m_lossy.messages, m_lossy.bytes, m_lossy.total_rounds
-    );
-    assert!(
-        m_lock.same_traffic(&m_reliable),
-        "gate: byte metering must be transport-independent (±0)"
     );
     assert_eq!(
         km.qualified.len(),
@@ -84,7 +67,7 @@ fn main() {
         "gate: same seed, same key, whatever the network does"
     );
     println!(
-        "   ✓ ±0 byte parity on the reliable channel, all {} dealers qualified under loss\n",
+        "   ✓ all {} dealers qualified under loss, same key as lockstep\n",
         params.n
     );
 

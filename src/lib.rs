@@ -12,7 +12,7 @@
 //! | [`pairing`] | BLS12-381 fields, groups, optimal-ate pairing, hash-to-curve, SHA-256 — all built here, no external crypto |
 //! | [`parallel`] | zero-dependency multi-core layer: `Parallelism` config, scoped-thread `par_map`/`par_chunks`, `BORNDIST_THREADS` override |
 //! | [`shamir`] | polynomials, Lagrange (plain & in-the-exponent), Feldman / Pedersen / triple VSS |
-//! | [`net`] | the paper's communication model as a transport-abstracted runtime: canonical byte frames, lockstep + threaded channel transports, fault injection, exact traffic metering |
+//! | [`net`] | the paper's communication model as a transport-abstracted runtime: canonical byte frames, one in-memory link (lockstep or under a fault policy) + a socket reactor, fault injection, exact traffic metering |
 //! | [`dkg`] | Pedersen distributed key generation (§3.1) with complaints, disqualification, proactive refresh (§3.3) and share recovery |
 //! | [`lhsps`] | one-time linearly homomorphic structure-preserving signatures (§2.3, Appendices C–D) |
 //! | [`grothsahai`] | SXDH Groth–Sahai NIWI proofs for linear pairing-product equations (§4, Appendix A) |

@@ -262,3 +262,47 @@ fn dkg_outputs_are_thread_count_invariant() {
     let honest = outputs[&1].as_ref().unwrap();
     assert!(!honest.qualified.contains(&2));
 }
+
+/// Run metrics compared by traffic only: the wall-clock samples differ
+/// from run to run.
+#[derive(Debug)]
+struct Traffic(borndist::net::Metrics);
+
+impl PartialEq for Traffic {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.same_traffic(&other.0)
+    }
+}
+
+#[test]
+fn faulted_dkg_runs_are_thread_count_invariant() {
+    use borndist::dkg::{dkg_session, standard_config};
+    use borndist::net::{DeliveryPolicy, Tamper, TamperRule, TransportKind};
+    use std::collections::BTreeMap;
+    let params = ThresholdParams::new(2, 7).unwrap();
+    let cfg = standard_config(params, 2, b"par-inv-faulted-dkg", false);
+    // The in-memory link runs under the caller's setting whatever the
+    // policy, so every fault stream must come out the same under each.
+    let policy = DeliveryPolicy {
+        seed: 0x5eed,
+        drop_rate: 0.15,
+        duplicate_rate: 0.1,
+        reorder: true,
+        tamper: vec![TamperRule {
+            round: 0,
+            from: 6,
+            kind: Tamper::FlipPayloadBit,
+        }],
+        ..DeliveryPolicy::default()
+    };
+    let transport = TransportKind::Channel(policy);
+    let (outputs, _) = invariant("dkg_session(faulted channel)", || {
+        let (outputs, metrics) = dkg_session(&cfg, &BTreeMap::new(), 0x78, &transport).unwrap();
+        (outputs, Traffic(metrics))
+    });
+    // Sanity: the faults bit (the tampered dealer is out) and every
+    // player still finished.
+    let reference = outputs[&1].as_ref().unwrap();
+    assert!(!reference.qualified.contains(&6));
+    assert!(outputs.values().all(|o| o.is_ok()));
+}
