@@ -30,8 +30,7 @@
 //! * [`StandardScheme::batch_verify`] / [`StandardScheme::batch_share_verify`]
 //!   — the §4 Groth–Sahai equations, `3k + 2` pairings and one final
 //!   exponentiation instead of `2k` five-pairing products;
-//! * [`AggregateScheme::batch_key_valid`] /
-//!   [`AggregateScheme::aggregate_verify_batched`] — Appendix G key
+//! * [`AggregateScheme::aggregate_verify_batched`] — Appendix G key
 //!   sanity checks folded into the aggregate equation: `2d + 2` pairings
 //!   (`d` = distinct keys — same-key pairing slots collapse) and one
 //!   final exponentiation for the whole statement list, with the
@@ -65,11 +64,6 @@ use std::collections::BTreeMap;
 /// equation ignore an item entirely).
 fn random_weights<R: RngCore + ?Sized>(k: usize, rng: &mut R) -> Vec<Fr> {
     (0..k).map(|_| Fr::random_nonzero(rng)).collect()
-}
-
-/// Grouping key for collapsing repeated aggregate public keys.
-fn agg_key_bytes(pk: &AggPublicKey) -> Vec<u8> {
-    pk.fingerprint()
 }
 
 /// The LHSPS slow path ([`borndist_lhsps::OneTimePublicKey::verify`])
@@ -366,49 +360,6 @@ impl StandardScheme {
 }
 
 impl AggregateScheme {
-    /// Batch-checks the Appendix G key-validity witnesses of `ℓ` public
-    /// keys with one `(2d+2)`-pairing product over the `d ≤ ℓ` *distinct*
-    /// keys (`e(ΣρᵢZᵢ, ĝ_z)·e(ΣρᵢRᵢ, ĝ_r)·Π e(ρᵢg, ĝ₁ᵢ)·e(ρᵢh, ĝ₂ᵢ)`)
-    /// instead of `ℓ` separate four-pairing checks with `ℓ` final
-    /// exponentiations. Duplicate keys are deduplicated before weighting
-    /// (one valid witness is valid however often the key recurs), and the
-    /// `2d` weighted bases `ρᵢg`, `ρᵢh` come from the scheme's fixed-base
-    /// window tables (the bases are scheme constants), not generic scalar
-    /// multiplications.
-    pub fn batch_key_valid<R: RngCore + ?Sized>(
-        &self,
-        keys: &[&AggPublicKey],
-        rng: &mut R,
-    ) -> bool {
-        if keys.is_empty() {
-            return true;
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        let distinct: Vec<&AggPublicKey> = keys
-            .iter()
-            .filter(|k| seen.insert(agg_key_bytes(k)))
-            .copied()
-            .collect();
-        let rho = random_weights(distinct.len(), rng);
-        let zs: Vec<G1Affine> = distinct.iter().map(|k| k.z).collect();
-        let rs: Vec<G1Affine> = distinct.iter().map(|k| k.r).collect();
-        let mut points = vec![msm(&zs, &rho), msm(&rs, &rho)];
-        // Per-key weighted bases, fanned out across threads.
-        let (g_table, h_table) = self.base_tables();
-        for pair in par_map(&rho, |w| [g_table.mul(w), h_table.mul(w)]) {
-            points.extend(pair);
-        }
-        let points = G1Projective::batch_to_affine(&points);
-        let prep = self.prepared_dp();
-        let mut pairs: Vec<(&G1Affine, &G2Affine)> = Vec::with_capacity(2 * distinct.len());
-        for (key, gh) in distinct.iter().zip(points[2..].chunks(2)) {
-            pairs.push((&gh[0], &key.coords[0]));
-            pairs.push((&gh[1], &key.coords[1]));
-        }
-        multi_pairing_mixed(&pairs, &[(&points[0], &prep.g_z), (&points[1], &prep.g_r)])
-            .is_identity()
-    }
-
     /// `Aggregate-Verify` with the per-key sanity checks *folded into*
     /// the product equation, sharing one multi-pairing pass. Two
     /// structural reductions make it cheap:
@@ -458,7 +409,7 @@ impl AggregateScheme {
         let mut stmt_group: Vec<usize> = Vec::with_capacity(statements.len());
         for (pk, _) in statements {
             let next = distinct.len();
-            let d = *group_of.entry(agg_key_bytes(pk)).or_insert_with(|| {
+            let d = *group_of.entry(pk.fingerprint()).or_insert_with(|| {
                 distinct.push(pk);
                 next
             });
@@ -640,9 +591,6 @@ mod tests {
                 (pk, msg, sig)
             })
             .collect();
-        let keys: Vec<&AggPublicKey> = inputs.iter().map(|(pk, _, _)| pk).collect();
-        assert!(scheme.batch_key_valid(&keys, &mut r));
-        assert!(scheme.batch_key_valid(&[], &mut r));
         let agg = scheme.aggregate(&inputs).unwrap();
         let statements: Vec<(AggPublicKey, Vec<u8>)> = inputs
             .iter()
@@ -658,7 +606,6 @@ mod tests {
         // A key with a corrupted witness fails the batched check too.
         let mut bad_key = inputs[0].0.clone();
         bad_key.z = bad_key.r;
-        assert!(!scheme.batch_key_valid(&[&bad_key, &inputs[1].0], &mut r));
         let mut bad_stmts = statements.clone();
         bad_stmts[0].0 = bad_key;
         assert!(!scheme.aggregate_verify_batched(&bad_stmts, &agg, &mut r));

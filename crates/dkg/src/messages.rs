@@ -129,7 +129,6 @@ impl Wire for DkgMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borndist_net::WireSize;
     use borndist_pairing::G2Projective;
     use borndist_shamir::{PedersenBases, PedersenSharing};
     use rand::rngs::StdRng;
@@ -194,16 +193,15 @@ mod tests {
         ];
         for msg in &all {
             assert_eq!(
-                msg.wire_size(),
+                msg.encode().len(),
                 estimated_size(msg),
                 "encoder layout drifted from the documented compact format"
             );
-            assert_eq!(msg.wire_size(), msg.encode().len());
         }
         // Spot values (t = 3 ⇒ 4 commitment coefficients).
-        assert_eq!(all[0].wire_size(), 1 + 4 + 2 * (4 + 4 * 96) + 1);
-        assert_eq!(all[1].wire_size(), 1 + 4 + 2 * (4 + 64));
-        assert_eq!(all[2].wire_size(), 1 + 4 + 8);
+        assert_eq!(all[0].encode().len(), 1 + 4 + 2 * (4 + 4 * 96) + 1);
+        assert_eq!(all[1].encode().len(), 1 + 4 + 2 * (4 + 64));
+        assert_eq!(all[2].encode().len(), 1 + 4 + 8);
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! doubling as loss recovery).
 
 use borndist_dkg::{dkg_session, standard_config, Behavior, DkgOutput};
-use borndist_net::{
-    DeliveryPolicy, Outage, Partition, Tamper, TamperRule, TransportKind, WireSize,
-};
+use borndist_net::{DeliveryPolicy, Outage, Partition, Tamper, TamperRule, TransportKind};
 use borndist_shamir::ThresholdParams;
 use std::collections::BTreeMap;
 
@@ -365,12 +363,16 @@ fn reactor_peer_going_silent_mid_run_reads_as_complaints() {
 
 #[test]
 fn frame_sizes_match_wire_size_exactly() {
-    // The E5 byte metric is derived from real frames; `wire_size` is the
-    // blanket projection of the same codec. A run's total bytes must be
-    // exactly sum(message wire_size) + messages (one version byte each).
+    // The E5 byte metric is derived from real frames: a frame is the
+    // message's encoding plus one version byte, so a run's total bytes
+    // are exactly sum(encoded message length) + messages.
     use borndist_dkg::DkgMessage;
+    use borndist_pairing::Wire;
     let msg = DkgMessage::Complaints {
         against: vec![1, 2, 3],
     };
-    assert_eq!(borndist_net::encode_frame(&msg).len(), msg.wire_size() + 1);
+    assert_eq!(
+        borndist_net::encode_frame(&msg).len(),
+        msg.encode().len() + 1
+    );
 }

@@ -146,24 +146,6 @@ pub trait Protocol {
 /// (`Send` so a transport can seat it on a thread of its own).
 pub type BoxedPlayer<M, O> = Box<dyn Protocol<Message = M, Output = O> + Send>;
 
-/// Size of a value on the wire.
-///
-/// Formerly a hand-maintained estimate trait; now a blanket projection
-/// of the [`Wire`] codec (`wire_size == encoded_len`), so size
-/// accounting can never drift from the bytes actually sent. Frames add
-/// [`frame::WIRE_VERSION`]'s one version byte on top.
-pub trait WireSize {
-    /// Number of bytes this value occupies on the wire (excluding the
-    /// 1-byte frame header).
-    fn wire_size(&self) -> usize;
-}
-
-impl<T: Wire> WireSize for T {
-    fn wire_size(&self) -> usize {
-        self.encoded_len()
-    }
-}
-
 /// Traffic statistics collected by the transports.
 ///
 /// Byte counts are **real encoded frame lengths** (version byte
@@ -796,21 +778,6 @@ mod tests {
         // 9 bytes per active round — the metering sees sends, while
         // player 1's inbox assertion above proves non-delivery.
         assert_eq!(metrics.messages, 6);
-    }
-
-    #[test]
-    fn wire_size_blanket_matches_encoded_len() {
-        use borndist_pairing::Wire as _;
-        assert_eq!(42u32.wire_size(), 4);
-        assert_eq!(vec![1u64, 2, 3].wire_size(), 4 + 24);
-        assert_eq!(Some(7u64).wire_size(), 9);
-        assert_eq!(None::<u64>.wire_size(), 1);
-        assert_eq!((1u32, 2u64).wire_size(), 12);
-        // The blanket impl is literally the encoder's output length.
-        assert_eq!(
-            vec![1u64, 2, 3].wire_size(),
-            vec![1u64, 2, 3].encode().len()
-        );
     }
 
     #[test]

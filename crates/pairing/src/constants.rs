@@ -1,4 +1,11 @@
-//! BLS12-381 parameters, generated by `tools/gen_constants.py`.
+//! BLS12-381 parameters.
+//!
+//! `BLS_X`, `FROB1_GAMMA`, `FP_HALF` and the `GLV_*` lattice are derived
+//! by `tools/gen_pairing_constants.py` (which also prints the reference
+//! module's `ATE_TATE_EXP`); the remaining values are the standard
+//! published BLS12-381 moduli, Montgomery constants, exponents,
+//! generators and cofactors, which no script in this repository
+//! regenerates.
 //!
 //! All limb arrays are little-endian `u64`s. Montgomery constants use
 //! `R = 2^384` for the base field `Fp` and `R = 2^256` for the scalar
@@ -182,32 +189,9 @@ pub const G2_COFACTOR: [u64; 8] = [
     0x05d543a95414e7f1,
 ];
 
-/// Group order `r` as limbs, reused for subgroup checks and Miller loops.
+/// Group order `r` as limbs: the scalar of the reference oracles'
+/// subgroup check and Tate Miller loops.
 pub const ORDER: [u64; 4] = FR_MODULUS;
-
-// ===== Final exponentiation hard part: (p^4 - p^2 + 1) / r =====
-pub const FINAL_EXP_HARD: [u64; 20] = [
-    0xe516c3f438e3ba79,
-    0xfa9912aae208ccf1,
-    0x905ce937335d5b68,
-    0xc71a2629b0dea236,
-    0x83774940996754c8,
-    0x21d160aeb6a1e799,
-    0x2ed0b283ed237db4,
-    0x915c97f36c6f1821,
-    0x67f17fcbde783765,
-    0x2378b9039096d1b7,
-    0x7988f8761bdc51dc,
-    0x2076995003fc77a1,
-    0x827eca0ba621315b,
-    0xe5a72bce8d63cb9f,
-    0xf68f7764c28b6f8a,
-    0x2f230063cf081517,
-    0x94506632528d6a9a,
-    0xd3cde88eeb996ca3,
-    0xc0bd38c3195c899e,
-    0x000f686b3d807d01,
-];
 
 // ===== Optimal-ate pairing parameters =====
 // Generated by `tools/gen_pairing_constants.py`.
@@ -370,25 +354,6 @@ pub const GLV_LAMBDA_2: [u64; 4] = [
     0xa7780001fffcb7fc,
     0x3339d80809a1d804,
     0x73eda753299d7d48,
-];
-
-/// The fixed exponent relating the shipped optimal-ate engine to the
-/// swapped-argument reduced Tate pairing:
-/// `pairing(P, Q) = pairing_tate_g2(P, Q)^ATE_TATE_EXP`.
-///
-/// It is `3·d mod r` where `d = L·c⁻¹ mod r` is the
-/// Hess–Smart–Vercauteren constant (`L = (x¹² - 1)/r`, `c = 12·p¹¹ mod r`)
-/// relating the *canonical* reduced ate pairing to the Tate pairing, and
-/// the factor 3 accounts for the final-exponentiation addition chain
-/// computing `m^(3(p⁴-p²+1)/r)` (3 is coprime to `r`, so the cube is an
-/// equally valid pairing). Derived and numerically confirmed by
-/// `tools/gen_pairing_constants.py`; enforced on random and edge inputs
-/// by the `pairing_engine` property suite.
-pub const ATE_TATE_EXP: [u64; 4] = [
-    0x6901000000008000,
-    0x760180013b018000,
-    0x46a8e6673b018268,
-    0x0000000000000000,
 ];
 
 // ===== Frobenius p^2 coefficients: gamma_i = xi^(i(p^2-1)/6) in Fp =====

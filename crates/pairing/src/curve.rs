@@ -10,7 +10,7 @@
 //! side-channel-resistant implementation (see DESIGN.md).
 
 use crate::constants::{
-    G1_COFACTOR, G1_GEN_X, G1_GEN_Y, G2_COFACTOR, G2_GEN_X0, G2_GEN_X1, G2_GEN_Y0, G2_GEN_Y1, ORDER,
+    G1_COFACTOR, G1_GEN_X, G1_GEN_Y, G2_COFACTOR, G2_GEN_X0, G2_GEN_X1, G2_GEN_Y0, G2_GEN_Y1,
 };
 use crate::fp::Fp;
 use crate::fp2::Fp2;
@@ -48,7 +48,7 @@ pub trait CurveParams: 'static + Copy + Clone + Debug + Send + Sync {
     // The decomposition identities only hold on the prime-order
     // subgroup; every public constructor of this crate yields subgroup
     // points, and the raw-limb paths (`mul_vartime_limbs`,
-    // `clear_cofactor`, `is_torsion_free`) never decompose.
+    // `clear_cofactor`) never decompose.
 
     /// Number of sub-scalars the endomorphism decomposition produces
     /// (`1` = no endomorphism acceleration; the generic paths apply).
@@ -363,12 +363,12 @@ impl<C: CurveParams> Projective<C> {
     /// Variable-time scalar multiplication by a field scalar.
     ///
     /// On curves with an efficient endomorphism (both groups of this
-    /// crate) the scalar is GLV/GLS-decomposed and a joint wNAF ladder
-    /// over `(P, λP, …)` runs with half (G1) or a quarter (G2) of the
-    /// doublings; otherwise this is width-4 wNAF. The decomposition is
-    /// only valid on the prime-order subgroup — the contract of every
-    /// public point constructor. See [`Self::mul_schoolbook`] for the
-    /// reference slow path.
+    /// crate) the scalar is GLV/GLS-decomposed and the joint wNAF ladder
+    /// runs over `(P, λP, …)` with half (G1) or a quarter (G2) of the
+    /// doublings; otherwise this is the one-dimensional ladder of
+    /// [`Self::mul_vartime_limbs`]. The decomposition is only valid on
+    /// the prime-order subgroup — the contract of every public point
+    /// constructor.
     pub fn mul(&self, scalar: &Fr) -> Self {
         if let Some(dec) = C::endo_decompose(scalar) {
             return self.mul_decomposed(&dec);
@@ -376,8 +376,8 @@ impl<C: CurveParams> Projective<C> {
         self.mul_vartime_limbs(&scalar.to_le_bits())
     }
 
-    /// Builds the odd-multiples table `{1, 3, 5, 7}·P` shared by the
-    /// wNAF ladders (width 4: `2^(4-2)` entries).
+    /// Builds the odd-multiples table `{1, 3, 5, 7}·P` of a wNAF lane
+    /// (width 4: `2^(4-2)` entries).
     fn odd_multiples(&self) -> [Self; 4] {
         let twice = self.double();
         let mut table = [Self::identity(); 4];
@@ -389,41 +389,22 @@ impl<C: CurveParams> Projective<C> {
         table
     }
 
-    /// The joint wNAF ladder over the endomorphism decomposition: one
-    /// shared doubling chain of `C::endo_sub_bits()` steps with the
-    /// per-dimension digit additions interleaved. The dimension tables
-    /// come from the base table through the endomorphism (a couple of
-    /// field multiplications per entry instead of a group addition).
-    fn mul_decomposed(&self, dec: &Decomposition) -> Self {
-        const WIDTH: usize = 4;
-        if self.is_identity() {
-            return *self;
-        }
-        let base_table = self.odd_multiples();
-        let mut tables = Vec::with_capacity(dec.len);
-        let mut digit_sets = Vec::with_capacity(dec.len);
-        let mut max_len = 0usize;
-        for (i, part) in dec.parts[..dec.len].iter().enumerate() {
-            let digits = crate::arith::wnaf_digits(&part.limbs, WIDTH);
-            max_len = max_len.max(digits.len());
-            digit_sets.push(digits);
-            let mut table = base_table;
-            if i > 0 {
-                for slot in table.iter_mut() {
-                    *slot = C::endo_projective(slot, i);
-                }
-            }
-            if part.negative {
-                for slot in table.iter_mut() {
-                    *slot = slot.neg();
-                }
-            }
-            tables.push(table);
-        }
+    /// The one scalar-multiplication ladder: width-4 joint wNAF. Each
+    /// lane is a digit string with the odd-multiples table of its base;
+    /// one shared doubling chain as long as the longest string runs
+    /// down the digit positions, adding every lane's non-zero digit from
+    /// its table (negative digits add the negated entry). Doubling and
+    /// adding the identity are free, so leading positions cost nothing.
+    fn joint_wnaf(lanes: &[(Vec<i8>, [Self; 4])]) -> Self {
+        let len = lanes
+            .iter()
+            .map(|(digits, _)| digits.len())
+            .max()
+            .unwrap_or(0);
         let mut acc = Self::identity();
-        for j in (0..max_len).rev() {
+        for j in (0..len).rev() {
             acc = acc.double();
-            for (digits, table) in digit_sets.iter().zip(tables.iter()) {
+            for (digits, table) in lanes {
                 let d = digits.get(j).copied().unwrap_or(0);
                 if d > 0 {
                     acc = acc.add(&table[(d as usize - 1) / 2]);
@@ -435,44 +416,55 @@ impl<C: CurveParams> Projective<C> {
         acc
     }
 
+    /// [`Self::joint_wnaf`] over the endomorphism decomposition: one lane
+    /// per sub-scalar, so the doubling chain is `C::endo_sub_bits()` long.
+    /// The lane tables come from the base table through the endomorphism
+    /// (a couple of field multiplications per entry instead of a group
+    /// addition), negated for negative sub-scalars.
+    fn mul_decomposed(&self, dec: &Decomposition) -> Self {
+        if self.is_identity() {
+            return *self;
+        }
+        let base_table = self.odd_multiples();
+        let lanes: Vec<(Vec<i8>, [Self; 4])> = dec.parts[..dec.len]
+            .iter()
+            .enumerate()
+            .map(|(i, part)| {
+                let mut table = base_table;
+                for slot in table.iter_mut() {
+                    if i > 0 {
+                        *slot = C::endo_projective(slot, i);
+                    }
+                    if part.negative {
+                        *slot = slot.neg();
+                    }
+                }
+                (crate::arith::wnaf_digits(&part.limbs, 4), table)
+            })
+            .collect();
+        Self::joint_wnaf(&lanes)
+    }
+
     /// Variable-time scalar multiplication by an arbitrary little-endian
-    /// limb integer (also used for cofactor clearing and subgroup
-    /// checks, where the scalar is *not* reduced mod `r` and the point
-    /// may lie outside the subgroup — so this path never decomposes).
-    ///
-    /// Uses width-4 wNAF: a 4-entry table of odd multiples
-    /// `{1, 3, 5, 7}·P` and on average one addition per 5 bits, versus
-    /// one per 2 bits for the schoolbook ladder. Equivalence with
-    /// [`Self::mul_schoolbook`] is enforced by property tests.
+    /// limb integer (also used for cofactor clearing and the `G1`
+    /// membership check, where the scalar is *not* reduced mod `r` and
+    /// the point may lie outside the subgroup — so this path never
+    /// decomposes): the joint wNAF ladder with a single lane, on average
+    /// one addition per 5 bits versus one per 2 for double-and-add.
+    /// Equivalence with the schoolbook ladder is enforced by the
+    /// `scalar_mul_properties` suite and the unit tests.
     pub fn mul_vartime_limbs(&self, limbs: &[u64]) -> Self {
         if self.is_identity() {
             return *self;
         }
-        let digits = crate::arith::wnaf_digits(limbs, 4);
-        if digits.is_empty() {
-            return Self::identity();
-        }
-        let table = self.odd_multiples();
-        // The top digit of a non-zero scalar is positive (the remainder
-        // is non-negative throughout the recoding), so the accumulator
-        // starts from a table entry with no leading doublings.
-        let top = digits[digits.len() - 1];
-        debug_assert!(top > 0, "wNAF top digit must be positive");
-        let mut acc = table[(top as usize - 1) / 2];
-        for &d in digits.iter().rev().skip(1) {
-            acc = acc.double();
-            if d > 0 {
-                acc = acc.add(&table[(d as usize - 1) / 2]);
-            } else if d < 0 {
-                acc = acc.add(&table[((-d) as usize - 1) / 2].neg());
-            }
-        }
-        acc
+        Self::joint_wnaf(&[(crate::arith::wnaf_digits(limbs, 4), self.odd_multiples())])
     }
 
     /// Reference double-and-add scalar multiplication — the deliberately
     /// unoptimized slow path that every fast path (wNAF, fixed-base
-    /// tables, MSM) is property-tested against.
+    /// tables, MSM) is property-tested against. Test and `reference`
+    /// builds only.
+    #[cfg(any(test, feature = "reference"))]
     pub fn mul_schoolbook(&self, limbs: &[u64]) -> Self {
         let mut acc = Self::identity();
         let mut started = false;
@@ -495,9 +487,14 @@ impl<C: CurveParams> Projective<C> {
         self.mul_vartime_limbs(C::cofactor())
     }
 
-    /// Returns `true` if the point lies in the prime-order subgroup.
+    /// Returns `true` if the point lies in the prime-order subgroup, by
+    /// multiplying with the group order: the reference the endomorphism
+    /// membership checks (`g1_in_subgroup`, `g2_in_subgroup`) are tested
+    /// against. Test and `reference` builds only.
+    #[cfg(any(test, feature = "reference"))]
     pub fn is_torsion_free(&self) -> bool {
-        self.mul_vartime_limbs(&ORDER).is_identity()
+        self.mul_vartime_limbs(&crate::constants::ORDER)
+            .is_identity()
     }
 
     /// Converts to affine coordinates (one field inversion).
@@ -960,9 +957,32 @@ impl G2Affine {
     }
 }
 
+/// A curve point found by x-coordinate sampling *without* clearing the
+/// cofactor — with overwhelming probability outside the prime-order
+/// subgroup. Test-only; `sqrt` is the coordinate field's square root.
+#[cfg(test)]
+pub(crate) fn random_curve_point<C: CurveParams>(
+    r: &mut impl RngCore,
+    sqrt: impl Fn(&C::Base) -> Option<C::Base>,
+) -> Affine<C> {
+    loop {
+        let x = C::Base::random(r);
+        if let Some(y) = sqrt(&(x.square() * x + C::b())) {
+            let p = Affine {
+                x,
+                y,
+                infinity: false,
+            };
+            assert!(p.is_on_curve());
+            return p;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constants::ORDER;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1126,29 +1146,12 @@ mod tests {
 
     #[test]
     fn decode_rejects_non_subgroup_point() {
-        // Construct an Fp point on the curve but (almost surely) outside
-        // the subgroup by picking x-candidates without cofactor clearing.
-        let mut r = rng();
-        loop {
-            let x = Fp::random(&mut r);
-            let y2 = x.square() * x + G1Params::b();
-            if let Some(y) = y2.sqrt() {
-                let p = G1Affine {
-                    x,
-                    y,
-                    infinity: false,
-                };
-                assert!(p.is_on_curve());
-                if !p.to_projective().is_torsion_free() {
-                    let enc = p.to_compressed();
-                    assert_eq!(
-                        G1Affine::from_compressed(&enc),
-                        Err(DecodePointError::NotInSubgroup)
-                    );
-                    break;
-                }
-            }
-        }
+        let p = random_curve_point::<G1Params>(&mut rng(), Fp::sqrt);
+        assert!(!p.to_projective().is_torsion_free());
+        assert_eq!(
+            G1Affine::from_compressed(&p.to_compressed()),
+            Err(DecodePointError::NotInSubgroup)
+        );
     }
 
     #[test]
@@ -1167,20 +1170,22 @@ mod tests {
     #[test]
     fn cofactor_clearing_lands_in_subgroup() {
         let mut r = rng();
-        loop {
-            let x = Fp::random(&mut r);
-            let y2 = x.square() * x + G1Params::b();
-            if let Some(y) = y2.sqrt() {
-                let p = Affine::<G1Params> {
-                    x,
-                    y,
-                    infinity: false,
-                }
-                .to_projective();
-                let cleared = p.clear_cofactor();
-                assert!(cleared.is_torsion_free());
-                return;
-            }
+        let p1 = random_curve_point::<G1Params>(&mut r, Fp::sqrt).to_projective();
+        let p2 = random_curve_point::<G2Params>(&mut r, Fp2::sqrt).to_projective();
+        assert!(!p1.is_torsion_free() && !p2.is_torsion_free());
+        assert!(p1.clear_cofactor().is_torsion_free());
+        assert!(p2.clear_cofactor().is_torsion_free());
+        // Off the subgroup the wNAF ladder still equals double-and-add:
+        // on both cofactors, the order and a full-width scalar.
+        let k = Fr::random(&mut r).to_le_bits();
+        for limbs in [
+            G1Params::cofactor(),
+            G2Params::cofactor(),
+            &ORDER[..],
+            &k[..],
+        ] {
+            assert_eq!(p1.mul_vartime_limbs(limbs), p1.mul_schoolbook(limbs));
+            assert_eq!(p2.mul_vartime_limbs(limbs), p2.mul_schoolbook(limbs));
         }
     }
 

@@ -20,8 +20,9 @@
 //! Scott proves both conditions *equivalent* to `[r]P = O` on these
 //! curves (the eigenvalues differ on every other component of the curve
 //! group), and `tests` plus `pairing/tests/properties.rs` cross-check
-//! against the retained [`crate::Projective::is_torsion_free`] reference
-//! on subgroup, cofactor-torsion and random curve points.
+//! against the order-multiplication reference `is_torsion_free` (a
+//! test-and-`reference`-feature method of `Projective`) on subgroup,
+//! cofactor-torsion and random curve points.
 //!
 //! The endomorphism coefficients are derived *at first use* from the
 //! curve constants alone (`ξ^{(p−1)/3}`, `ξ^{(p−1)/2}`, a cube root of
@@ -248,6 +249,7 @@ pub fn g1_in_subgroup(p: &G1Affine) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve::{random_curve_point, G1Params, G2Params};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -270,41 +272,6 @@ mod tests {
         assert!(g2_in_subgroup(&G2Affine::identity()));
     }
 
-    /// Finds a curve point by x-coordinate sampling *without* clearing
-    /// the cofactor — with overwhelming probability it lies outside the
-    /// prime-order subgroup.
-    fn random_g1_curve_point(r: &mut StdRng) -> G1Affine {
-        loop {
-            let x = Fp::random(r);
-            let y2 = x.square() * x + Fp::from_u64(4);
-            if let Some(y) = y2.sqrt() {
-                let p = G1Affine {
-                    x,
-                    y,
-                    infinity: false,
-                };
-                assert!(p.is_on_curve());
-                return p;
-            }
-        }
-    }
-
-    fn random_g2_curve_point(r: &mut StdRng) -> G2Affine {
-        loop {
-            let x = Fp2::random(r);
-            let y2 = x.square() * x + Fp2::new(Fp::from_u64(4), Fp::from_u64(4));
-            if let Some(y) = y2.sqrt() {
-                let p = G2Affine {
-                    x,
-                    y,
-                    infinity: false,
-                };
-                assert!(p.is_on_curve());
-                return p;
-            }
-        }
-    }
-
     #[test]
     fn sparse_bls_x_chain_matches_wnaf_ladder() {
         use crate::constants::ORDER;
@@ -317,7 +284,7 @@ mod tests {
         check(G2Affine::generator());
         for _ in 0..4 {
             check(G2Projective::random(&mut r).to_affine());
-            let off = random_g2_curve_point(&mut r);
+            let off = random_curve_point::<G2Params>(&mut r, Fp2::sqrt);
             check(off);
             // [r]P kills the subgroup component: what is left has order
             // dividing the cofactor.
@@ -332,10 +299,10 @@ mod tests {
         let mut r = rng();
         let mut rejected = 0;
         for _ in 0..8 {
-            let p1 = random_g1_curve_point(&mut r);
+            let p1 = random_curve_point::<G1Params>(&mut r, Fp::sqrt);
             let slow = p1.to_projective().is_torsion_free();
             assert_eq!(g1_in_subgroup(&p1), slow);
-            let p2 = random_g2_curve_point(&mut r);
+            let p2 = random_curve_point::<G2Params>(&mut r, Fp2::sqrt);
             let slow2 = p2.to_projective().is_torsion_free();
             assert_eq!(g2_in_subgroup(&p2), slow2);
             rejected += usize::from(!slow) + usize::from(!slow2);

@@ -132,18 +132,6 @@ impl Fp12 {
             .map(|d| Fp12::new(self.c0 * d, -(self.c1 * d)))
     }
 
-    /// Multiplies by a sparse line element with non-zero entries
-    /// `a ∈ Fp` (constant), `b ∈ Fp2` (at `v²` of the even part) and
-    /// `c ∈ Fp2` (at `v·w` of the odd part) — the shape produced by the
-    /// Tate Miller-loop line evaluations (see [`crate::pairing`]).
-    pub fn mul_by_line(&self, a: &Fp, b: &Fp2, c: &Fp2) -> Self {
-        let line = Fp12::new(
-            Fp6::new(Fp2::from_fp(*a), Fp2::zero(), *b),
-            Fp6::new(Fp2::zero(), *c, Fp2::zero()),
-        );
-        *self * line
-    }
-
     /// Multiplies by a sparse element `c0 + c1·v + c4·v·w` — the shape
     /// produced by the optimal-ate line evaluations. Costs 8 `Fp2`
     /// multiplications via the sparse `Fp6` products instead of the

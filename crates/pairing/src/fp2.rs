@@ -44,15 +44,6 @@ impl Fp2 {
         Fp2::new(Fp::one(), Fp::one())
     }
 
-    /// The inverse `ξ⁻¹` of the tower non-residue, computed once per
-    /// process and shared (it scales every untwisted `G2` coordinate in
-    /// the Tate Miller loop, which previously paid one field inversion
-    /// per pair per pairing call).
-    pub fn xi_inv() -> Self {
-        static XI_INV: std::sync::OnceLock<Fp2> = std::sync::OnceLock::new();
-        *XI_INV.get_or_init(|| Fp2::xi().invert().expect("xi is non-zero"))
-    }
-
     /// The `p`-power Frobenius endomorphism, which on `Fp2` coincides
     /// with conjugation (`p ≡ 3 mod 4`, so `u^p = -u`).
     pub fn frobenius_p(&self) -> Self {

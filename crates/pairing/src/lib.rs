@@ -15,7 +15,6 @@
 //! * [`Gt`], [`pairing`], [`multi_pairing`] — the target group and the
 //!   optimal-ate pairing engine; [`G2Prepared`]/[`multi_pairing_prepared`]
 //!   cache the Miller line coefficients of fixed second arguments;
-//!   [`pairing_tate`] retains the Tate reference engine;
 //! * [`hash_to_g1`], [`hash_to_g2`], [`hash_to_g1_vector`], [`hash_to_fr`]
 //!   — the paper's random oracles;
 //! * [`msm`] — multi-scalar multiplication ("Lagrange in the exponent");
@@ -26,6 +25,13 @@
 //!   fan out across [`parallel::Parallelism`]-configured threads with
 //!   bit-identical results at every thread count;
 //! * [`Sha256`] — the only hash primitive, also written from scratch.
+//!
+//! One pairing engine (optimal ate) and one scalar-multiplication ladder
+//! (joint wNAF) are compiled into the release build. The slow oracles
+//! they are tested against — the Tate engines and the generic final
+//! exponentiation in `reference`, plus `Projective::mul_schoolbook` and
+//! `Projective::is_torsion_free` — exist only under `cfg(test)` and the
+//! `reference` feature, which only `[dev-dependencies]` entries enable.
 //!
 //! ## Example
 //!
@@ -62,6 +68,8 @@ mod hash_to_curve;
 mod msm;
 mod pairing;
 pub mod precompute;
+#[cfg(any(test, feature = "reference"))]
+pub mod reference;
 mod sha256;
 mod traits;
 
@@ -81,13 +89,14 @@ pub use hash_to_curve::{hash_to_fr, hash_to_g1, hash_to_g1_vector, hash_to_g2};
 pub use msm::msm;
 pub use pairing::{
     final_exponentiation, multi_miller_loop, multi_miller_loop_mixed, multi_pairing,
-    multi_pairing_mixed, multi_pairing_prepared, multi_pairing_tate, pairing, pairing_tate,
-    pairing_tate_g2, G2Prepared, Gt,
+    multi_pairing_mixed, multi_pairing_prepared, pairing, G2Prepared, Gt,
 };
 pub use precompute::{
     g1_generator_table, g2_generator_prepared, g2_generator_table, mul_g1_generator,
     mul_g2_generator, FixedBaseTable, G1Table, G2Table,
 };
+#[cfg(any(test, feature = "reference"))]
+pub use reference::{multi_pairing_tate, pairing_tate, pairing_tate_g2};
 pub use sha256::{expand_message, sha256, sha256_tagged, Sha256};
 pub use traits::{batch_invert, Field};
 

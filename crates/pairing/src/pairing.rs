@@ -1,6 +1,5 @@
-//! The bilinear map `e : G1 × G2 → GT`, built around the *optimal ate
-//! pairing* (Vercauteren) with the reduced Tate pairing retained as the
-//! slow reference.
+//! The bilinear map `e : G1 × G2 → GT`: the *optimal ate pairing*
+//! (Vercauteren), the one pairing engine of the release build.
 //!
 //! ## The production engine
 //!
@@ -36,39 +35,20 @@
 //! whole product), which is what makes the scheme's four-pairing
 //! verification equations economical.
 //!
-//! ## The retained references
+//! ## The reference oracles
 //!
-//! [`pairing_tate`] / [`multi_pairing_tate`] keep the original engine —
-//! a 255-bit Tate Miller loop over `G1` with denominator elimination and
-//! a generic-power hard part — as the property-test reference, mirroring
-//! the role of `mul_schoolbook` for scalar multiplication.
-//! [`pairing_tate_g2`] is the swapped-argument reduced Tate pairing
-//! `f_{r,Q}(P)^((p¹²-1)/r)`, which relates to the ate engine by a *fixed,
-//! precomputed exponent* ([`crate::constants::ATE_TATE_EXP`], the
-//! Hess–Smart–Vercauteren constant times the chain's factor 3):
-//!
-//! ```text
-//!     pairing(P, Q) = pairing_tate_g2(P, Q)^ATE_TATE_EXP
-//! ```
-//!
-//! The `pairing_engine` property suite enforces this identity on random
-//! and edge inputs, checks the hard-part chain against the retained
-//! generic power, and pins both engines to the same bilinear map up to
-//! the fixed change of `GT` generator. The G1-side Tate pairing
-//! `f_{r,P}(Q)` is *not* a fixed power of the ate pairing with any
-//! closed-form exponent (the argument swap constant is a Weil-pairing
-//! discrete log), which is why the strict relation is stated against the
-//! G2-side reference.
+//! The Tate engines this one is tested against (`pairing_tate`,
+//! `multi_pairing_tate`, `pairing_tate_g2`) and the generic-power final
+//! exponentiation live in the `reference` module, compiled only for tests
+//! and under the dev-only `reference` feature; the release build carries
+//! this engine alone.
 
-use crate::constants::{BLS_X, FINAL_EXP_HARD, ORDER};
-use crate::curve::{G1Affine, G1Projective, G2Affine, G2Projective};
-
+use crate::constants::BLS_X;
+use crate::curve::{G1Affine, G2Affine, G2Projective};
 use crate::fp::Fp;
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
-use crate::fp6::Fp6;
 use crate::fr::Fr;
-use crate::traits::Field;
 
 /// An element of the target group `GT ⊂ Fp12*` (order `r`), written
 /// multiplicatively.
@@ -155,13 +135,13 @@ impl core::ops::MulAssign for Gt {
 /// One evaluated Miller line in coefficient form `(c0, c1, c4)`:
 /// the sparse element is `c0 + (c1·x_P)·v + (c4·y_P)·v·w` once scaled by
 /// the affine coordinates of the `G1` argument.
-type LineCoeffs = (Fp2, Fp2, Fp2);
+pub(crate) type LineCoeffs = (Fp2, Fp2, Fp2);
 
 /// Doubling step of the `G2`-side Miller loop: advances `T ← 2T`
 /// (Jacobian `dbl-2009-l`, shared intermediates with the tangent line)
 /// and returns the tangent-line coefficients at `T`, scaled by
 /// `2YZ³ ∈ Fp2` (killed by the final exponentiation).
-fn g2_double_step(t: &mut G2Projective) -> LineCoeffs {
+pub(crate) fn g2_double_step(t: &mut G2Projective) -> LineCoeffs {
     let (x, y, z) = (t.x, t.y, t.z);
     let a = x.square();
     let b = y.square();
@@ -198,7 +178,7 @@ fn g2_double_step(t: &mut G2Projective) -> LineCoeffs {
 /// formulas degrade gracefully to the identity (`Z3 = 0`) and the
 /// returned line is the correct vertical `x − x_Q` (times an `Fp2`
 /// scale).
-fn g2_add_step(t: &mut G2Projective, q: &G2Affine) -> LineCoeffs {
+pub(crate) fn g2_add_step(t: &mut G2Projective, q: &G2Affine) -> LineCoeffs {
     let (x, y, z) = (t.x, t.y, t.z);
     let (xq, yq) = (q.x(), q.y());
     let zz = z.square();
@@ -396,9 +376,9 @@ fn cyclotomic_exp_x(f: &Fp12) -> Fp12 {
 /// The final exponentiation `f ↦ f^(3·(p¹²-1)/r)`: the easy part
 /// `(p⁶-1)(p²+1)` followed by the standard BLS12 `x`-power addition chain
 /// for `3·(p⁴-p²+1)/r` over cyclotomic squarings and `p`-power Frobenius
-/// maps. Agreement with the retained generic power
-/// ([`crate::constants::FINAL_EXP_HARD`], up to the cube) is enforced by
-/// the `pairing_engine` property suite.
+/// maps. Agreement with the generic power by the hard exponent (up to
+/// the cube; `reference::FINAL_EXP_HARD`) is enforced by the
+/// `pairing_engine` property suite.
 pub fn final_exponentiation(f: &Fp12) -> Gt {
     // Easy part: m = f^((p^6-1)(p^2+1)), which lands in the cyclotomic
     // subgroup and makes every later inverse a conjugation.
@@ -482,171 +462,11 @@ pub fn multi_pairing_mixed(
     final_exponentiation(&miller_loop_sharded(pairs, prepared))
 }
 
-// ===========================================================================
-// Retained Tate references
-// ===========================================================================
-
-/// Per-pair state of the shared G1-side Tate Miller loop (the retained
-/// reference engine).
-struct MillerPair {
-    /// Accumulator point `T = kP`, Jacobian over `Fp`.
-    t: G1Projective,
-    /// The base point `P` in affine form.
-    p: G1Affine,
-    /// `x_Q · ξ⁻¹ ∈ Fp2` — the `v²` coefficient of `ψ(Q)`'s x-coordinate.
-    xq: Fp2,
-    /// `y_Q · ξ⁻¹ ∈ Fp2` — the `v·w` coefficient of `ψ(Q)`'s y-coordinate.
-    yq: Fp2,
-}
-
-impl MillerPair {
-    fn new(p: &G1Affine, q: &G2Affine) -> Self {
-        // ξ⁻¹ is a process-wide lazily initialized constant — previously
-        // this cost one field inversion per pair per call.
-        let xi_inv = Fp2::xi_inv();
-        MillerPair {
-            t: p.to_projective(),
-            p: *p,
-            xq: q.x() * xi_inv,
-            yq: q.y() * xi_inv,
-        }
-    }
-
-    /// Doubling step: multiplies the tangent line at `T` (evaluated at
-    /// `ψ(Q)`) into `f` and sets `T ← 2T`.
-    fn double_step(&mut self, f: &mut Fp12) {
-        let (x, y, z) = (self.t.x, self.t.y, self.t.z);
-        // dbl-2009-l intermediates, shared with the line computation.
-        let a = x.square();
-        let b = y.square();
-        let c = b.square();
-        let d = ((x + b).square() - a - c).double();
-        let e = a.double() + a; // 3x²
-        let fq = e.square();
-        let x3 = fq - d.double();
-        let y3 = e * (d - x3) - c.double().double().double();
-        let z3 = (y * z).double();
-        // Tangent line at T, scaled by 2YZ³ (an Fp constant, killed by the
-        // final exponentiation):  ℓ = (2YZ³)·ys - (3X²Z²)·xs + (3X³ - 2Y²).
-        let zz = z.square();
-        let coeff_y = z3 * zz; // 2YZ³
-        let coeff_x = e * zz; // 3X²Z²
-        let constant = e * x - b.double(); // 3X³ - 2Y²
-        let lb = self.xq.mul_by_fp(&coeff_x);
-        let lc = self.yq.mul_by_fp(&coeff_y);
-        *f = f.mul_by_line(&constant, &(-lb), &lc);
-        self.t = G1Projective {
-            x: x3,
-            y: y3,
-            z: z3,
-        };
-    }
-
-    /// Addition step: multiplies the chord through `T` and `P` (evaluated
-    /// at `ψ(Q)`) into `f` and sets `T ← T + P`.
-    fn add_step(&mut self, f: &mut Fp12) {
-        let (x, y, z) = (self.t.x, self.t.y, self.t.z);
-        let (xp, yp) = (self.p.x(), self.p.y());
-        let zz = z.square();
-        let zzz = zz * z;
-        // Chord through T and P, scaled by Z(X - xp Z²):
-        //   ℓ = c1·ys - c2·xs + (c2·xp - c1·yp)
-        // with c1 = Z(X - xp Z²), c2 = Y - yp Z³.
-        let c1 = z * (x - xp * zz);
-        let c2 = y - yp * zzz;
-        let constant = c2 * xp - c1 * yp;
-        let lb = self.xq.mul_by_fp(&c2);
-        let lc = self.yq.mul_by_fp(&c1);
-        *f = f.mul_by_line(&constant, &(-lb), &lc);
-        self.t = self.t.add_affine(&self.p);
-    }
-}
-
-/// Evaluates the product of Miller functions `Π f_{r,P_i}(ψ(Q_i))` with a
-/// shared accumulator. Identity inputs contribute the factor `1`.
-fn miller_loop_tate(pairs: &[(&G1Affine, &G2Affine)]) -> Fp12 {
-    let mut state: Vec<MillerPair> = pairs
-        .iter()
-        .filter(|(p, q)| !p.is_identity() && !q.is_identity())
-        .map(|(p, q)| MillerPair::new(p, q))
-        .collect();
-    let mut f = Fp12::one();
-    if state.is_empty() {
-        return f;
-    }
-    // Bits of r, from the bit below the MSB (bit 254) down to bit 0.
-    for i in (0..=253usize).rev() {
-        f = f.square();
-        for pair in state.iter_mut() {
-            pair.double_step(&mut f);
-        }
-        if (ORDER[i / 64] >> (i % 64)) & 1 == 1 {
-            for pair in state.iter_mut() {
-                pair.add_step(&mut f);
-            }
-        }
-    }
-    f
-}
-
-/// The reference final exponentiation `f ↦ f^((p¹²-1)/r)`: easy part plus
-/// a plain variable-time power by the precomputed 1270-bit hard exponent
-/// [`crate::constants::FINAL_EXP_HARD`]. Deliberately generic — it is
-/// what the cyclotomic chain is property-tested against.
-fn final_exponentiation_generic(f: &Fp12) -> Gt {
-    let t0 = f.conjugate() * f.invert().expect("Miller output is non-zero");
-    let t1 = t0.frobenius_p2() * t0;
-    Gt(t1.pow_vartime(&FINAL_EXP_HARD))
-}
-
-/// The retained G1-side reduced Tate pairing `f_{r,P}(ψ(Q))^((p¹²-1)/r)`
-/// — the seed engine, kept verbatim as the slow reference (the
-/// `mul_schoolbook` of the pairing layer). Same bilinear map as
-/// [`pairing`] up to a fixed (closed-form-free) change of `GT` generator.
-pub fn pairing_tate(p: &G1Affine, q: &G2Affine) -> Gt {
-    final_exponentiation_generic(&miller_loop_tate(&[(p, q)]))
-}
-
-/// Multi-pairing form of the retained Tate reference.
-pub fn multi_pairing_tate(pairs: &[(&G1Affine, &G2Affine)]) -> Gt {
-    final_exponentiation_generic(&miller_loop_tate(pairs))
-}
-
-/// The swapped-argument reduced Tate pairing `f_{r,Q}(P)^((p¹²-1)/r)`:
-/// a 255-bit Miller loop on the `G2` side with the *generic* line product
-/// (full `Fp12` multiplications, no sparse path) and the generic-power
-/// final exponentiation. This is the strict reference for the ate engine:
-/// `pairing(P, Q) == pairing_tate_g2(P, Q)^ATE_TATE_EXP` exactly.
-pub fn pairing_tate_g2(p: &G1Affine, q: &G2Affine) -> Gt {
-    if p.is_identity() || q.is_identity() {
-        return Gt::identity();
-    }
-    let (px, py) = (p.x(), p.y());
-    // Full (non-sparse) line fold, independent of mul_by_014.
-    let fold = |f: Fp12, c: LineCoeffs| -> Fp12 {
-        let line = Fp12::new(
-            Fp6::new(c.0, c.1.mul_by_fp(&px), Fp2::zero()),
-            Fp6::new(Fp2::zero(), c.2.mul_by_fp(&py), Fp2::zero()),
-        );
-        f * line
-    };
-    let mut t = q.to_projective();
-    let mut f = Fp12::one();
-    for i in (0..=253usize).rev() {
-        f = f.square();
-        f = fold(f, g2_double_step(&mut t));
-        if (ORDER[i / 64] >> (i % 64)) & 1 == 1 {
-            f = fold(f, g2_add_step(&mut t, q));
-        }
-    }
-    final_exponentiation_generic(&f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constants::ATE_TATE_EXP;
     use crate::curve::{G1Projective, G2Projective};
+    use crate::reference::{multi_pairing_tate, pairing_tate, pairing_tate_g2, ATE_TATE_EXP};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

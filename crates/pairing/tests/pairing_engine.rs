@@ -20,7 +20,8 @@
 //! * `Gt::pow` (wNAF over cyclotomic squarings) equals the generic
 //!   square-and-multiply power.
 
-use borndist_pairing::constants::{ATE_TATE_EXP, FINAL_EXP_HARD, FP_MODULUS};
+use borndist_pairing::constants::FP_MODULUS;
+use borndist_pairing::reference::{ATE_TATE_EXP, FINAL_EXP_HARD};
 use borndist_pairing::{
     final_exponentiation, multi_miller_loop, multi_pairing, multi_pairing_mixed,
     multi_pairing_prepared, multi_pairing_tate, pairing, pairing_tate, pairing_tate_g2, Field,

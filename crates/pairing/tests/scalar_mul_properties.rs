@@ -1,16 +1,18 @@
 //! Property tests proving every scalar-multiplication fast path agrees
-//! with the schoolbook double-and-add slow path
-//! ([`Projective::mul_schoolbook`]): the GLV/GLS joint ladders behind
-//! [`Projective::mul`], fixed-base window tables ([`FixedBaseTable`]),
-//! Pippenger MSM ([`msm`]), and the batched-inversion affine conversion
-//! — on random scalars, the edge scalars `0`, `1`, `r - 1`, the
-//! endomorphism eigenvalues themselves, identity inputs, and duplicated
-//! bases. The GLV-2 / GLS-4 decompositions additionally carry their own
-//! congruence and bit-bound properties.
+//! with the schoolbook double-and-add slow path (`mul_schoolbook`, built
+//! under the `reference` feature): the joint wNAF ladder behind `mul`
+//! (GLV/GLS lanes) and `mul_vartime_limbs` (one lane), fixed-base window
+//! tables ([`FixedBaseTable`]), Pippenger MSM ([`msm`]), and the
+//! batched-inversion affine conversion — on random scalars, the edge
+//! scalars `0`, `1`, `r - 1`, the endomorphism eigenvalues themselves,
+//! identity inputs, and duplicated bases. The GLV-2 / GLS-4
+//! decompositions additionally carry their own congruence and bit-bound
+//! properties.
 
+use borndist_pairing::constants::ORDER;
 use borndist_pairing::{
-    batch_invert, decompose_g1, decompose_g2, gls_eigenvalue, glv_lambda, msm, FixedBaseTable, Fp,
-    Fr, G1Affine, G1Projective, G2Projective, SubScalar,
+    batch_invert, decompose_g1, decompose_g2, gls_eigenvalue, glv_lambda, msm, CurveParams,
+    FixedBaseTable, Fp, Fr, G1Affine, G1Params, G1Projective, G2Params, G2Projective, SubScalar,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -59,7 +61,11 @@ fn sub_scalar_fr(s: &SubScalar) -> Fr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// wNAF variable-base multiplication equals schoolbook on G1 and G2.
+    /// wNAF variable-base multiplication equals schoolbook on G1 and G2,
+    /// through both entry points of the one ladder: `mul` (endomorphism
+    /// lanes) and `mul_vartime_limbs` (one lane), the latter also on
+    /// integers that are not canonical scalars: the order and both
+    /// cofactors (G2's is eight limbs long).
     #[test]
     fn wnaf_matches_schoolbook(seed in any::<u64>()) {
         let mut rng = rng_from(seed);
@@ -71,6 +77,12 @@ proptest! {
             let bits = s.to_le_bits();
             prop_assert_eq!(p1.mul(s), p1.mul_schoolbook(&bits));
             prop_assert_eq!(p2.mul(s), p2.mul_schoolbook(&bits));
+            prop_assert_eq!(p1.mul_vartime_limbs(&bits), p1.mul_schoolbook(&bits));
+            prop_assert_eq!(p2.mul_vartime_limbs(&bits), p2.mul_schoolbook(&bits));
+        }
+        for limbs in [&ORDER[..], G1Params::cofactor(), G2Params::cofactor()] {
+            prop_assert_eq!(p1.mul_vartime_limbs(limbs), p1.mul_schoolbook(limbs));
+            prop_assert_eq!(p2.mul_vartime_limbs(limbs), p2.mul_schoolbook(limbs));
         }
         // Identity base: every scalar maps to the identity.
         let id = G1Projective::identity();

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Derives the optimal-ate pairing constants in `crates/pairing/src/constants.rs`.
+"""Derives the optimal-ate pairing constants in `crates/pairing/src/constants.rs`
+(and `ATE_TATE_EXP`, which lives in `crates/pairing/src/reference.rs`).
 
 Outputs (all limb arrays little-endian u64, canonical — not Montgomery — form,
 matching the existing generator/Frobenius constants):
