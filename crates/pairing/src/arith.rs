@@ -4,7 +4,8 @@
 //! The two concrete fields of the crate — [`crate::Fp`] (381-bit base field)
 //! and [`crate::Fr`] (255-bit scalar field) — are both generated by
 //! [`impl_montgomery_field!`] from constants produced by
-//! `tools/gen_constants.py`. Elements are stored as little-endian `u64` limb
+//! `tools/gen_pairing_constants.py` and the published BLS12-381 parameters
+//! (see [`crate::constants`]). Elements are stored as little-endian `u64` limb
 //! arrays in Montgomery form (`a·R mod p`, `R = 2^(64·LIMBS)`), always fully
 //! reduced to `[0, p)`, so limb-wise equality is canonical equality.
 
@@ -48,6 +49,15 @@ macro_rules! impl_montgomery_field {
         $(#[$attr])*
         #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
         pub struct $name(pub(crate) [u64; $limbs]);
+
+        // The precondition of the no-carry CIOS form of `mul`.
+        const _: () = assert!(
+            $modulus[$limbs - 1] < (u64::MAX >> 1) - 1,
+            concat!(
+                stringify!($name),
+                ": no-carry Montgomery multiplication needs a top modulus limb below 2^63 - 1"
+            )
+        );
 
         impl $name {
             /// Number of 64-bit limbs in the representation.
@@ -133,8 +143,10 @@ macro_rules! impl_montgomery_field {
             /// (bias ≤ 2^-120 for both fields of this crate).
             pub fn from_bytes_wide(bytes: &[u8; $limbs * 16]) -> Self {
                 // Split v = hi·R + lo. The Montgomery form of v is
-                //   v·R = hi·R² + lo·R = mont_mul(hi, R³) + mont_mul(lo, R²),
-                // and both mont_mul calls respect the `input < p·R` bound.
+                //   v·R = hi·R² + lo·R = redc(hi·R³) + redc(lo·R²).
+                // The halves are raw integers below R, not reduced
+                // elements, so the products are formed on limbs; each is
+                // below R·p, the bound of `montgomery_reduce`.
                 let mut wide = [0u64; 2 * $limbs];
                 for i in 0..(2 * $limbs) {
                     let mut chunk = [0u8; 8];
@@ -145,9 +157,9 @@ macro_rules! impl_montgomery_field {
                 let mut hi = [0u64; $limbs];
                 lo.copy_from_slice(&wide[..$limbs]);
                 hi.copy_from_slice(&wide[$limbs..]);
-                let lo_m = $name(lo).mul(&$name($r2));
-                let hi_m = $name(hi).mul(&$name($r3));
-                lo_m.add(&hi_m)
+                let lo_m = Self::montgomery_reduce(&mut Self::mul_wide(&lo, &$r2));
+                let hi_m = Self::montgomery_reduce(&mut Self::mul_wide(&hi, &$r3));
+                $name(lo_m).add(&$name(hi_m))
             }
 
             /// `true` iff `a < b` as little-endian multi-precision integers.
@@ -267,103 +279,30 @@ macro_rules! impl_montgomery_field {
                 self.add(self)
             }
 
-            /// `p²` as a double-width integer: the amount [`Self::sub_wide`]
-            /// adds back on borrow so unreduced products stay non-negative.
-            // Generated for every field instantiation; only the base
-            // field's extension tower (Fp2's lazy Karatsuba) consumes the
-            // wide-accumulator trio, so the scalar-field copy is unused.
-            #[allow(dead_code)]
-            pub(crate) const MODULUS_SQUARED: [u64; 2 * $limbs] =
-                Self::mul_wide(&Self::MODULUS, &Self::MODULUS);
-
-            /// Schoolbook double-width product of two limb arrays. `const`
-            /// (and hence while-loop-shaped) so [`Self::MODULUS_SQUARED`]
-            /// can be derived from it at compile time.
-            ///
-            /// This is the *unreduced* half of a Montgomery multiply:
-            /// lazy-reduction callers (Fp2's Karatsuba) accumulate several
-            /// of these double-width products with [`Self::add_wide`] /
-            /// [`Self::sub_wide`] and pay for a single
-            /// [`Self::montgomery_reduce`] at the end.
+            /// Schoolbook double-width product of two limb arrays, for
+            /// inputs that are not reduced field elements
+            /// (the raw halves of [`Self::from_bytes_wide`]); with
+            /// [`Self::montgomery_reduce`] it is also the test oracle of
+            /// [`Self::mul`].
             #[inline]
-            pub(crate) const fn mul_wide(
-                a: &[u64; $limbs],
-                b: &[u64; $limbs],
-            ) -> [u64; 2 * $limbs] {
+            fn mul_wide(a: &[u64; $limbs], b: &[u64; $limbs]) -> [u64; 2 * $limbs] {
                 let mut t = [0u64; 2 * $limbs];
-                let mut i = 0;
-                while i < $limbs {
+                for i in 0..$limbs {
                     let mut carry = 0u64;
-                    let mut j = 0;
-                    while j < $limbs {
+                    for j in 0..$limbs {
                         let (lo, c) = mac(t[i + j], a[i], b[j], carry);
                         t[i + j] = lo;
                         carry = c;
-                        j += 1;
                     }
                     t[i + $limbs] = carry;
-                    i += 1;
                 }
                 t
-            }
-
-            /// Double-width addition of unreduced products. The caller is
-            /// responsible for the aggregate staying below `p·R` (the
-            /// [`Self::montgomery_reduce`] input bound); every use in this
-            /// crate sums at most two values `< 2p²` where `4p² < p·R`.
-            #[allow(dead_code)]
-            #[inline]
-            pub(crate) fn add_wide(
-                a: &[u64; 2 * $limbs],
-                b: &[u64; 2 * $limbs],
-            ) -> [u64; 2 * $limbs] {
-                let mut out = [0u64; 2 * $limbs];
-                let mut carry = 0u64;
-                for i in 0..(2 * $limbs) {
-                    let (s, c) = adc(a[i], b[i], carry);
-                    out[i] = s;
-                    carry = c;
-                }
-                debug_assert_eq!(carry, 0, "add_wide overflow");
-                out
-            }
-
-            /// Double-width subtraction of unreduced products: `a - b`,
-            /// with `p²` added back when the raw subtraction borrows. For
-            /// `a, b < p²` the result stays in `[0, p²) ∪ [0, 2p²)` — below
-            /// the `p·R` bound of [`Self::montgomery_reduce`] because
-            /// `2p < R` for both fields of this crate.
-            #[allow(dead_code)]
-            #[inline]
-            pub(crate) fn sub_wide(
-                a: &[u64; 2 * $limbs],
-                b: &[u64; 2 * $limbs],
-            ) -> [u64; 2 * $limbs] {
-                let mut out = [0u64; 2 * $limbs];
-                let mut borrow = 0u64;
-                for i in 0..(2 * $limbs) {
-                    let (d, bo) = sbb(a[i], b[i], borrow);
-                    out[i] = d;
-                    borrow = bo;
-                }
-                // borrow is all-ones iff a < b: add p² back, masked.
-                let mask = borrow;
-                let mut carry = 0u64;
-                for i in 0..(2 * $limbs) {
-                    let (s, c) = adc(out[i], Self::MODULUS_SQUARED[i] & mask, carry);
-                    out[i] = s;
-                    carry = c;
-                }
-                // A borrowed subtraction wrapped mod 2^(128·limbs); the p²
-                // correction must wrap back (carry 1) to land on a - b + p².
-                debug_assert_eq!(carry, mask & 1, "sub_wide correction mismatch");
-                out
             }
 
             /// Montgomery reduction: interprets `t` as an integer
             /// `< p·2^(64·limbs)` and returns `t·R^-1 mod p`, fully reduced.
             #[inline]
-            pub(crate) fn montgomery_reduce(t: &mut [u64; 2 * $limbs]) -> [u64; $limbs] {
+            fn montgomery_reduce(t: &mut [u64; 2 * $limbs]) -> [u64; $limbs] {
                 let mut carry2 = 0u64;
                 for i in 0..$limbs {
                     let k = t[i].wrapping_mul($inv);
@@ -382,16 +321,106 @@ macro_rules! impl_montgomery_field {
                 Self::subtract_modulus(&out)
             }
 
-            #[inline]
-            pub(crate) fn mul(&self, rhs: &Self) -> Self {
-                let mut wide = Self::mul_wide(&self.0, &rhs.0);
-                $name(Self::montgomery_reduce(&mut wide))
+            /// `true` iff the limbs are below the modulus, the invariant
+            /// every element keeps.
+            fn is_reduced(&self) -> bool {
+                Self::limbs_lt(&self.0, &Self::MODULUS)
             }
 
-            /// Squares this element.
-            #[inline]
+            /// Montgomery product `self·rhs·R⁻¹ mod p`: one CIOS pass
+            /// (coarsely integrated operand scanning) per limb of `rhs`,
+            /// adding the row `self·rhs[i]` and the reduction multiple
+            /// `m·p` in the same sweep and shifting down one limb. This
+            /// is the "no-carry" form: the row's and the reduction's top
+            /// carries are kept apart and summed after the shift, so the
+            /// running sum needs no extra limb. It is exact when both
+            /// inputs are below `p` and the modulus's top limb is below
+            /// `2^63 - 1` (asserted at compile time): the sum then stays
+            /// below `2p < R`, and one conditional subtraction lands it
+            /// in `[0, p)`.
+            #[inline(always)]
+            pub(crate) fn mul(&self, rhs: &Self) -> Self {
+                debug_assert!(self.is_reduced() && rhs.is_reduced(), "unreduced operand");
+                let (a, b) = (&self.0, &rhs.0);
+                let mut t = [0u64; $limbs];
+                for i in 0..$limbs {
+                    let (t0, mut row_carry) = mac(t[0], a[0], b[i], 0);
+                    let m = t0.wrapping_mul($inv);
+                    let (_, mut red_carry) = mac(t0, m, Self::MODULUS[0], 0);
+                    for j in 1..$limbs {
+                        let (tj, c) = mac(t[j], a[j], b[i], row_carry);
+                        row_carry = c;
+                        let (tj, c) = mac(tj, m, Self::MODULUS[j], red_carry);
+                        red_carry = c;
+                        t[j - 1] = tj;
+                    }
+                    t[$limbs - 1] = row_carry + red_carry;
+                }
+                $name(Self::subtract_modulus(&t))
+            }
+
+            /// The separated product: [`Self::mul_wide`] into a 2·LIMBS
+            /// temporary, then [`Self::montgomery_reduce`]. The oracle
+            /// [`Self::mul`] and [`Self::square`] are tested against.
+            #[cfg(test)]
+            pub(crate) fn mul_separated(&self, rhs: &Self) -> Self {
+                $name(Self::montgomery_reduce(&mut Self::mul_wide(&self.0, &rhs.0)))
+            }
+
+            /// Squares this element. The `LIMBS·(LIMBS-1)/2` off-diagonal
+            /// products `a[i]·a[j]` (`i < j`) are computed once and
+            /// doubled with a one-bit shift, then the `LIMBS` diagonal
+            /// squares are added: 21 limb products for `Fp`, where a
+            /// multiplication's rows take 36. The square `hi·R + lo` is
+            /// then reduced as `lo·R⁻¹ + hi`: `LIMBS` reduction steps take
+            /// `lo` to at most `(lo + (R−1)·p)/R ≤ p`, and `hi < p²/R`, so
+            /// the sum is below `2p` and one conditional subtraction
+            /// reduces it.
+            #[inline(always)]
             pub fn square(&self) -> Self {
-                self.mul(self)
+                let a = &self.0;
+                let mut t = [0u64; 2 * $limbs];
+                for i in 0..$limbs - 1 {
+                    let mut carry = 0u64;
+                    for j in (i + 1)..$limbs {
+                        let (lo, c) = mac(t[i + j], a[i], a[j], carry);
+                        t[i + j] = lo;
+                        carry = c;
+                    }
+                    t[i + $limbs] = carry;
+                }
+                t[2 * $limbs - 1] = t[2 * $limbs - 2] >> 63;
+                for k in (1..2 * $limbs - 1).rev() {
+                    t[k] = (t[k] << 1) | (t[k - 1] >> 63);
+                }
+                let mut carry = 0u64;
+                for i in 0..$limbs {
+                    let (lo, c) = mac(t[2 * i], a[i], a[i], carry);
+                    t[2 * i] = lo;
+                    let (hi, c) = adc(t[2 * i + 1], 0, c);
+                    t[2 * i + 1] = hi;
+                    carry = c;
+                }
+
+                let mut u = [0u64; $limbs];
+                u.copy_from_slice(&t[..$limbs]);
+                for _ in 0..$limbs {
+                    let m = u[0].wrapping_mul($inv);
+                    let (_, mut carry) = mac(u[0], m, Self::MODULUS[0], 0);
+                    for j in 1..$limbs {
+                        let (lo, c) = mac(u[j], m, Self::MODULUS[j], carry);
+                        u[j - 1] = lo;
+                        carry = c;
+                    }
+                    u[$limbs - 1] = carry;
+                }
+                let mut carry = 0u64;
+                for i in 0..$limbs {
+                    let (s, c) = adc(u[i], t[$limbs + i], carry);
+                    u[i] = s;
+                    carry = c;
+                }
+                $name(Self::subtract_modulus(&u))
             }
 
             /// Raises this element to an arbitrary little-endian limb
@@ -630,6 +659,74 @@ fn shr1(v: &mut [u64]) {
         *limb = (*limb >> 1) | carry;
         carry = next_carry;
     }
+}
+
+#[cfg(test)]
+mod kernel_tests {
+    use crate::{Fp, Fr};
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// Checks `mul` and `square` against the separated product
+    /// (`mul_wide` + `montgomery_reduce`) on raw Montgomery limbs: every
+    /// pair of edge inputs, then 10 000 seeded pairs drawn directly as
+    /// limbs below the modulus (not through the kernel under test).
+    macro_rules! differential {
+        ($test:ident, $field:ident, $limbs:expr) => {
+            #[test]
+            fn $test() {
+                let p = $field::MODULUS;
+                let p_minus = |d: u64| {
+                    let mut l = p;
+                    l[0] -= d;
+                    $field(l)
+                };
+                let mut low_ones = [u64::MAX; $limbs];
+                low_ones[$limbs - 1] = 0;
+                let mut high_low_ones = low_ones;
+                high_low_ones[$limbs - 1] = p[$limbs - 1] - 1;
+                let edges = [
+                    $field::zero(),
+                    $field({
+                        let mut l = [0u64; $limbs];
+                        l[0] = 1;
+                        l
+                    }),
+                    $field::one(),
+                    p_minus(1),
+                    p_minus(2),
+                    -$field::one(),
+                    $field(low_ones),
+                    $field(high_low_ones),
+                ];
+                let mut rng = StdRng::seed_from_u64(0xc105);
+                let mut random = || loop {
+                    let mut l = [0u64; $limbs];
+                    for limb in l.iter_mut() {
+                        *limb = rng.next_u64();
+                    }
+                    l[$limbs - 1] &= u64::MAX >> (p[$limbs - 1].leading_zeros());
+                    if l.iter().rev().lt(p.iter().rev()) {
+                        return $field(l);
+                    }
+                };
+                for a in &edges {
+                    assert_eq!(a.square(), a.mul_separated(a), "square {:?}", a);
+                    for b in &edges {
+                        assert_eq!(a.mul(b), a.mul_separated(b), "{:?} * {:?}", a, b);
+                    }
+                }
+                for _ in 0..10_000 {
+                    let (a, b) = (random(), random());
+                    assert_eq!(a.mul(&b), a.mul_separated(&b), "{:?} * {:?}", a, b);
+                    assert_eq!(a.square(), a.mul_separated(&a), "square {:?}", a);
+                }
+            }
+        };
+    }
+
+    differential!(fp_kernel_matches_separated_product, Fp, 6);
+    differential!(fr_kernel_matches_separated_product, Fr, 4);
 }
 
 #[cfg(test)]

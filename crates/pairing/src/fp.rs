@@ -22,6 +22,39 @@ impl_montgomery_field!(
 );
 
 impl Fp {
+    /// `a[0]·b[0] + a[1]·b[1]` with one Montgomery reduction (ePrint
+    /// 2022/367, Alg. 2): for each limb position `j` the rows
+    /// `a[0][j]·b[0]` and `a[1][j]·b[1]` are added into one running sum
+    /// with a seventh limb, then a single reduction step shifts it down.
+    /// The result is below `(2p² + R·p)/R < 2p` (because `2p < R`), so
+    /// one conditional subtraction reduces it. `Fp2`'s product and norm
+    /// are each one or two such sums.
+    #[inline]
+    pub(crate) fn sum_of_products(a: [Fp; 2], b: [Fp; 2]) -> Fp {
+        let mut u = [0u64; 6];
+        for j in 0..6 {
+            let mut t = [u[0], u[1], u[2], u[3], u[4], u[5], 0];
+            for (x, y) in a.iter().zip(&b) {
+                let mut carry = 0u64;
+                for (tk, &yk) in t.iter_mut().zip(&y.0) {
+                    let (lo, c) = mac(*tk, x.0[j], yk, carry);
+                    *tk = lo;
+                    carry = c;
+                }
+                t[6] += carry;
+            }
+            let m = t[0].wrapping_mul(FP_INV);
+            let (_, mut carry) = mac(t[0], m, FP_MODULUS[0], 0);
+            for k in 1..6 {
+                let (lo, c) = mac(t[k], m, FP_MODULUS[k], carry);
+                u[k - 1] = lo;
+                carry = c;
+            }
+            u[5] = t[6] + carry;
+        }
+        Fp(Fp::subtract_modulus(&u))
+    }
+
     /// Computes a square root if one exists (`p ≡ 3 mod 4`, so
     /// `sqrt(a) = a^((p+1)/4)` when `a` is a quadratic residue).
     pub fn sqrt(&self) -> Option<Self> {

@@ -71,7 +71,8 @@ impl Fp2 {
         Fp2::new(self.c0, -self.c1)
     }
 
-    /// `self * self`, using the complex-squaring shortcut.
+    /// `self * self`, using the complex-squaring shortcut: two `Fp`
+    /// multiplications, against the four products of a multiplication.
     pub fn square(&self) -> Self {
         // (c0 + c1 u)^2 = (c0+c1)(c0-c1) + 2 c0 c1 u
         let a = self.c0 + self.c1;
@@ -85,14 +86,10 @@ impl Fp2 {
         Fp2::new(self.c0.double(), self.c1.double())
     }
 
-    /// The norm `c0² + c1²` down to `Fp`: two unreduced squares
-    /// (`< 2p² < p·R`) under one Montgomery reduction.
+    /// The norm `c0² + c1²` down to `Fp`: one sum of two products
+    /// under one Montgomery reduction.
     fn norm(&self) -> Fp {
-        let mut wide = Fp::add_wide(
-            &Fp::mul_wide(&self.c0.0, &self.c0.0),
-            &Fp::mul_wide(&self.c1.0, &self.c1.0),
-        );
-        Fp(Fp::montgomery_reduce(&mut wide))
+        Fp::sum_of_products([self.c0, self.c1], [self.c0, self.c1])
     }
 
     /// Multiplicative inverse, `None` for zero.
@@ -201,19 +198,11 @@ impl core::ops::Neg for Fp2 {
 impl core::ops::Mul for Fp2 {
     type Output = Self;
     fn mul(self, rhs: Self) -> Self {
-        // Karatsuba with lazy reduction: 3 double-width products but only
-        // 2 Montgomery reductions. The unreduced combinations stay below
-        // the reducer's `p·R` input bound (each product is `< p²` and
-        // `sub_wide`'s borrow correction adds `p² ≡ 0 mod p`, so results
-        // remain `< 2p² < p·R`).
-        let aa = Fp::mul_wide(&self.c0.0, &rhs.c0.0);
-        let bb = Fp::mul_wide(&self.c1.0, &rhs.c1.0);
-        let cross = Fp::mul_wide(&(self.c0 + self.c1).0, &(rhs.c0 + rhs.c1).0);
-        let mut re = Fp::sub_wide(&aa, &bb);
-        let mut im = Fp::sub_wide(&Fp::sub_wide(&cross, &aa), &bb);
+        // Each coefficient is a sum of two products under one reduction:
+        // c0 = a0·b0 + (−a1)·b1, c1 = a0·b1 + a1·b0.
         Fp2::new(
-            Fp(Fp::montgomery_reduce(&mut re)),
-            Fp(Fp::montgomery_reduce(&mut im)),
+            Fp::sum_of_products([self.c0, -self.c1], [rhs.c0, rhs.c1]),
+            Fp::sum_of_products([self.c0, self.c1], [rhs.c1, rhs.c0]),
         )
     }
 }
@@ -260,6 +249,7 @@ impl Field for Fp2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constants::FP_MODULUS;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -287,6 +277,41 @@ mod tests {
             assert_eq!(a * (b + c), a * b + a * c);
             assert_eq!(a.square(), a * a);
             assert_eq!(a.double(), a + a);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_separated_products() {
+        // The schoolbook formulas over `Fp::mul_separated` (`mul_wide` +
+        // `montgomery_reduce`), one reduction per product.
+        let mul = |a: &Fp2, b: &Fp2| {
+            Fp2::new(
+                a.c0.mul_separated(&b.c0) - a.c1.mul_separated(&b.c1),
+                a.c0.mul_separated(&b.c1) + a.c1.mul_separated(&b.c0),
+            )
+        };
+        let norm = |a: &Fp2| a.c0.mul_separated(&a.c0) + a.c1.mul_separated(&a.c1);
+        let (mut pm1, mut ones) = (FP_MODULUS, [u64::MAX; 6]);
+        pm1[0] -= 1;
+        ones[5] = FP_MODULUS[5] - 1;
+        let coeffs = [Fp::zero(), Fp::one(), -Fp::one(), Fp(pm1), Fp(ones)];
+        let edges: Vec<Fp2> = coeffs
+            .iter()
+            .flat_map(|&c0| coeffs.iter().map(move |&c1| Fp2::new(c0, c1)))
+            .collect();
+        let check = |a: &Fp2, b: &Fp2| {
+            assert_eq!(*a * *b, mul(a, b), "{:?} * {:?}", a, b);
+            assert_eq!(a.square(), mul(a, a), "square {:?}", a);
+            assert_eq!(a.norm(), norm(a), "norm {:?}", a);
+        };
+        for a in &edges {
+            for b in &edges {
+                check(a, b);
+            }
+        }
+        let mut r = rng();
+        for _ in 0..10_000 {
+            check(&Fp2::random(&mut r), &Fp2::random(&mut r));
         }
     }
 

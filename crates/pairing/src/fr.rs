@@ -168,6 +168,16 @@ mod tests {
     }
 
     #[test]
+    fn from_bytes_wide_reduces() {
+        // [0xff; 64] encodes 2^512 - 1, both 256-bit halves above r.
+        let mut p2 = Fr::one();
+        for _ in 0..512 {
+            p2 = p2.double();
+        }
+        assert_eq!(Fr::from_bytes_wide(&[0xff; 64]), p2 - Fr::one());
+    }
+
+    #[test]
     fn debug_format_is_tagged_hex() {
         let a = Fr::from_u64(123456789);
         let s = format!("{:?}", a);

@@ -1,7 +1,7 @@
-//! Scalar-multiplication and point-decoding gate (GLV/GLS +
-//! lazy-reduction pass; norm-method `Fp2::sqrt`): times the three
-//! variable-base ladders — schoolbook double-and-add, width-4 wNAF, and
-//! the endomorphism-decomposed joint ladder behind `Projective::mul` —
+//! Scalar-multiplication and point-decoding gate (GLV/GLS;
+//! norm-method `Fp2::sqrt`): times the three variable-base ladders —
+//! schoolbook double-and-add, width-4 wNAF, and the
+//! endomorphism-decomposed joint ladder behind `Projective::mul` —
 //! on both curve groups, cross-checks that all three agree on every
 //! input, then times strict point decoding (the `BENCH_scalar_mul.json`
 //! record; prose in EXPERIMENTS.md). Every timed sample is [`OPS`]
