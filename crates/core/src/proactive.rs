@@ -8,7 +8,7 @@
 //! players across different epochs — learns nothing useful, because
 //! shares from different epochs do not interpolate to the secret.
 
-use crate::ro::{KeyMaterial, KeyShare, ThresholdScheme, VerificationKey};
+use crate::ro::{verification_keys, KeyMaterial, KeyShare, ThresholdScheme, VerificationKey};
 use borndist_dkg::{recovery, refresh, Behavior, DkgConfig, SharingMode};
 use borndist_lhsps::{OneTimePublicKey, OneTimeSecretKey};
 use borndist_net::Metrics;
@@ -118,13 +118,8 @@ impl ProactiveDeployment {
         // Update combined commitments and verification keys.
         self.material.commitments =
             refresh::apply_refresh_commitments(&self.material.commitments, reference);
-        for i in 1..=self.material.params.n as u32 {
-            let vk: Vec<_> = self
-                .material
-                .commitments
-                .iter()
-                .map(|c| c.evaluate_at_index(i).to_affine())
-                .collect();
+        let vks = verification_keys(&self.material.commitments, self.material.params.n, |_| true);
+        for (vk, i) in vks.into_iter().zip(1..) {
             self.material.verification_keys.insert(
                 i,
                 VerificationKey {

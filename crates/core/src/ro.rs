@@ -23,7 +23,7 @@ use borndist_lhsps::{
 };
 use borndist_net::{Metrics, TransportKind};
 use borndist_pairing::codec::{CodecError, Wire};
-use borndist_pairing::{hash_to_g1_vector, hash_to_g2, Fr, G1Projective, G2Affine};
+use borndist_pairing::{hash_to_g1_vector, hash_to_g2, Fr, G1Projective, G2Affine, G2Projective};
 use borndist_shamir::{
     LagrangeCache, PedersenBases, PedersenCommitment, Polynomial, ThresholdParams,
 };
@@ -353,9 +353,13 @@ impl ThresholdScheme {
                 );
             }
         }
-        let verification_keys: BTreeMap<u32, VerificationKey> = (1..=params.n as u32)
-            .map(|i| {
-                let vk = reference.verification_key(i);
+        let verification_keys: BTreeMap<u32, VerificationKey> =
+            verification_keys(&reference.combined_commitments, params.n, |i| {
+                reference.qualified.contains(&i)
+            })
+            .into_iter()
+            .zip(1..)
+            .map(|(vk, i)| {
                 (
                     i,
                     VerificationKey {
@@ -717,6 +721,33 @@ impl From<borndist_net::Error> for DistKeygenError {
     fn from(e: borndist_net::Error) -> Self {
         DistKeygenError::Network(e)
     }
+}
+
+/// Every player's verification key `V̂_{k,i} = Π_ℓ Ŵ_{kℓ}^{i^ℓ}` for
+/// `i = 1..=n` (position `i − 1`), as [`DkgOutput::verification_key`]
+/// defines it: players `keyed` rejects get identities. All `n · width`
+/// points share one `batch_to_affine`.
+pub(crate) fn verification_keys(
+    commitments: &[PedersenCommitment],
+    n: usize,
+    keyed: impl Fn(u32) -> bool,
+) -> Vec<Vec<G2Affine>> {
+    let evals: Vec<G2Projective> = (1..=n as u32)
+        .flat_map(|i| {
+            let keyed = keyed(i);
+            commitments.iter().map(move |c| {
+                if keyed {
+                    c.evaluate_at_index(i)
+                } else {
+                    G2Projective::identity()
+                }
+            })
+        })
+        .collect();
+    G2Projective::batch_to_affine(&evals)
+        .chunks(commitments.len())
+        .map(<[G2Affine]>::to_vec)
+        .collect()
 }
 
 #[cfg(test)]

@@ -248,16 +248,13 @@ impl StandardScheme {
                 );
             }
         }
-        let verification_keys = (1..=params.n as u32)
-            .map(|i| {
-                (
-                    i,
-                    StdVerificationKey {
-                        index: i,
-                        v: reference.verification_key(i)[0],
-                    },
-                )
+        let verification_keys =
+            crate::ro::verification_keys(&reference.combined_commitments, params.n, |i| {
+                reference.qualified.contains(&i)
             })
+            .into_iter()
+            .zip(1..)
+            .map(|(vk, i)| (i, StdVerificationKey { index: i, v: vk[0] }))
             .collect();
         Ok((
             StdKeyMaterial {

@@ -30,7 +30,7 @@
 
 use crate::messages::{AggregateWitness, DkgMessage};
 use borndist_net::{Delivered, Outgoing, PlayerId, Protocol, Recipient, RoundAction};
-use borndist_pairing::{msm, multi_pairing, Fr, G1Affine, G1Projective, G2Affine};
+use borndist_pairing::{msm, multi_pairing, Fr, G1Affine, G1Projective, G2Affine, G2Projective};
 use borndist_shamir::{
     pedersen_check_verdicts, PedersenBases, PedersenCheck, PedersenCommitment, PedersenShare,
     PedersenSharing, ThresholdParams,
@@ -89,14 +89,15 @@ type BundleCheck<'a> = (
 /// present, full width, shares addressed to the expected index) is
 /// decided outside the algebra; every structurally valid bundle of the
 /// call then folds into **one** randomized cross-dealer multi-scalar
-/// multiplication ([`pedersen_check_verdicts`]: `O(n·t)` points in one
-/// Pippenger call instead of `n` small MSMs), which bisects a failing
-/// batch down to plain per-share leaves — so a forged share among
-/// hundreds of honest dealers gets the literal §3.1 verdict, up to the
-/// negligible `|checks|/r` weight-collision probability of
-/// small-exponent batching. The weights come from `check_seed` — a
-/// stream separate from the dealing RNG, so checking never perturbs
-/// dealt messages or golden traffic.
+/// multiplication ([`pedersen_check_verdicts`]: each commitment is
+/// evaluated once at its index by Horner's rule, and the MSM takes one
+/// point per check), which bisects a failing batch down to plain
+/// per-share leaves against the cached evaluations — so a forged share
+/// among hundreds of honest dealers gets the literal §3.1 verdict, up to
+/// the negligible `|checks|/r` weight-collision probability of
+/// random-linear-combination batching. The weights come from
+/// `check_seed` — a stream separate from the dealing RNG, so checking
+/// never perturbs dealt messages or golden traffic.
 fn judge_bundles(cfg: &DkgConfig, check_seed: u64, items: &[BundleCheck<'_>]) -> Vec<bool> {
     let mut verdicts: Vec<bool> = items
         .iter()
@@ -709,19 +710,21 @@ impl DkgPlayer {
             }
         }
 
-        // Combined commitments (joint polynomials).
-        let mut combined: Option<Vec<PedersenCommitment>> = None;
-        for dealer in &qualified {
-            let coms = &self.commitments[dealer];
-            combined = Some(match combined {
-                None => coms.clone(),
-                Some(acc) => acc
-                    .iter()
-                    .zip(coms.iter())
-                    .map(|(a, b)| a.combine(b))
-                    .collect(),
-            });
-        }
+        // Combined commitments (joint polynomials): QUAL's vectors summed
+        // in projective form, one normalisation per sharing. Qualified
+        // broadcasts all passed `broadcast_valid`, so each holds `width`
+        // vectors of `t + 1` points.
+        let combined: Vec<PedersenCommitment> = (0..self.cfg.width)
+            .map(|k| {
+                let mut sums = vec![G2Projective::identity(); self.t() + 1];
+                for dealer in &qualified {
+                    for (sum, w) in sums.iter_mut().zip(self.commitments[dealer][k].elements()) {
+                        *sum = sum.add_affine(w);
+                    }
+                }
+                PedersenCommitment::from_elements(G2Projective::batch_to_affine(&sums))
+            })
+            .collect();
 
         let aggregate_witness = self.cfg.aggregate.map(|_| {
             let mut z = G1Projective::identity();
@@ -741,7 +744,7 @@ impl DkgPlayer {
             id: self.id,
             qualified,
             share,
-            combined_commitments: combined.expect("Q is non-empty"),
+            combined_commitments: combined,
             aggregate_witness,
             additive_secret: self.my_sharings.iter().map(|s| s.secret_pair()).collect(),
         })

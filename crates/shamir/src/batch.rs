@@ -1,34 +1,38 @@
 //! Cross-dealer batched VSS share verification.
 //!
 //! In an `n`-player DKG every receiver checks one share bundle per
-//! dealer, and each check is its own `(t+1)`-point multi-scalar
-//! multiplication — `n` small MSMs per player, `O(n²·t)` group work per
-//! run. This module folds all of a receiver's per-dealer checks into
-//! **one** MSM with random weights: for Pedersen checks
-//! `ĝ_z^{a_j} ĝ_r^{b_j} = Π_ℓ Ŵ_{jℓ}^{x_j^ℓ}` and weights `ρ_j`,
+//! dealer. Check `j` compares a commitment to the share against the
+//! dealer's commitment vector evaluated in the exponent at the share's
+//! index; for Pedersen checks, `ĝ_z^{a_j} ĝ_r^{b_j} = E_j` with
+//! `E_j = Π_ℓ Ŵ_{jℓ}^{x_j^ℓ}`. Each `E_j` is computed once, by Horner's
+//! rule at the small index `x_j` (a few doublings per coefficient, see
+//! [`PedersenCommitment::evaluate_at_index`]), and all of them are
+//! normalised with one shared inversion. The checks then fold with
+//! random weights `ρ_j` into **one** MSM over one point per check plus
+//! the bases:
 //!
 //! ```text
-//!   ĝ_z^{Σ_j ρ_j a_j} · ĝ_r^{Σ_j ρ_j b_j} · Π_j Π_ℓ Ŵ_{jℓ}^{-ρ_j x_j^ℓ} = 1
+//!   ĝ_z^{Σ_j ρ_j a_j} · ĝ_r^{Σ_j ρ_j b_j} · Π_j E_j^{-ρ_j} = 1
 //! ```
 //!
-//! holds iff every individual check holds, except with probability
-//! `≈ |checks| / r` over the weights (the standard small-exponent
-//! batching argument; `r` is the group order, so the slack is
-//! negligible). One big MSM is both asymptotically and practically
-//! cheaper than `n` small ones: Pippenger's bucket width grows with the
-//! point count, and the `dkg_scaling` release gate records the measured
-//! ratio at committee scale.
+//! which holds iff every individual check holds, except with
+//! probability `≈ |checks| / r` over the weights (the standard
+//! random-linear-combination argument; `r` is the group order, so the
+//! slack is negligible). Against the per-share loop the fold saves one
+//! two-base MSM per check; the `dkg_scaling` release gate records the
+//! measured ratio at committee scale.
 //!
 //! The verdict functions ([`pedersen_check_verdicts`],
 //! [`feldman_check_verdicts`]) preserve *exact* per-check accept/reject
 //! semantics: a passing batch accepts everything, a failing batch
-//! bisects, and every leaf is decided by the plain per-dealer check —
-//! so a forged share hidden among hundreds of honest dealers is still
-//! pinpointed, at `O(log n)` extra batch evaluations.
+//! bisects, and every leaf is decided by the plain per-dealer check
+//! against the cached evaluation — so a forged share hidden among
+//! hundreds of honest dealers is still pinpointed, at `O(log n)` extra
+//! folds and no repeated evaluation.
 
 use crate::feldman::FeldmanCommitment;
 use crate::pedersen::{PedersenBases, PedersenCommitment, PedersenShare};
-use borndist_pairing::{msm, Affine, CurveParams, Fr, Projective};
+use borndist_pairing::{msm, Affine, CurveParams, Fr, G2Affine, G2Projective, Projective};
 use rand::RngCore;
 
 /// One Pedersen share check: does `share` open `commitment` at
@@ -53,66 +57,100 @@ pub struct FeldmanCheck<'a, C: CurveParams> {
     pub share: Fr,
 }
 
-/// Evaluates the folded Pedersen equation over `checks[idxs]`.
-fn pedersen_subset_holds(
-    bases: &PedersenBases,
-    checks: &[PedersenCheck<'_>],
+/// Every check's commitment evaluated at its index, normalised together.
+fn pedersen_evals(checks: &[PedersenCheck<'_>]) -> Vec<G2Affine> {
+    let evals: Vec<G2Projective> = checks
+        .iter()
+        .map(|c| c.commitment.evaluate_at_index(c.share.index))
+        .collect();
+    G2Projective::batch_to_affine(&evals)
+}
+
+/// Every check's commitment evaluated at its index, normalised together.
+fn feldman_evals<C: CurveParams>(checks: &[FeldmanCheck<'_, C>]) -> Vec<Affine<C>> {
+    let evals: Vec<Projective<C>> = checks
+        .iter()
+        .map(|c| c.commitment.evaluate_at_index(c.index))
+        .collect();
+    Projective::batch_to_affine(&evals)
+}
+
+/// The folded equation over `idxs`: one full-width weight `ρ_j` per
+/// check, drawn in `idxs` order, and one MSM over the points `E_j` with
+/// scalars `−ρ_j` plus the `bases`, whose scalars are the ρ-weighted
+/// share sums that `add_shares(sums, ρ_j, j)` accumulates.
+fn subset_holds<C: CurveParams, const B: usize>(
+    bases: [Affine<C>; B],
+    evals: &[Affine<C>],
     idxs: &[usize],
     rng: &mut dyn RngCore,
+    mut add_shares: impl FnMut(&mut [Fr; B], Fr, usize),
 ) -> bool {
-    let width: usize = idxs.iter().map(|&i| checks[i].commitment.len()).sum();
-    let mut points = Vec::with_capacity(width + 2);
-    let mut scalars = Vec::with_capacity(width + 2);
-    let mut s_z = Fr::zero();
-    let mut s_r = Fr::zero();
-    for &i in idxs {
-        let check = &checks[i];
+    let mut points = Vec::with_capacity(idxs.len() + B);
+    let mut scalars = Vec::with_capacity(idxs.len() + B);
+    let mut sums = [Fr::zero(); B];
+    for &j in idxs {
         let rho = Fr::random_nonzero(rng);
-        s_z += rho * check.share.a;
-        s_r += rho * check.share.b;
-        let x = Fr::from_u64(check.share.index as u64);
-        // Running scalar ρ_j · x_j^ℓ, negated so the whole equation
-        // folds into one identity test.
-        let mut pow = rho;
-        for w in check.commitment.elements() {
-            points.push(*w);
-            scalars.push(Fr::zero() - pow);
-            pow *= x;
-        }
+        add_shares(&mut sums, rho, j);
+        points.push(evals[j]);
+        scalars.push(-rho);
     }
-    points.push(bases.g_z);
-    scalars.push(s_z);
-    points.push(bases.g_r);
-    scalars.push(s_r);
+    points.extend(bases);
+    scalars.extend(sums);
     msm(&points, &scalars).is_identity()
 }
 
-/// Evaluates the folded Feldman equation over `checks[idxs]`.
-fn feldman_subset_holds<C: CurveParams>(
-    g: &Projective<C>,
-    checks: &[FeldmanCheck<'_, C>],
+/// Batch-then-bisect over `n` checks: a subset `holds` accepts is
+/// accepted whole, a failing one splits in half, and a single check is
+/// decided by `leaf`.
+fn bisect(
+    n: usize,
+    mut holds: impl FnMut(&[usize]) -> bool,
+    leaf: impl Fn(usize) -> bool,
+) -> Vec<bool> {
+    let mut verdicts = vec![true; n];
+    let mut stack: Vec<Vec<usize>> = vec![(0..n).collect()];
+    while let Some(idxs) = stack.pop() {
+        match idxs.len() {
+            0 => {}
+            1 => verdicts[idxs[0]] = leaf(idxs[0]),
+            _ => {
+                if !holds(&idxs) {
+                    let mid = idxs.len() / 2;
+                    stack.push(idxs[mid..].to_vec());
+                    stack.push(idxs[..mid].to_vec());
+                }
+            }
+        }
+    }
+    verdicts
+}
+
+/// The folded Pedersen equation over `checks[idxs]`.
+fn pedersen_subset_holds(
+    bases: &PedersenBases,
+    checks: &[PedersenCheck<'_>],
+    evals: &[G2Affine],
     idxs: &[usize],
     rng: &mut dyn RngCore,
 ) -> bool {
-    let width: usize = idxs.iter().map(|&i| checks[i].commitment.len()).sum();
-    let mut points: Vec<Affine<C>> = Vec::with_capacity(width + 1);
-    let mut scalars = Vec::with_capacity(width + 1);
-    let mut s = Fr::zero();
-    for &i in idxs {
-        let check = &checks[i];
-        let rho = Fr::random_nonzero(rng);
-        s += rho * check.share;
-        let x = Fr::from_u64(check.index as u64);
-        let mut pow = rho;
-        for c in check.commitment.elements() {
-            points.push(*c);
-            scalars.push(Fr::zero() - pow);
-            pow *= x;
-        }
-    }
-    points.push(g.to_affine());
-    scalars.push(s);
-    msm(&points, &scalars).is_identity()
+    subset_holds([bases.g_z, bases.g_r], evals, idxs, rng, |s, rho, j| {
+        s[0] += rho * checks[j].share.a;
+        s[1] += rho * checks[j].share.b;
+    })
+}
+
+/// The folded Feldman equation over `checks[idxs]`.
+fn feldman_subset_holds<C: CurveParams>(
+    g: &Affine<C>,
+    checks: &[FeldmanCheck<'_, C>],
+    evals: &[Affine<C>],
+    idxs: &[usize],
+    rng: &mut dyn RngCore,
+) -> bool {
+    subset_holds([*g], evals, idxs, rng, |s, rho, j| {
+        s[0] += rho * checks[j].share;
+    })
 }
 
 /// `true` iff (whp over the weights) every Pedersen check holds — the
@@ -126,7 +164,7 @@ pub fn pedersen_batch_verify(
         return true;
     }
     let all: Vec<usize> = (0..checks.len()).collect();
-    pedersen_subset_holds(bases, checks, &all, rng)
+    pedersen_subset_holds(bases, checks, &pedersen_evals(checks), &all, rng)
 }
 
 /// `true` iff (whp over the weights) every Feldman check holds.
@@ -139,7 +177,7 @@ pub fn feldman_batch_verify<C: CurveParams>(
         return true;
     }
     let all: Vec<usize> = (0..checks.len()).collect();
-    feldman_subset_holds(g, checks, &all, rng)
+    feldman_subset_holds(&g.to_affine(), checks, &feldman_evals(checks), &all, rng)
 }
 
 /// Per-check verdicts via batch-then-bisect: identical accept/reject
@@ -151,25 +189,12 @@ pub fn pedersen_check_verdicts(
     checks: &[PedersenCheck<'_>],
     rng: &mut dyn RngCore,
 ) -> Vec<bool> {
-    let mut verdicts = vec![true; checks.len()];
-    let mut stack: Vec<Vec<usize>> = vec![(0..checks.len()).collect()];
-    while let Some(idxs) = stack.pop() {
-        match idxs.len() {
-            0 => {}
-            1 => {
-                let check = &checks[idxs[0]];
-                verdicts[idxs[0]] = check.commitment.verify_share(bases, &check.share);
-            }
-            _ => {
-                if !pedersen_subset_holds(bases, checks, &idxs, rng) {
-                    let mid = idxs.len() / 2;
-                    stack.push(idxs[mid..].to_vec());
-                    stack.push(idxs[..mid].to_vec());
-                }
-            }
-        }
-    }
-    verdicts
+    let evals = pedersen_evals(checks);
+    bisect(
+        checks.len(),
+        |idxs| pedersen_subset_holds(bases, checks, &evals, idxs, rng),
+        |j| bases.commit(&checks[j].share.a, &checks[j].share.b) == evals[j].to_projective(),
+    )
 }
 
 /// Per-check verdicts via batch-then-bisect — the Feldman analogue of
@@ -180,25 +205,13 @@ pub fn feldman_check_verdicts<C: CurveParams>(
     checks: &[FeldmanCheck<'_, C>],
     rng: &mut dyn RngCore,
 ) -> Vec<bool> {
-    let mut verdicts = vec![true; checks.len()];
-    let mut stack: Vec<Vec<usize>> = vec![(0..checks.len()).collect()];
-    while let Some(idxs) = stack.pop() {
-        match idxs.len() {
-            0 => {}
-            1 => {
-                let check = &checks[idxs[0]];
-                verdicts[idxs[0]] = check.commitment.verify_share(check.index, check.share, g);
-            }
-            _ => {
-                if !feldman_subset_holds(g, checks, &idxs, rng) {
-                    let mid = idxs.len() / 2;
-                    stack.push(idxs[mid..].to_vec());
-                    stack.push(idxs[..mid].to_vec());
-                }
-            }
-        }
-    }
-    verdicts
+    let evals = feldman_evals(checks);
+    let g_affine = g.to_affine();
+    bisect(
+        checks.len(),
+        |idxs| feldman_subset_holds(&g_affine, checks, &evals, idxs, rng),
+        |j| g.mul(&checks[j].share) == evals[j].to_projective(),
+    )
 }
 
 #[cfg(test)]

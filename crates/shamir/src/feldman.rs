@@ -6,9 +6,9 @@
 //! paper's own protocol uses the two-generator Pedersen variant in
 //! [`crate::pedersen`].
 
-use crate::polynomial::Polynomial;
+use crate::polynomial::{eval_in_exponent, Polynomial};
 use borndist_pairing::codec::{CodecError, Wire};
-use borndist_pairing::{msm, Affine, CurveParams, Fr, Projective};
+use borndist_pairing::{Affine, CurveParams, Fr, Projective};
 
 /// A broadcast Feldman commitment to a sharing polynomial: one group
 /// element per coefficient.
@@ -36,8 +36,7 @@ impl<C: CurveParams> FeldmanCommitment<C> {
         self.commitments.is_empty()
     }
 
-    /// The raw broadcast elements `C_ℓ` (coefficient order) — what the
-    /// cross-dealer batch verifier folds into its single MSM.
+    /// The raw broadcast elements `C_ℓ` (coefficient order).
     pub fn elements(&self) -> &[Affine<C>] {
         &self.commitments
     }
@@ -51,14 +50,7 @@ impl<C: CurveParams> FeldmanCommitment<C> {
     /// Evaluates the commitment "in the exponent" at index `i`:
     /// `g^{P(i)} = Π C_ℓ^{i^ℓ}`.
     pub fn evaluate_at_index(&self, index: u32) -> Projective<C> {
-        let x = Fr::from_u64(index as u64);
-        let mut scalars = Vec::with_capacity(self.commitments.len());
-        let mut pow = Fr::one();
-        for _ in 0..self.commitments.len() {
-            scalars.push(pow);
-            pow *= x;
-        }
-        msm(&self.commitments, &scalars)
+        eval_in_exponent(&self.commitments, index)
     }
 
     /// Verifies that `share` is the correct evaluation for `index`.

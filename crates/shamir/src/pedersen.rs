@@ -14,7 +14,7 @@
 //! bases `ĝ_z, ĝ_r`), which is what lets the scheme tolerate Pedersen-DKG
 //! key bias while remaining adaptively secure.
 
-use crate::polynomial::Polynomial;
+use crate::polynomial::{eval_in_exponent, Polynomial};
 use borndist_pairing::codec::{CodecError, Wire};
 use borndist_pairing::{msm, Fr, G2Affine, G2Projective};
 use rand::RngCore;
@@ -150,8 +150,7 @@ impl PedersenCommitment {
         self.w.is_empty()
     }
 
-    /// The raw broadcast elements `Ŵ_ℓ` (coefficient order) — what the
-    /// cross-dealer batch verifier folds into its single MSM.
+    /// The raw broadcast elements `Ŵ_ℓ` (coefficient order).
     pub fn elements(&self) -> &[G2Affine] {
         &self.w
     }
@@ -165,14 +164,7 @@ impl PedersenCommitment {
     /// Evaluates the commitment in the exponent at player index `i`:
     /// `Π_ℓ Ŵ_ℓ^{i^ℓ} = ĝ_z^{A(i)} ĝ_r^{B(i)}`.
     pub fn evaluate_at_index(&self, index: u32) -> G2Projective {
-        let x = Fr::from_u64(index as u64);
-        let mut scalars = Vec::with_capacity(self.w.len());
-        let mut pow = Fr::one();
-        for _ in 0..self.w.len() {
-            scalars.push(pow);
-            pow *= x;
-        }
-        msm(&self.w, &scalars)
+        eval_in_exponent(&self.w, index)
     }
 
     /// The paper's check (1): does `(A(i), B(i))` open this commitment at

@@ -10,7 +10,7 @@
 //!
 //! Receiver `i` checks its share triple against both equations (12).
 
-use crate::polynomial::Polynomial;
+use crate::polynomial::{eval_in_exponent, Polynomial};
 use borndist_pairing::codec::{CodecError, Wire};
 use borndist_pairing::{msm, Fr, G2Affine, G2Projective};
 use rand::RngCore;
@@ -159,14 +159,17 @@ impl TripleCommitment {
 
     /// Evaluates both commitment vectors in the exponent at `index`.
     pub fn evaluate_at_index(&self, index: u32) -> (G2Projective, G2Projective) {
-        let x = Fr::from_u64(index as u64);
-        let mut scalars = Vec::with_capacity(self.v.len());
-        let mut pow = Fr::one();
-        for _ in 0..self.v.len() {
-            scalars.push(pow);
-            pow *= x;
-        }
-        (msm(&self.v, &scalars), msm(&self.w, &scalars))
+        (
+            eval_in_exponent(&self.v, index),
+            eval_in_exponent(&self.w, index),
+        )
+    }
+
+    /// The two broadcast vectors `(V̂_ℓ)` and `(Ŵ_ℓ)`, for the
+    /// evaluation oracle of the tests.
+    #[cfg(test)]
+    pub(crate) fn elements(&self) -> (&[G2Affine], &[G2Affine]) {
+        (&self.v, &self.w)
     }
 
     /// The Appendix F check (12) on a share triple.

@@ -3,7 +3,7 @@
 //! Every secret in the paper is shared by evaluating a degree-`t`
 //! polynomial at the player indices `1..=n` (index `0` holds the secret).
 
-use borndist_pairing::Fr;
+use borndist_pairing::{Affine, CurveParams, Fr, Projective};
 use rand::RngCore;
 
 /// A polynomial `c₀ + c₁·X + … + c_t·X^t` over `Fr`, stored by
@@ -114,14 +114,144 @@ impl Polynomial {
     }
 }
 
+/// Evaluates a commitment vector in the exponent at a player index,
+/// `Π_ℓ C_ℓ^{index^ℓ}` — the one way this crate evaluates a Feldman,
+/// Pedersen or triple commitment.
+///
+/// Horner's rule from the top coefficient: each step multiplies the
+/// accumulator by `index` with a plain double-and-add over the bits of
+/// `index` (`⌊log₂ index⌋` doublings, as `endo::mul_by_bls_x` does for
+/// the BLS parameter) and adds the next coefficient. A player index is
+/// at most 32 bits, so this replaces a full-width scalar per point with
+/// a handful of doublings. The group law is complete, so identity
+/// entries and `index = 0` need no special case.
+pub(crate) fn eval_in_exponent<C: CurveParams>(coeffs: &[Affine<C>], index: u32) -> Projective<C> {
+    let Some((top, rest)) = coeffs.split_last() else {
+        return Projective::identity();
+    };
+    let mut acc = top.to_projective();
+    for c in rest.iter().rev() {
+        acc = mul_by_index(&acc, index).add_affine(c);
+    }
+    acc
+}
+
+/// `[index]·p` by left-to-right double-and-add over the bits of `index`.
+fn mul_by_index<C: CurveParams>(p: &Projective<C>, index: u32) -> Projective<C> {
+    if index == 0 {
+        return Projective::identity();
+    }
+    let mut acc = *p;
+    for bit in (0..index.ilog2()).rev() {
+        acc = acc.double();
+        if (index >> bit) & 1 == 1 {
+            acc = acc.add(p);
+        }
+    }
+    acc
+}
+
+/// The definition [`eval_in_exponent`] must equal: one MSM with the
+/// powers `index^ℓ` as full-width scalars.
+#[cfg(test)]
+pub(crate) fn eval_by_powers_msm<C: CurveParams>(
+    coeffs: &[Affine<C>],
+    index: u32,
+) -> Projective<C> {
+    let x = Fr::from_u64(index as u64);
+    let mut scalars = Vec::with_capacity(coeffs.len());
+    let mut pow = Fr::one();
+    for _ in coeffs {
+        scalars.push(pow);
+        pow *= x;
+    }
+    borndist_pairing::msm(coeffs, &scalars)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FeldmanCommitment, PedersenBases, PedersenSharing, TripleBases, TripleSharing};
+    use borndist_pairing::{G1Affine, G1Projective, G2Projective};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0x901)
+    }
+
+    /// The indices every evaluation is checked at: the secret's slot,
+    /// small and committee-sized indices, a power of two and the widest.
+    const INDICES: [u32; 6] = [0, 1, 2, 97, 1024, u32::MAX];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Horner evaluation equals the powers-of-index MSM for G1
+        /// Feldman, G2 Pedersen and triple commitments, at lengths 1 and
+        /// `t + 1`, with the coefficients that `zero_mask` selects zeroed
+        /// so that their commitment entries are the identity.
+        #[test]
+        fn eval_in_exponent_matches_powers_msm(
+            seed in any::<u64>(),
+            t in 1usize..17,
+            zero_mask in any::<u32>(),
+        ) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let g2 = |r: &mut StdRng| G2Projective::random(r).to_affine();
+            let pb = PedersenBases { g_z: g2(&mut r), g_r: g2(&mut r) };
+            let tb = TripleBases { g_z: g2(&mut r), g_r: g2(&mut r), h_z: g2(&mut r), h_u: g2(&mut r) };
+            for len in [1, t + 1] {
+                let mut poly = || Polynomial::from_coefficients(
+                    (0..len)
+                        .map(|l| if zero_mask >> l & 1 == 1 { Fr::zero() } else { Fr::random(&mut r) })
+                        .collect(),
+                );
+                let feldman = FeldmanCommitment::commit(&poly(), &G1Projective::generator());
+                let pedersen = PedersenSharing::from_polynomials(&pb, poly(), poly()).commitment;
+                let triple = TripleSharing::from_polynomials(&tb, poly(), poly(), poly()).commitment;
+                let (v, w) = triple.elements();
+                for index in INDICES {
+                    prop_assert_eq!(
+                        feldman.evaluate_at_index(index),
+                        eval_by_powers_msm(feldman.elements(), index)
+                    );
+                    prop_assert_eq!(
+                        pedersen.evaluate_at_index(index),
+                        eval_by_powers_msm(pedersen.elements(), index)
+                    );
+                    prop_assert_eq!(
+                        triple.evaluate_at_index(index),
+                        (eval_by_powers_msm(v, index), eval_by_powers_msm(w, index))
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_in_exponent_edge_vectors() {
+        let mut r = rng();
+        let p = G1Projective::random(&mut r).to_affine();
+        let id = G1Affine::identity();
+        for coeffs in [
+            vec![],
+            vec![id],
+            vec![id, id, id],
+            vec![id, p, id],
+            vec![p, id],
+        ] {
+            for index in INDICES {
+                assert_eq!(
+                    eval_in_exponent(&coeffs, index),
+                    eval_by_powers_msm(&coeffs, index),
+                    "{} coefficients at {}",
+                    coeffs.len(),
+                    index
+                );
+            }
+        }
     }
 
     #[test]

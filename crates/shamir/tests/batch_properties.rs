@@ -1,18 +1,19 @@
 //! Property-based tests for the cross-dealer batched check layer: the
 //! randomized single-MSM verdicts must agree with the per-dealer
 //! `verify_share` loop on every input — all-honest, sparsely corrupted,
-//! and with a single forged share hidden among 128 dealers — and the
+//! withheld, forged in the top coefficient only, all forged, and with a
+//! single forged share hidden among 128 dealers — and the
 //! Lagrange cache must be a pure memoization of the fresh computation.
 
 use borndist_pairing::{Fr, G1Projective, G2Projective};
 use borndist_shamir::{
     feldman_check_verdicts, lagrange_coefficients_at_zero, pedersen_batch_verify,
     pedersen_check_verdicts, FeldmanCheck, FeldmanCommitment, LagrangeCache, PedersenBases,
-    PedersenCheck, PedersenShare, PedersenSharing, Polynomial,
+    PedersenCheck, PedersenCommitment, PedersenShare, PedersenSharing, Polynomial,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn bases(rng: &mut StdRng) -> PedersenBases {
     PedersenBases {
@@ -140,5 +141,69 @@ proptest! {
             prop_assert_eq!(&*rev_coeffs, &expect);
             prop_assert_eq!(cache.cached_sets(), 2);
         }
+    }
+}
+
+proptest! {
+    // 62 dealings at t = 15 per case.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// One receiver's round-1 fold at n = 32, t = 15, width 2: the
+    /// verdicts equal the per-share loop when a random subset of the 31
+    /// other dealers withholds (its checks never reach the fold), a
+    /// random subset of shares is forged, and one dealer forges only the
+    /// top coefficient of its commitment — a fault that shows only
+    /// through the `index^t` term. With every share forged, every
+    /// verdict is a rejection.
+    #[test]
+    fn pedersen_verdicts_match_per_share_at_n32(seed in any::<u64>(), receiver in 1u32..33) {
+        let t = 15;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let b = bases(&mut rng);
+        let top_forger = (rng.next_u32() % 31) as usize;
+        let mut sharings: Vec<PedersenSharing> = Vec::new();
+        let mut commitments: Vec<PedersenCommitment> = Vec::new();
+        for j in 0..31 {
+            for _ in 0..2 {
+                let s = PedersenSharing::deal_random(&b, t, &mut rng);
+                let mut commitment = s.commitment.clone();
+                if j == top_forger {
+                    let mut coeffs = s.poly_a.coefficients().to_vec();
+                    coeffs[t] += Fr::random_nonzero(&mut rng);
+                    commitment = PedersenSharing::from_polynomials(
+                        &b,
+                        Polynomial::from_coefficients(coeffs),
+                        s.poly_b.clone(),
+                    )
+                    .commitment;
+                }
+                sharings.push(s);
+                commitments.push(commitment);
+            }
+        }
+        let mut checks: Vec<PedersenCheck<'_>> = Vec::new();
+        for dealer in sharings.chunks(2).zip(commitments.chunks(2)) {
+            if rng.next_u32() % 4 == 0 {
+                continue; // withheld
+            }
+            for (s, commitment) in dealer.0.iter().zip(dealer.1) {
+                let mut share = s.share_for(receiver);
+                if rng.next_u32() % 8 == 0 {
+                    share.a += Fr::random_nonzero(&mut rng);
+                }
+                checks.push(PedersenCheck { commitment, share });
+            }
+        }
+        let per_share: Vec<bool> = checks.iter()
+            .map(|c| c.commitment.verify_share(&b, &c.share))
+            .collect();
+        prop_assert!(!per_share.is_empty());
+        prop_assert_eq!(pedersen_check_verdicts(&b, &checks, &mut rng), per_share);
+
+        for c in checks.iter_mut() {
+            c.share.b += Fr::random_nonzero(&mut rng);
+        }
+        let verdicts = pedersen_check_verdicts(&b, &checks, &mut rng);
+        prop_assert!(verdicts.iter().all(|v| !*v));
     }
 }

@@ -5,7 +5,8 @@
 //! `BENCH_dkg_scaling.json` record; prose table E12 in EXPERIMENTS.md.
 //!
 //! Floor: the 128-dealer batched verdict pass is ≥ 1.3× the per-share
-//! loop (core-count independent: both sides are single MSM streams).
+//! loop (core-count independent: both sides evaluate every commitment
+//! on the calling thread, and the fold's one MSM is small).
 //!
 //! Correctness cross-checks: batched verdicts equal the per-share loop
 //! including a forged share; the n = 128 session finishes with all 128
@@ -33,10 +34,13 @@ fn main() {
     // --- leg A: 128-dealer batched Pedersen verdicts (the gate) ---
     // One receiving player's round-1 workload at n = 128, t = 16: one
     // share check per dealer, judged share by share vs folded into a
-    // single cross-dealer MSM. The receiver sits at a representative committee
-    // index (97): checks evaluate commitments at powers of the player's
-    // own index, so a low index would hand the per-share baseline
-    // unrepresentatively small scalars.
+    // single cross-dealer MSM. Both sides evaluate each commitment at
+    // the receiver's index by Horner's rule, whose steps cost
+    // ⌊log₂ i⌋ doublings and one addition per set bit of `i`, so the
+    // receiver sits at a representative committee index (97: seven
+    // bits, three set). A low index would shrink the evaluation both
+    // sides share and so flatter the fold, whose saving is one
+    // two-base MSM per check.
     let t = 16usize;
     let dealers = 128usize;
     let cfg_a = standard_config(

@@ -1,8 +1,8 @@
 //! Thread-count invariance of the multi-core execution layer (ISSUE 4).
 //!
-//! Every parallel hot path — batch verification, robust combine, MSM,
-//! Miller-loop sharding, batched normalization, fixed-base tables — must
-//! return **bit-identical** results under `Parallelism::Sequential`,
+//! Every parallel hot path — batch verification, the DKG share-check
+//! fold, robust combine, MSM, Miller-loop sharding, batched
+//! normalization, fixed-base tables — must return **bit-identical** results under `Parallelism::Sequential`,
 //! `Threads(2)` and `Threads(7)` on the same deterministic-seed inputs,
 //! including the forged-in-batch adversarial cases mirrored from
 //! `tests/adversarial.rs`. The parallel layer is an execution detail; it
@@ -14,7 +14,9 @@ use borndist::pairing::{
     G1Projective, G2Affine, G2Prepared, G2Projective,
 };
 use borndist::parallel::{with_parallelism, Parallelism};
-use borndist::shamir::ThresholdParams;
+use borndist::shamir::{
+    pedersen_check_verdicts, PedersenBases, PedersenCheck, PedersenSharing, ThresholdParams,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -190,6 +192,37 @@ fn msm_is_thread_count_invariant() {
             with_parallelism(Parallelism::Sequential, || msm(&bases, &scalars)).to_affine()
         );
     }
+}
+
+#[test]
+fn pedersen_check_fold_is_thread_count_invariant() {
+    // One receiver's round-1 fold at n = 32, t = 15, width 2: 62 checks,
+    // so the folded MSM (64 points) takes the parallel window path.
+    let mut rng = StdRng::seed_from_u64(0x5d);
+    let bases = PedersenBases {
+        g_z: G2Projective::random(&mut rng).to_affine(),
+        g_r: G2Projective::random(&mut rng).to_affine(),
+    };
+    let sharings: Vec<PedersenSharing> = (0..62)
+        .map(|_| PedersenSharing::deal_random(&bases, 15, &mut rng))
+        .collect();
+    let mut checks: Vec<PedersenCheck<'_>> = sharings
+        .iter()
+        .map(|s| PedersenCheck {
+            commitment: &s.commitment,
+            share: s.share_for(32),
+        })
+        .collect();
+    let honest = invariant("pedersen_check_verdicts(honest)", || {
+        pedersen_check_verdicts(&bases, &checks, &mut StdRng::seed_from_u64(5))
+    });
+    assert!(honest.iter().all(|v| *v));
+    checks[17].share.b += Fr::one();
+    let forged = invariant("pedersen_check_verdicts(forged)", || {
+        pedersen_check_verdicts(&bases, &checks, &mut StdRng::seed_from_u64(6))
+    });
+    assert_eq!(forged.iter().filter(|v| !**v).count(), 1);
+    assert!(!forged[17]);
 }
 
 #[test]
