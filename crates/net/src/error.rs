@@ -75,15 +75,14 @@ impl From<std::io::Error> for Error {
 pub enum TcpError {
     /// An I/O operation failed outside any more specific context.
     Io(std::io::Error),
-    /// A peer could not be dialed within the configured retry budget.
+    /// A peer's listener never took a connection before the formation
+    /// deadline (a refused connect is retried every 5 ms until then).
     DialFailed {
         /// The peer that never answered.
         peer: PlayerId,
         /// The address dialed.
         addr: SocketAddr,
-        /// Number of attempts made.
-        attempts: u32,
-        /// The last connection error.
+        /// Why dialing stopped: a `TimedOut` error for the deadline.
         last: std::io::Error,
     },
     /// The connect/accept handshake failed or identified the wrong peer.
@@ -93,7 +92,7 @@ pub enum TcpError {
         /// Human-readable reason.
         reason: String,
     },
-    /// Not every expected inbound peer connected within the accept
+    /// Not every expected inbound peer connected before the formation
     /// deadline.
     AcceptTimeout {
         /// Peers that never completed the handshake.
@@ -113,16 +112,9 @@ impl core::fmt::Display for TcpError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             TcpError::Io(e) => write!(f, "socket i/o failed: {}", e),
-            TcpError::DialFailed {
-                peer,
-                addr,
-                attempts,
-                last,
-            } => write!(
-                f,
-                "dialing player {} at {} failed after {} attempts: {}",
-                peer, addr, attempts, last
-            ),
+            TcpError::DialFailed { peer, addr, last } => {
+                write!(f, "dialing player {} at {} failed: {}", peer, addr, last)
+            }
             TcpError::Handshake { peer, reason } => {
                 write!(f, "handshake with player {} failed: {}", peer, reason)
             }

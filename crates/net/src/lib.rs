@@ -61,9 +61,7 @@ pub use error::{Error, TcpError};
 pub use frame::{decode_frame, encode_frame, WIRE_VERSION};
 pub use mesh::MAX_ENVELOPE_BYTES;
 pub use policy::{DeliveryPolicy, Outage, Partition, Tamper, TamperRule};
-pub use reactor::{
-    ensure_fd_capacity, run_tcp_reactor_loopback_with, ReactorTransport, TcpOptions,
-};
+pub use reactor::{ensure_fd_capacity, run_tcp_reactor_loopback, ReactorTransport};
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -498,11 +496,7 @@ pub fn run_protocol<M: Wire + Clone, O: Send>(
     match kind {
         TransportKind::Lockstep => inproc::run(players, &DeliveryPolicy::reliable(), max_rounds),
         TransportKind::Channel(policy) => inproc::run(players, policy, max_rounds),
-        TransportKind::TcpReactor(policy) => run_tcp_reactor_loopback_with(
-            players,
-            TcpOptions::with_policy(policy.clone()),
-            max_rounds,
-        ),
+        TransportKind::TcpReactor(policy) => run_tcp_reactor_loopback(players, policy, max_rounds),
     }
 }
 

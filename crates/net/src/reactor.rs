@@ -5,11 +5,14 @@
 //!
 //! ## Mesh formation
 //!
-//! Every player knows the listen address of every peer. Connections are
-//! keyed by player id: the **higher** id dials the **lower** id (with
-//! retry-and-backoff, so start order does not matter), and an
-//! [`Envelope::Hello`]/[`Envelope::HelloAck`] handshake pins who is on
-//! each end before any protocol byte flows. Formation is fully
+//! Every player knows the listen address of every peer and binds its own
+//! listener before it dials anyone. Connections are keyed by player id:
+//! the **higher** id dials the **lower** id (a refused connect is
+//! retried every few milliseconds, so start order does not matter; a
+//! bound listener holds the dial in its backlog until its owner
+//! accepts), and an [`Envelope::Hello`]/[`Envelope::HelloAck`] handshake
+//! pins who is on each end before any protocol byte flows. One
+//! wall-clock deadline covers the whole formation. Formation is fully
 //! interleaved in one loop: the reactor keeps accepting and handshaking
 //! inbound peers *while* its own dials and `HelloAck` waits are in
 //! flight. Because a player only ever waits on strictly lower ids (and
@@ -67,51 +70,15 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of a socket mesh.
-#[derive(Clone, Debug)]
-pub struct TcpOptions {
-    /// Fault injection, identical semantics on every transport.
-    pub policy: DeliveryPolicy,
-    /// Dial attempts per peer before giving up.
-    pub dial_attempts: u32,
-    /// Initial dial backoff (doubles per attempt).
-    pub dial_backoff: Duration,
-    /// Backoff ceiling.
-    pub dial_backoff_max: Duration,
-    /// Wall-clock cap on the whole outbound dialing phase (all peers).
-    /// An elapsed deadline surfaces as [`TcpError::DialFailed`] with an
-    /// `io::ErrorKind::TimedOut` cause — even when it elapses before the
-    /// first connect attempt (e.g. a zero timeout).
-    pub dial_timeout: Duration,
-    /// How long the acceptor waits for the full inbound mesh.
-    pub accept_timeout: Duration,
-    /// A live peer silent past this deadline is treated as crashed.
-    pub round_timeout: Duration,
-}
-
-impl Default for TcpOptions {
-    fn default() -> Self {
-        TcpOptions {
-            policy: DeliveryPolicy::reliable(),
-            dial_attempts: 40,
-            dial_backoff: Duration::from_millis(5),
-            dial_backoff_max: Duration::from_millis(500),
-            dial_timeout: Duration::from_secs(30),
-            accept_timeout: Duration::from_secs(30),
-            round_timeout: Duration::from_secs(60),
-        }
-    }
-}
-
-impl TcpOptions {
-    /// Default options with the given fault policy.
-    pub fn with_policy(policy: DeliveryPolicy) -> Self {
-        TcpOptions {
-            policy,
-            ..Self::default()
-        }
-    }
-}
+/// Pause between connect attempts to a peer whose listener is not
+/// bound yet. Fixed, not growing: a listener that appears late is
+/// reached within one period of binding, whatever the start order.
+const DIAL_RETRY: Duration = Duration::from_millis(5);
+/// Wall-clock cap on mesh formation: every dial, accept and `HelloAck`
+/// wait of one [`ReactorTransport::connect`] shares this one deadline.
+const FORM_TIMEOUT: Duration = Duration::from_secs(30);
+/// A live peer silent this long within one round is treated as crashed.
+const ROUND_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Raises the process file-descriptor limit to at least `needed`
 /// descriptors (soft limit, capped by the hard limit). Returns whether
@@ -228,14 +195,10 @@ struct PendingInbound {
 /// each completed ack proves the lower peer is accepting, so the plan
 /// never waits on anything a later step could unblock).
 enum DialPhase {
-    /// Pick the next peer off the plan.
-    Next,
-    /// Between connect attempts to `peer` (backoff running).
+    /// The next connect attempt to `peer` is due at `retry_at`.
     Retry {
         peer: PlayerId,
         addr: SocketAddr,
-        attempts_left: u32,
-        backoff: Duration,
         retry_at: Instant,
     },
     /// `Hello` sent; waiting for the peer's `HelloAck`.
@@ -243,10 +206,23 @@ enum DialPhase {
         peer: PlayerId,
         stream: TcpStream,
         reader: FrameReader,
-        deadline: Instant,
     },
     /// Every outbound peer is connected and acked.
     Done,
+}
+
+impl DialPhase {
+    /// The first attempt at the next peer of the plan, due now.
+    fn next(plan: &mut impl Iterator<Item = (PlayerId, SocketAddr)>) -> Self {
+        match plan.next() {
+            Some((peer, addr)) => DialPhase::Retry {
+                peer,
+                addr,
+                retry_at: Instant::now(),
+            },
+            None => DialPhase::Done,
+        }
+    }
 }
 
 /// Drives **one** player of a protocol over a TCP mesh with a single
@@ -258,39 +234,40 @@ enum DialPhase {
 pub struct ReactorTransport<M, O> {
     node: Node<M, O>,
     conns: BTreeMap<PlayerId, Conn>,
-    options: TcpOptions,
     readiness: Readiness,
     stats: TransportStats,
 }
 
 impl<M: Wire, O> ReactorTransport<M, O> {
-    /// Binds `listen` and joins the mesh described by `peers`
-    /// (id → address of every *other* player).
+    /// Joins the mesh described by `peers` (id → address of every
+    /// *other* player), accepting inbound peers on `listener` and
+    /// injecting faults by `policy`. Bind the listener as early as the
+    /// caller can: a peer's dial then waits in its backlog until this
+    /// player accepts, instead of being refused and retried. Formation
+    /// (every dial, accept and handshake) must finish within 30 s.
     ///
     /// # Errors
     ///
-    /// Bind/dial/handshake failures as [`TcpError`] variants.
+    /// [`SimError::DuplicatePlayer`] if `peers` names this player;
+    /// dial/handshake/accept failures and an elapsed formation deadline
+    /// as [`TcpError`] variants.
     pub fn connect(
-        player: BoxedPlayer<M, O>,
-        listen: SocketAddr,
-        peers: BTreeMap<PlayerId, SocketAddr>,
-        options: TcpOptions,
-    ) -> Result<Self, Error> {
-        let listener = TcpListener::bind(listen)?;
-        Self::connect_with_listener(player, listener, peers, options)
-    }
-
-    /// [`Self::connect`] with a pre-bound listener (lets a caller bind
-    /// port 0 first and publish the real address).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::connect`].
-    pub fn connect_with_listener(
         player: BoxedPlayer<M, O>,
         listener: TcpListener,
         peers: BTreeMap<PlayerId, SocketAddr>,
-        options: TcpOptions,
+        policy: DeliveryPolicy,
+    ) -> Result<Self, Error> {
+        let deadline = Instant::now() + FORM_TIMEOUT;
+        Self::connect_by(player, listener, peers, policy, deadline)
+    }
+
+    /// [`Self::connect`], with formation ending at `deadline`.
+    pub(crate) fn connect_by(
+        player: BoxedPlayer<M, O>,
+        listener: TcpListener,
+        peers: BTreeMap<PlayerId, SocketAddr>,
+        policy: DeliveryPolicy,
+        deadline: Instant,
     ) -> Result<Self, Error> {
         let id = player.id();
         if peers.contains_key(&id) {
@@ -298,7 +275,7 @@ impl<M: Wire, O> ReactorTransport<M, O> {
         }
         let expected: BTreeSet<PlayerId> = peers.keys().copied().filter(|p| *p > id).collect();
         // The dial plan, ascending by id (the map's own order).
-        let mut dial_iter = peers
+        let mut plan = peers
             .iter()
             .filter(|(p, _)| **p < id)
             .map(|(p, a)| (*p, *a));
@@ -307,22 +284,38 @@ impl<M: Wire, O> ReactorTransport<M, O> {
         let mut readiness = Readiness::new();
         let mut conns: BTreeMap<PlayerId, Conn> = BTreeMap::new();
         let mut inbound: Vec<PendingInbound> = Vec::new();
-        let accept_deadline = Instant::now() + options.accept_timeout;
-        let dial_deadline = Instant::now() + options.dial_timeout;
-        let mut phase = DialPhase::Next;
+        let mut phase = DialPhase::next(&mut plan);
 
         loop {
             let inbound_done = conns.keys().filter(|p| **p > id).count() == expected.len();
             if inbound_done && matches!(phase, DialPhase::Done) {
                 break;
             }
-            if !inbound_done && Instant::now() >= accept_deadline {
-                let missing: Vec<PlayerId> = expected
-                    .iter()
-                    .filter(|p| !conns.contains_key(p))
-                    .copied()
-                    .collect();
-                return Err(TcpError::AcceptTimeout { missing }.into());
+            if Instant::now() >= deadline {
+                // Report what formation still waits on: a pending dial
+                // is named before missing inbound peers.
+                return Err(match phase {
+                    DialPhase::Retry { peer, addr, .. } => TcpError::DialFailed {
+                        peer,
+                        addr,
+                        last: std::io::Error::new(
+                            std::io::ErrorKind::TimedOut,
+                            "formation deadline elapsed",
+                        ),
+                    },
+                    DialPhase::Ack { peer, .. } => TcpError::Handshake {
+                        peer,
+                        reason: "HelloAck never arrived".into(),
+                    },
+                    DialPhase::Done => TcpError::AcceptTimeout {
+                        missing: expected
+                            .iter()
+                            .filter(|p| !conns.contains_key(p))
+                            .copied()
+                            .collect(),
+                    },
+                }
+                .into());
             }
             let mut progressed = false;
 
@@ -359,7 +352,7 @@ impl<M: Wire, O> ReactorTransport<M, O> {
                         if to == id && expected.contains(&from) && !conns.contains_key(&from) {
                             let mut done = inbound.swap_remove(i);
                             let ack = frame_envelope(&Envelope::HelloAck { from: id });
-                            if write_all_nb(&mut done.stream, &ack, &mut readiness, accept_deadline)
+                            if write_all_nb(&mut done.stream, &ack, &mut readiness, deadline)
                                 .is_ok()
                             {
                                 conns.insert(
@@ -383,88 +376,38 @@ impl<M: Wire, O> ReactorTransport<M, O> {
 
             // 3. Advance the dial plan one step.
             phase = match phase {
-                DialPhase::Next => match dial_iter.next() {
-                    None => DialPhase::Done,
-                    Some((peer, addr)) => DialPhase::Retry {
-                        peer,
-                        addr,
-                        attempts_left: options.dial_attempts.max(1),
-                        backoff: options.dial_backoff,
-                        retry_at: Instant::now(),
-                    },
-                },
                 DialPhase::Retry {
                     peer,
                     addr,
-                    attempts_left,
-                    backoff,
                     retry_at,
-                } => {
-                    if Instant::now() >= dial_deadline {
-                        return Err(TcpError::DialFailed {
+                } if Instant::now() >= retry_at => match TcpStream::connect(addr) {
+                    Ok(mut stream) => {
+                        stream.set_nonblocking(true)?;
+                        stream.set_nodelay(true)?;
+                        let hello = frame_envelope(&Envelope::Hello { from: id, to: peer });
+                        write_all_nb(&mut stream, &hello, &mut readiness, deadline).map_err(
+                            |e| TcpError::Handshake {
+                                peer,
+                                reason: format!("hello write failed: {}", e),
+                            },
+                        )?;
+                        progressed = true;
+                        DialPhase::Ack {
                             peer,
-                            addr,
-                            attempts: options.dial_attempts.max(1) - attempts_left,
-                            last: std::io::Error::new(
-                                std::io::ErrorKind::TimedOut,
-                                "dial deadline elapsed",
-                            ),
-                        }
-                        .into());
-                    }
-                    if Instant::now() < retry_at {
-                        DialPhase::Retry {
-                            peer,
-                            addr,
-                            attempts_left,
-                            backoff,
-                            retry_at,
-                        }
-                    } else {
-                        match TcpStream::connect(addr) {
-                            Ok(mut stream) => {
-                                stream.set_nonblocking(true)?;
-                                stream.set_nodelay(true)?;
-                                let hello = frame_envelope(&Envelope::Hello { from: id, to: peer });
-                                write_all_nb(&mut stream, &hello, &mut readiness, dial_deadline)
-                                    .map_err(|e| TcpError::Handshake {
-                                        peer,
-                                        reason: format!("hello write failed: {}", e),
-                                    })?;
-                                progressed = true;
-                                DialPhase::Ack {
-                                    peer,
-                                    stream,
-                                    reader: FrameReader::new(),
-                                    deadline: Instant::now() + options.accept_timeout,
-                                }
-                            }
-                            Err(e) => {
-                                if attempts_left <= 1 {
-                                    return Err(TcpError::DialFailed {
-                                        peer,
-                                        addr,
-                                        attempts: options.dial_attempts.max(1),
-                                        last: e,
-                                    }
-                                    .into());
-                                }
-                                DialPhase::Retry {
-                                    peer,
-                                    addr,
-                                    attempts_left: attempts_left - 1,
-                                    backoff: (backoff * 2).min(options.dial_backoff_max),
-                                    retry_at: Instant::now() + backoff,
-                                }
-                            }
+                            stream,
+                            reader: FrameReader::new(),
                         }
                     }
-                }
+                    Err(_) => DialPhase::Retry {
+                        peer,
+                        addr,
+                        retry_at: Instant::now() + DIAL_RETRY,
+                    },
+                },
                 DialPhase::Ack {
                     peer,
                     mut stream,
                     mut reader,
-                    deadline,
                 } => {
                     let pull = reader.pull(&mut stream);
                     let mut envs = pull.envelopes.into_iter();
@@ -477,7 +420,7 @@ impl<M: Wire, O> ReactorTransport<M, O> {
                                 // must survive into the run.
                                 conns.insert(peer, Conn::new(stream, reader, envs.collect()));
                                 progressed = true;
-                                DialPhase::Next
+                                DialPhase::next(&mut plan)
                             }
                             other => {
                                 return Err(TcpError::Handshake {
@@ -496,22 +439,15 @@ impl<M: Wire, O> ReactorTransport<M, O> {
                             reason: "connection closed during handshake".into(),
                         }
                         .into());
-                    } else if Instant::now() >= deadline {
-                        return Err(TcpError::Handshake {
-                            peer,
-                            reason: "HelloAck never arrived".into(),
-                        }
-                        .into());
                     } else {
                         DialPhase::Ack {
                             peer,
                             stream,
                             reader,
-                            deadline,
                         }
                     }
                 }
-                DialPhase::Done => DialPhase::Done,
+                waiting => waiting,
             };
 
             if progressed {
@@ -520,7 +456,7 @@ impl<M: Wire, O> ReactorTransport<M, O> {
             }
 
             // 4. Nothing moved: block until a socket has something for
-            //    us (or a backoff/deadline step is due).
+            //    us (or a retry/deadline step is due).
             let mut wants = vec![Want::readable(fd_of(&listener))];
             for pend in &inbound {
                 wants.push(Want::readable(fd_of(&pend.stream)));
@@ -544,11 +480,10 @@ impl<M: Wire, O> ReactorTransport<M, O> {
             connections_high_water: conns.len() as u64,
             ..TransportStats::default()
         };
-        let node = Node::new(player, conns.keys().copied(), options.policy.clone());
+        let node = Node::new(player, conns.keys().copied(), policy);
         Ok(ReactorTransport {
             node,
             conns,
-            options,
             readiness,
             stats,
         })
@@ -634,7 +569,7 @@ impl<M: Wire, O> ReactorTransport<M, O> {
             if let Some(out) = finished {
                 self.node.metrics.finish_round(round_start, run_start);
                 self.queue_control(&Envelope::Finished { round: r32 });
-                self.flush_outgoing(Instant::now() + self.options.round_timeout);
+                self.flush_outgoing(Instant::now() + ROUND_TIMEOUT);
                 return Ok((out, std::mem::take(&mut self.node.metrics)));
             }
             self.queue_control(&Envelope::EndRound { round: r32 });
@@ -643,7 +578,7 @@ impl<M: Wire, O> ReactorTransport<M, O> {
             // this round (EndRound), terminated (Finished), or died
             // (socket EOF or round timeout). Queued writes drain inside
             // the same pump.
-            let deadline = Instant::now() + self.options.round_timeout;
+            let deadline = Instant::now() + ROUND_TIMEOUT;
             loop {
                 let waiting = self.node.state.waiting_on(r32);
                 if waiting.is_empty() {
@@ -773,20 +708,18 @@ impl<M: Wire, O> ReactorTransport<M, O> {
 /// how `TransportKind::TcpReactor` lets every existing driver and
 /// fault-injection test run over the real socket path unchanged. One
 /// thread per *player* (each player's reactor is single-threaded) and
-/// one ephemeral `127.0.0.1` port each. Large meshes (n=512) need
-/// raised dial/accept/round timeouts in `options`.
+/// one ephemeral `127.0.0.1` port each, every listener bound before any
+/// player dials.
 ///
 /// # Errors
 ///
 /// The first player-level [`Error`] of the mesh, if any.
-pub fn run_tcp_reactor_loopback_with<M: Wire, O: Send>(
+pub fn run_tcp_reactor_loopback<M: Wire, O: Send>(
     players: Vec<BoxedPlayer<M, O>>,
-    options: TcpOptions,
+    policy: &DeliveryPolicy,
     max_rounds: usize,
 ) -> Result<(BTreeMap<PlayerId, O>, Metrics), Error> {
     crate::check_unique_ids(&players)?;
-    // Bind every listener up front so the mesh addresses are known
-    // before any player dials.
     let mut listeners = Vec::with_capacity(players.len());
     let mut addrs: BTreeMap<PlayerId, SocketAddr> = BTreeMap::new();
     for player in &players {
@@ -806,10 +739,9 @@ pub fn run_tcp_reactor_loopback_with<M: Wire, O: Send>(
                     .filter(|(p, _)| **p != id)
                     .map(|(p, a)| (*p, *a))
                     .collect();
-                let options = options.clone();
+                let policy = policy.clone();
                 scope.spawn(move || {
-                    let transport =
-                        ReactorTransport::connect_with_listener(player, listener, peers, options)?;
+                    let transport = ReactorTransport::connect(player, listener, peers, policy)?;
                     let (out, metrics) = transport.run(max_rounds)?;
                     Ok((id, out, metrics))
                 })
@@ -857,105 +789,175 @@ mod tests {
         }
     }
 
+    /// A loopback listener on an ephemeral port, and its address.
+    fn bound() -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        (listener, addr)
+    }
+
     /// A loopback address nothing listens on (reserved once, then freed).
     fn free_addr() -> SocketAddr {
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        probe.local_addr().unwrap()
+        bound().1
     }
 
-    /// Joins a two-player mesh as `me`, listening on `listen`.
-    fn connect(
+    /// Joins a two-player mesh as `me`, accepting on `listener`, with
+    /// formation ending at `deadline`.
+    fn join(
         me: PlayerId,
-        listen: SocketAddr,
+        listener: TcpListener,
         peer: (PlayerId, SocketAddr),
-        options: TcpOptions,
+        deadline: Instant,
     ) -> Result<ReactorTransport<u64, ()>, Error> {
-        ReactorTransport::connect(Box::new(Idle(me)), listen, BTreeMap::from([peer]), options)
+        let peers = BTreeMap::from([peer]);
+        let policy = DeliveryPolicy::reliable();
+        ReactorTransport::connect_by(Box::new(Idle(me)), listener, peers, policy, deadline)
     }
 
-    /// Dials `peer` at an address nothing listens on and reports how
-    /// the dial failed: (peer, attempts made, last cause).
-    fn failed_dial(peer: PlayerId, options: TcpOptions) -> (PlayerId, u32, std::io::Error) {
-        let result = connect(peer + 1, free_addr(), (peer, free_addr()), options);
-        match result.err().expect("nothing listens: the dial must fail") {
-            Error::Tcp(TcpError::DialFailed {
-                peer,
-                attempts,
-                last,
-                ..
-            }) => (peer, attempts, last),
+    /// Dials `peer` at `addr` under `deadline` and reports how the dial
+    /// failed: (peer, cause).
+    fn failed_dial(
+        peer: PlayerId,
+        addr: SocketAddr,
+        deadline: Instant,
+    ) -> (PlayerId, std::io::Error) {
+        let result = join(peer + 1, bound().0, (peer, addr), deadline);
+        match result.err().expect("the dial must fail") {
+            Error::Tcp(TcpError::DialFailed { peer, last, .. }) => (peer, last),
             other => panic!("unexpected error: {}", other),
         }
     }
 
     #[test]
-    fn dial_backoff_waits_for_late_listener() {
-        // Player 1 only binds its listener after a delay — player 2's
-        // dial must ride its backoff schedule through the gap.
-        let (a1, a2) = (free_addr(), free_addr());
+    fn dial_retries_until_a_late_listener_binds() {
+        // Player 1 binds its listener only after 160 ms. A fixed 5 ms
+        // retry reaches it within one period; a schedule doubling from
+        // 5 ms would not try again until ≈ 315 ms.
+        let a1 = free_addr();
+        let (l2, a2) = bound();
+        let start = Instant::now();
         let late = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(120));
-            connect(1, a1, (2, a2), TcpOptions::default()).map(drop)
+            std::thread::sleep(Duration::from_millis(160));
+            let l1 = TcpListener::bind(a1)?;
+            join(1, l1, (2, a2), Instant::now() + FORM_TIMEOUT).map(drop)
         });
-        let options = TcpOptions {
-            dial_attempts: 60,
-            dial_backoff: Duration::from_millis(5),
-            dial_backoff_max: Duration::from_millis(50),
-            ..TcpOptions::default()
-        };
-        connect(2, a2, (1, a1), options).expect("dial must succeed once the listener appears");
+        join(2, l2, (1, a1), start + FORM_TIMEOUT)
+            .expect("dial must succeed once the listener appears");
+        let formed = start.elapsed();
         late.join().unwrap().expect("late listener joins the mesh");
+        assert!(
+            formed < Duration::from_millis(260),
+            "dial landed {:?} after start, more than 100 ms after the bind",
+            formed
+        );
+    }
+
+    #[test]
+    fn dial_to_a_bound_listener_waits_for_its_accept() {
+        // Player 1's listener is bound, but its reactor starts 200 ms
+        // later: player 2's dial waits in the listen backlog for the
+        // HelloAck instead of failing.
+        let (l1, a1) = bound();
+        let (l2, a2) = bound();
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            join(1, l1, (2, a2), Instant::now() + FORM_TIMEOUT).map(drop)
+        });
+        join(2, l2, (1, a1), Instant::now() + FORM_TIMEOUT).expect("mesh forms");
+        late.join().unwrap().expect("late reactor joins the mesh");
     }
 
     #[test]
     fn dial_with_expired_deadline_errors_instead_of_panicking() {
-        // A deadline that elapses before the first connect attempt (a
-        // zero `dial_timeout`) must surface as DialFailed with a
-        // TimedOut cause and zero attempts made — not a panic on the
-        // missing attempt error.
-        let options = TcpOptions {
-            dial_attempts: 3,
-            dial_timeout: Duration::ZERO,
-            ..TcpOptions::default()
-        };
-        let (peer, attempts, last) = failed_dial(7, options);
+        // A deadline that elapsed before the first connect must surface
+        // as DialFailed with a TimedOut cause, not a panic on the
+        // missing attempt error, and no connect may be attempted: the
+        // peer's bound listener never sees one.
+        let (listener, addr) = bound();
+        let (peer, last) = failed_dial(7, addr, Instant::now());
         assert_eq!(peer, 7);
-        assert_eq!(attempts, 0, "no connect attempt fits a zero timeout");
         assert_eq!(last.kind(), std::io::ErrorKind::TimedOut);
+        listener.set_nonblocking(true).unwrap();
+        let accepted = listener.accept().map(drop);
+        assert_eq!(
+            accepted.unwrap_err().kind(),
+            std::io::ErrorKind::WouldBlock,
+            "no connect attempt fits an elapsed deadline"
+        );
     }
 
     #[test]
     fn dial_deadline_caps_the_backoff_schedule() {
-        // A deadline between attempts must stop the schedule early.
-        let options = TcpOptions {
-            dial_attempts: 1_000,
-            dial_backoff: Duration::from_millis(10),
-            dial_backoff_max: Duration::from_millis(10),
-            dial_timeout: Duration::from_millis(40),
-            ..TcpOptions::default()
-        };
+        // Nothing ever listens: the retries must stop at the deadline,
+        // not at the 30 s formation default, and name the peer.
         let start = Instant::now();
-        let (_, attempts, last) = failed_dial(2, options);
+        let (peer, last) = failed_dial(2, free_addr(), start + Duration::from_millis(40));
+        let waited = start.elapsed();
+        assert_eq!(peer, 2);
         assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "deadline must cut the 1000-attempt schedule short"
+            waited >= Duration::from_millis(40),
+            "stopped before the deadline"
         );
-        assert!(attempts >= 1, "at least one real attempt ran");
-        assert!(attempts < 1_000, "the schedule did not run out");
+        assert!(
+            waited < Duration::from_secs(5),
+            "deadline must cut the retries short"
+        );
         assert_eq!(last.kind(), std::io::ErrorKind::TimedOut);
     }
 
     #[test]
-    fn dial_gives_up_with_context() {
-        let options = TcpOptions {
-            dial_attempts: 3,
-            dial_backoff: Duration::from_millis(1),
-            dial_backoff_max: Duration::from_millis(2),
-            ..TcpOptions::default()
-        };
-        let (peer, attempts, _) = failed_dial(5, options);
-        assert_eq!(peer, 5);
-        assert_eq!(attempts, 3);
+    fn hello_ack_wait_ends_at_the_formation_deadline() {
+        // Player 1 accepts player 2's dial but never answers its Hello.
+        // The HelloAck wait shares the one formation deadline: it must
+        // end there with a Handshake error, not a fresh timeout later.
+        let (mute, a1) = bound();
+        let holder = std::thread::spawn(move || mute.accept().map(|(stream, _)| stream));
+        let start = Instant::now();
+        let result = join(2, bound().0, (1, a1), start + Duration::from_millis(200));
+        let waited = start.elapsed();
+        match result.err().expect("no HelloAck ever arrives") {
+            Error::Tcp(TcpError::Handshake { peer: 1, .. }) => {}
+            other => panic!("unexpected error: {}", other),
+        }
+        assert!(waited >= Duration::from_millis(200), "gave up early");
+        assert!(
+            waited < Duration::from_secs(2),
+            "waited {:?} past a 200 ms deadline",
+            waited
+        );
+        // The accepted socket stays open until here.
+        drop(holder.join().unwrap().expect("player 1 accepts"));
+    }
+
+    #[test]
+    fn dial_fails_at_once_when_the_listener_closes_unaccepted() {
+        // Player 1 binds, then closes its listener without accepting
+        // once the dial sits in its backlog: the kernel resets the
+        // queued connection, and player 2 must fail with a typed
+        // Handshake error at once, not at the formation deadline.
+        let (l1, a1) = bound();
+        let closer = std::thread::spawn(move || {
+            let mut readiness = Readiness::new();
+            let mut wants = [Want::readable(fd_of(&l1))];
+            while readiness
+                .wait(&mut wants, Duration::from_millis(50))
+                .unwrap()
+                == 0
+            {}
+            drop(l1);
+        });
+        let start = Instant::now();
+        let result = join(2, bound().0, (1, a1), start + FORM_TIMEOUT);
+        match result.err().expect("a reset connection cannot form") {
+            Error::Tcp(TcpError::Handshake { peer: 1, .. }) => {}
+            other => panic!("unexpected error: {}", other),
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "failed after {:?}",
+            start.elapsed()
+        );
+        closer.join().unwrap();
     }
 
     /// Player 1 finishes (and closes its sockets) at round 1 while
@@ -1007,7 +1009,7 @@ mod tests {
                 from_one: 0,
             }),
         ];
-        let (outputs, _) = run_tcp_reactor_loopback_with(players, TcpOptions::default(), 10)
+        let (outputs, _) = run_tcp_reactor_loopback(players, &DeliveryPolicy::reliable(), 10)
             .expect("mesh completes");
         assert_eq!(outputs.len(), 3, "survivors and quitter all finish");
         // Player 1 broadcast in round 0 only; each survivor therefore
@@ -1052,21 +1054,21 @@ mod tests {
         let a2 = l2.local_addr().unwrap();
         let (r1, r2) = std::thread::scope(|scope| {
             let h1 = scope.spawn(move || {
-                let t = ReactorTransport::connect_with_listener(
+                let t = ReactorTransport::connect(
                     Box::new(Echo { id: 1, heard: 0 }) as BoxedPlayer<u64, u64>,
                     l1,
                     BTreeMap::from([(2, a2)]),
-                    TcpOptions::default(),
+                    DeliveryPolicy::reliable(),
                 )
                 .expect("player 1 connects");
                 t.run_with_stats(10).expect("player 1 runs")
             });
             let h2 = scope.spawn(move || {
-                let t = ReactorTransport::connect_with_listener(
+                let t = ReactorTransport::connect(
                     Box::new(Echo { id: 2, heard: 0 }) as BoxedPlayer<u64, u64>,
                     l2,
                     BTreeMap::from([(1, a1)]),
-                    TcpOptions::default(),
+                    DeliveryPolicy::reliable(),
                 )
                 .expect("player 2 connects");
                 t.run_with_stats(10).expect("player 2 runs")

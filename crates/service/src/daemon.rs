@@ -19,8 +19,8 @@ use borndist_core::gateway::{AggregationGateway, GatewayConfig, VerifyRequest};
 use borndist_core::ro::ThresholdScheme;
 use borndist_dkg::dkg_players;
 use borndist_net::{
-    BoxedPlayer, LatencySummary, Metrics, PlayerId, ReactorTransport, TcpOptions, TransportKind,
-    TransportStats, Wire,
+    BoxedPlayer, DeliveryPolicy, LatencySummary, Metrics, PlayerId, ReactorTransport,
+    TransportKind, TransportStats, Wire,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,15 +78,16 @@ fn proto(msg: impl Into<String>) -> ServiceError {
     ServiceError::Protocol(msg.into())
 }
 
-/// Joins the mesh described by `peers` and runs `player` on it to
-/// completion.
+/// Joins the mesh described by `peers`, accepting on `listener`, and
+/// runs `player` on it to completion.
 fn run_mesh<M: Wire, O>(
     player: BoxedPlayer<M, O>,
-    listen: std::net::SocketAddr,
-    peers: std::collections::BTreeMap<PlayerId, std::net::SocketAddr>,
+    listener: TcpListener,
+    peers: BTreeMap<PlayerId, std::net::SocketAddr>,
     budget: usize,
 ) -> Result<(O, Metrics, TransportStats), borndist_net::Error> {
-    ReactorTransport::connect(player, listen, peers, TcpOptions::default())?.run_with_stats(budget)
+    ReactorTransport::connect(player, listener, peers, DeliveryPolicy::reliable())?
+        .run_with_stats(budget)
 }
 
 /// One signing node, start to finish: DKG over the TCP mesh, local key
@@ -98,13 +99,18 @@ pub fn run_player(top: &Topology, id: PlayerId) -> Result<usize, ServiceError> {
     let n = top.params.n as PlayerId;
     let scheme = ThresholdScheme::new(&top.domain);
     let cfg = scheme.dkg_config(top.params);
+    // Both listeners are bound before the first dial: a peer or the
+    // front-end that dials the signing port while this node is still in
+    // the DKG waits in the backlog instead of being refused.
+    let dkg_listener = TcpListener::bind(Topology::addr(top.dkg_base, id))?;
+    let sign_listener = TcpListener::bind(Topology::addr(top.sign_base, id))?;
 
     // Phase 1: Pedersen DKG among the players only (ports dkg_base+i).
     let mut players = dkg_players(&cfg, &BTreeMap::new(), top.seed);
     let me = players.remove(id as usize - 1);
     let (output, dkg_metrics, dkg_transport) = run_mesh(
         me,
-        Topology::addr(top.dkg_base, id),
+        dkg_listener,
         Topology::peers(top.dkg_base, id, n),
         DKG_ROUND_BUDGET,
     )?;
@@ -116,7 +122,7 @@ pub fn run_player(top: &Topology, id: PlayerId) -> Result<usize, ServiceError> {
     let player = ServicePlayer::new(scheme, &km, id, dkg_metrics, dkg_transport);
     let (_, metrics, _) = run_mesh(
         Box::new(player) as BoxedPlayer<_, ServiceOutcome>,
-        Topology::addr(top.sign_base, id),
+        sign_listener,
         Topology::peers(top.sign_base, id, n + 1),
         SIGN_ROUND_BUDGET,
     )?;
@@ -156,12 +162,12 @@ pub fn run_frontend(top: &Topology, client_listener: TcpListener) -> Result<(), 
 
     // The mesh runs on its own thread; the client socket is served here.
     let mesh = {
-        let listen = Topology::addr(top.sign_base, n + 1);
+        let listener = TcpListener::bind(Topology::addr(top.sign_base, n + 1))?;
         let peers = Topology::peers(top.sign_base, n + 1, n);
         std::thread::spawn(move || {
             run_mesh(
                 Box::new(coordinator) as BoxedPlayer<_, ServiceOutcome>,
-                listen,
+                listener,
                 peers,
                 SIGN_ROUND_BUDGET,
             )

@@ -23,8 +23,8 @@
 use borndist::core::ro::ThresholdScheme;
 use borndist::dkg::{dkg_players, standard_config};
 use borndist::net::{
-    ensure_fd_capacity, run_tcp_reactor_loopback_with, BoxedPlayer, LatencySummary,
-    ReactorTransport, TcpOptions, TransportKind, TransportStats,
+    ensure_fd_capacity, run_tcp_reactor_loopback, BoxedPlayer, DeliveryPolicy, LatencySummary,
+    ReactorTransport, TransportKind, TransportStats,
 };
 use borndist::shamir::ThresholdParams;
 use borndist_bench::gate::{once_ms, Record};
@@ -33,6 +33,7 @@ use borndist_service::{
     ServiceCoordinator, ServiceOutcome, ServicePlayer, Topology, SIGN_ROUND_BUDGET,
 };
 use std::collections::BTreeMap;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,7 +102,7 @@ fn reactor_dkg_leg(n: usize, t: usize, seed: u64) -> (f64, usize) {
     let ((), ms) = once_ms(|| {
         let players = dkg_players(&cfg, &BTreeMap::new(), seed);
         let (outputs, metrics) =
-            run_tcp_reactor_loopback_with(players, TcpOptions::default(), DKG_ROUNDS)
+            run_tcp_reactor_loopback(players, &DeliveryPolicy::reliable(), DKG_ROUNDS)
                 .expect("reactor mesh run");
         assert_eq!(outputs.len(), n, "all {} players must finish", n);
         for out in outputs.values() {
@@ -134,9 +135,15 @@ fn service_leg(
         .map(|id| (id, format!("reactor service {}", id).into_bytes()))
         .collect();
 
+    // Every listener is bound before any thread dials.
+    let mut listeners: Vec<TcpListener> = (1..=n as u32 + 1)
+        .map(|id| TcpListener::bind(Topology::addr(sign_base, id)).expect("bind sign port"))
+        .collect();
+    let coordinator_listener = listeners.pop().expect("the coordinator's port");
+
     let start = Instant::now();
     let mut threads = Vec::new();
-    for id in 1..=n as u32 {
+    for (id, listener) in (1..).zip(listeners) {
         let player = ServicePlayer::new(
             scheme.clone(),
             &km,
@@ -144,11 +151,10 @@ fn service_leg(
             dkg_metrics.clone(),
             TransportStats::default(),
         );
-        let listen = Topology::addr(sign_base, id);
         let peers = Topology::peers(sign_base, id, n as u32 + 1);
         threads.push(std::thread::spawn(move || {
             let boxed = Box::new(player) as BoxedPlayer<_, ServiceOutcome>;
-            ReactorTransport::connect(boxed, listen, peers, TcpOptions::default())
+            ReactorTransport::connect(boxed, listener, peers, DeliveryPolicy::reliable())
                 .expect("player connect")
                 .run(SIGN_ROUND_BUDGET)
                 .expect("player run");
@@ -160,13 +166,16 @@ fn service_leg(
         max_in_flight,
         queue.clone(),
     )) as BoxedPlayer<_, ServiceOutcome>;
-    let listen = Topology::addr(sign_base, n as u32 + 1);
     let peers = Topology::peers(sign_base, n as u32 + 1, n as u32);
-    let (outcome, _, stats) =
-        ReactorTransport::connect(coordinator, listen, peers, TcpOptions::default())
-            .expect("frontend connect")
-            .run_with_stats(SIGN_ROUND_BUDGET)
-            .expect("frontend run");
+    let (outcome, _, stats) = ReactorTransport::connect(
+        coordinator,
+        coordinator_listener,
+        peers,
+        DeliveryPolicy::reliable(),
+    )
+    .expect("frontend connect")
+    .run_with_stats(SIGN_ROUND_BUDGET)
+    .expect("frontend run");
     for t in threads {
         t.join().expect("player thread");
     }

@@ -67,8 +67,7 @@ pub mod prelude {
     pub use borndist_core::{AggregateScheme, DlinScheme, StandardScheme};
     pub use borndist_dkg::{dkg_session, refresh_session, standard_config, Behavior, DkgConfig};
     pub use borndist_net::{
-        DeliveryPolicy, Error as NetError, Metrics, ReactorTransport, TcpOptions, TransportKind,
-        Wire,
+        DeliveryPolicy, Error as NetError, Metrics, ReactorTransport, TransportKind, Wire,
     };
     pub use borndist_parallel::Parallelism;
     pub use borndist_shamir::ThresholdParams;
