@@ -78,11 +78,11 @@ pub fn dealer_keygen<R: RngCore + ?Sized>(params: ThresholdParams, rng: &mut R) 
     assemble(params, &[poly])
 }
 
-/// Honest-path distributed keygen: every player deals a Feldman-verified
-/// sharing and shares are summed (the optimistic path of the
-/// Joint-Feldman DKG — the very protocol whose key bias forced Gennaro
-/// et al. to add rounds; recorded here for the E5 comparison).
-pub fn honest_dist_keygen<R: RngCore + ?Sized>(
+/// The optimistic path of the Joint-Feldman DKG: every player deals a
+/// Feldman-verified sharing and shares are summed (the very protocol
+/// whose key bias forced Gennaro et al. to add rounds; recorded here for
+/// the E5 comparison).
+pub fn joint_feldman_keygen<R: RngCore + ?Sized>(
     params: ThresholdParams,
     rng: &mut R,
 ) -> TblsKeyMaterial {
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn distributed_keygen() {
         let mut r = StdRng::seed_from_u64(0xfe1d);
-        let km = honest_dist_keygen(ThresholdParams::new(1, 4).unwrap(), &mut r);
+        let km = joint_feldman_keygen(ThresholdParams::new(1, 4).unwrap(), &mut r);
         let msg = b"joint feldman";
         let partials: Vec<TblsPartialSignature> = [1u32, 3]
             .iter()

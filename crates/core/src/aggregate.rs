@@ -14,9 +14,9 @@
 //! (experiment E7).
 
 use crate::ro::{CombineError, KeyMaterial, PartialSignature, Signature};
-use borndist_dkg::{dkg_session, AggregateBases, Behavior, DkgConfig, SharingMode};
+use borndist_dkg::{dkg_session, AggregateBases, Appendix, Behavior, DkgConfig, SharingMode};
 use borndist_lhsps::{sign_derive, DpParams, OneTimeSecretKey, OneTimeSignature, PreparedDpParams};
-use borndist_net::{CodecError, Metrics, Wire};
+use borndist_net::{CodecError, Metrics, TransportKind, Wire};
 use borndist_pairing::{
     hash_to_g1, hash_to_g1_vector, hash_to_g2, msm, multi_pairing_mixed, Fr, G1Affine,
     G1Projective, G1Table, G2Affine,
@@ -185,12 +185,18 @@ impl AggregateScheme {
         .is_identity()
     }
 
-    /// `Dist-Keygen` with the Appendix G witness broadcast.
+    /// `Dist-Keygen` with the Appendix G witness broadcast, over any
+    /// transport.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`crate::ro::ThresholdScheme::keygen_session`].
     pub fn dist_keygen(
         &self,
         params: ThresholdParams,
         behaviors: &BTreeMap<u32, Behavior>,
         seed: u64,
+        transport: &TransportKind,
     ) -> Result<(AggPublicKey, KeyMaterial, Metrics), crate::ro::DistKeygenError> {
         let cfg = DkgConfig {
             params,
@@ -200,23 +206,16 @@ impl AggregateScheme {
             },
             width: 2,
             mode: SharingMode::Fresh,
-            aggregate: Some(self.bases),
+            appendix: Appendix::Aggregate(self.bases),
         };
-        let (outputs, metrics) = dkg_session(
-            &cfg,
-            behaviors,
-            seed,
-            &borndist_net::TransportKind::Lockstep,
-        )
-        .map_err(crate::ro::DistKeygenError::Network)?;
+        let (outputs, metrics) = dkg_session(&cfg, behaviors, seed, transport)
+            .map_err(crate::ro::DistKeygenError::Network)?;
         // Reuse the §3 assembly for shares/VKs, then attach the witness.
         let scheme = crate::ro::ThresholdScheme::with_params(self.params, self.hash_dst.clone());
         let material = scheme.assemble(params, &outputs, behaviors)?;
-        let witness = outputs
-            .values()
-            .find_map(|o| o.as_ref().ok())
+        let witness = crate::ro::honest_reference(&outputs, behaviors)
             .and_then(|o| o.aggregate_witness)
-            .expect("aggregate DKG produces a witness");
+            .expect("an assembled aggregate DKG has an honest output with a witness");
         let pk = AggPublicKey {
             coords: material.public_key.coords,
             z: witness.z0,
@@ -511,7 +510,12 @@ mod tests {
     fn dkg_born_aggregate_key() {
         let scheme = AggregateScheme::new(b"agg-dkg");
         let (pk, km, metrics) = scheme
-            .dist_keygen(ThresholdParams::new(1, 4).unwrap(), &BTreeMap::new(), 77)
+            .dist_keygen(
+                ThresholdParams::new(1, 4).unwrap(),
+                &BTreeMap::new(),
+                77,
+                &TransportKind::Lockstep,
+            )
             .unwrap();
         assert_eq!(metrics.active_rounds, 1);
         assert!(scheme.key_valid(&pk));

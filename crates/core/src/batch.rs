@@ -22,9 +22,6 @@
 //!
 //! * [`ThresholdScheme::batch_verify`] — `k` §3 signatures under one key:
 //!   **4 pairings total** instead of `4k`;
-//! * [`ThresholdScheme::batch_verify_multi`] — `k` signatures under `k`
-//!   distinct keys: `2k + 2` pairings but one Miller loop / final
-//!   exponentiation instead of `k`;
 //! * [`ThresholdScheme::batch_share_verify`] — `k` partial signatures on
 //!   one message: 4 pairings total;
 //! * [`StandardScheme::batch_verify`] / [`StandardScheme::batch_share_verify`]
@@ -122,53 +119,6 @@ impl ThresholdScheme {
         let prep = self.prepared_dp();
         multi_pairing_mixed(
             &[(&combined[2], &pk.coords[0]), (&combined[3], &pk.coords[1])],
-            &[(&combined[0], &prep.g_z), (&combined[1], &prep.g_r)],
-        )
-        .is_identity()
-    }
-
-    /// Batch-verifies signatures under *distinct* public keys. The
-    /// generator columns still collapse, so the product costs `2k + 2`
-    /// pairings — but crucially one shared Miller loop and one final
-    /// exponentiation, instead of `k` of each.
-    pub fn batch_verify_multi<R: RngCore + ?Sized>(
-        &self,
-        items: &[(&PublicKey, &[u8], &Signature)],
-        rng: &mut R,
-    ) -> bool {
-        if items.is_empty() {
-            return true;
-        }
-        let rho = random_weights(items.len(), rng);
-        let zs: Vec<G1Affine> = items.iter().map(|(_, _, s)| s.sig.z).collect();
-        let rs: Vec<G1Affine> = items.iter().map(|(_, _, s)| s.sig.r).collect();
-        // ρᵢ·H(Mᵢ): the per-key hash points keep their own pairing slot.
-        // Hashing and weighting are per-item pure work — fanned out
-        // across threads.
-        let per_item: Vec<Option<[G1Projective; 2]>> = par_map_indexed(items, |i, (_, msg, _)| {
-            let h = self.hash_message(msg);
-            if degenerate_hash(&h) {
-                return None;
-            }
-            Some([h[0].mul(&rho[i]), h[1].mul(&rho[i])])
-        });
-        let mut weighted_hashes: Vec<G1Projective> = Vec::with_capacity(2 * items.len());
-        for pair in per_item {
-            let Some(pair) = pair else {
-                return false;
-            };
-            weighted_hashes.extend(pair);
-        }
-        let weighted_hashes = G1Projective::batch_to_affine(&weighted_hashes);
-        let combined = G1Projective::batch_to_affine(&[msm(&zs, &rho), msm(&rs, &rho)]);
-        let prep = self.prepared_dp();
-        let mut pairs: Vec<(&G1Affine, &G2Affine)> = Vec::with_capacity(2 * items.len());
-        for ((pk, _, _), h) in items.iter().zip(weighted_hashes.chunks(2)) {
-            pairs.push((&h[0], &pk.coords[0]));
-            pairs.push((&h[1], &pk.coords[1]));
-        }
-        multi_pairing_mixed(
-            &pairs,
             &[(&combined[0], &prep.g_z), (&combined[1], &prep.g_r)],
         )
         .is_identity()
@@ -507,37 +457,6 @@ mod tests {
         let mut bad_items = items.clone();
         bad_items[3].1 = items[4].1;
         assert!(!scheme.batch_verify(&km.public_key, &bad_items, &mut r));
-    }
-
-    #[test]
-    fn batch_verify_multi_mixed_keys() {
-        let scheme = ThresholdScheme::new(b"core-batch-multi");
-        let mut r = StdRng::seed_from_u64(7);
-        let kms: Vec<KeyMaterial> = (0..3)
-            .map(|_| scheme.dealer_keygen(ThresholdParams::new(1, 3).unwrap(), &mut r))
-            .collect();
-        let msgs: Vec<Vec<u8>> = (0..3).map(|i| format!("m{}", i).into_bytes()).collect();
-        let sigs: Vec<Signature> = kms
-            .iter()
-            .zip(msgs.iter())
-            .map(|(km, m)| {
-                let partials: Vec<PartialSignature> = (1..=2u32)
-                    .map(|i| scheme.share_sign(&km.shares[&i], m))
-                    .collect();
-                scheme.combine(&km.params, &partials).unwrap()
-            })
-            .collect();
-        let items: Vec<(&PublicKey, &[u8], &Signature)> = kms
-            .iter()
-            .zip(msgs.iter())
-            .zip(sigs.iter())
-            .map(|((km, m), s)| (&km.public_key, m.as_slice(), s))
-            .collect();
-        assert!(scheme.batch_verify_multi(&items, &mut r));
-        // Cross-wire a signature to the wrong key.
-        let mut bad = items.clone();
-        bad[0].2 = items[1].2;
-        assert!(!scheme.batch_verify_multi(&bad, &mut r));
     }
 
     #[test]

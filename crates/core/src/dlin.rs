@@ -7,23 +7,27 @@
 //! efficient isomorphism `Ĝ → G` exists (DLIN holds in symmetric
 //! pairings; SXDH does not).
 //!
-//! Key generation is provided in two forms:
-//! * [`DlinScheme::dealer_keygen`] — trusted dealer;
-//! * [`DlinScheme::honest_dist_keygen`] — every player deals a verified
-//!   [`borndist_shamir::TripleSharing`] and shares are summed. The
-//!   complaint/disqualification machinery is identical to the §3 DKG (see
-//!   `borndist-dkg`) and is not duplicated here; this entry point models
-//!   the optimistic path on which the paper's one-round claim rests.
+//! The key is born on the same `Dist-Keygen` as every other scheme:
+//! [`DlinScheme::dkg_config`] runs it under [`Appendix::Dlin`], which
+//! deals each triple `(A_k, B_k, C_k)` as two Pedersen columns that share
+//! `A_k`, so complaints, answers and disqualification are §3.1's
+//! (DESIGN.md §2, "Appendix F on the one `Dist-Keygen`").
+//! [`DlinScheme::dealer_keygen`] deals the same columns from one trusted
+//! dealer, to isolate signing from the DKG in tests and benches.
 
+use crate::ro::{honest_reference, scheme_keys, DistKeygenError};
+use borndist_dkg::{dkg_session, Appendix, Behavior, DkgAbort, DkgConfig, DkgOutput, SharingMode};
 use borndist_lhsps::{SdpParams, SdpPublicKey, SdpSecretKey, SdpSignature};
-use borndist_pairing::{hash_to_g1_vector, hash_to_g2, Fr, G1Projective};
-use borndist_shamir::{
-    LagrangeCache, ThresholdParams, TripleBases, TripleCommitment, TripleSharing,
-};
+use borndist_net::{Metrics, TransportKind};
+use borndist_pairing::{hash_to_g1_vector, hash_to_g2, Fr, G1Projective, G2Affine};
+use borndist_shamir::{LagrangeCache, PedersenBases, PedersenCommitment, ThresholdParams};
 use rand::RngCore;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 pub use crate::ro::CombineError;
+
+/// Triples per key: a DLIN key is three `(A_k, B_k, C_k)` sharings.
+const WIDTH: usize = 3;
 
 /// The DLIN-variant scheme context.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,8 +91,11 @@ pub struct DlinKeyMaterial {
     pub shares: BTreeMap<u32, DlinKeyShare>,
     /// Verification keys for all players.
     pub verification_keys: BTreeMap<u32, DlinVerificationKey>,
-    /// Combined triple commitments, one per parallel sharing `k`.
-    pub commitments: Vec<TripleCommitment>,
+    /// Qualified dealer set from the DKG (all players for dealer keygen).
+    pub qualified: BTreeSet<u32>,
+    /// Combined Pedersen columns: `(A_k, B_k)` under `(ĝ_z, ĝ_r)` at `k`,
+    /// `(A_k, C_k)` under `(ĥ_z, ĥ_u)` at `3 + k`.
+    pub commitments: Vec<PedersenCommitment>,
 }
 
 impl DlinScheme {
@@ -118,126 +125,144 @@ impl DlinScheme {
         &self.params
     }
 
-    fn triple_bases(&self) -> TripleBases {
-        TripleBases {
-            g_z: self.params.g_z,
-            g_r: self.params.g_r,
-            h_z: self.params.h_z,
-            h_u: self.params.h_u,
-        }
-    }
-
     /// The random oracle `H : {0,1}* → G³`.
     pub fn hash_message(&self, msg: &[u8]) -> Vec<G1Projective> {
         hash_to_g1_vector(&self.hash_dst, msg, 3)
     }
 
-    /// Trusted-dealer key generation.
+    /// The DKG configuration of this scheme's `Dist-Keygen`: three fresh
+    /// triples, dealt as `(A_k, B_k)` columns under `(ĝ_z, ĝ_r)` paired
+    /// with `(A_k, C_k)` columns under `(ĥ_z, ĥ_u)`.
+    pub fn dkg_config(&self, params: ThresholdParams) -> DkgConfig {
+        DkgConfig {
+            params,
+            bases: PedersenBases {
+                g_z: self.params.g_z,
+                g_r: self.params.g_r,
+            },
+            width: WIDTH,
+            mode: SharingMode::Fresh,
+            appendix: Appendix::Dlin(PedersenBases {
+                g_z: self.params.h_z,
+                g_r: self.params.h_u,
+            }),
+        }
+    }
+
+    /// `Dist-Keygen` over any transport: §3.1's protocol on
+    /// [`Self::dkg_config`], one active round in the optimistic case.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`crate::ro::ThresholdScheme::keygen_session`].
+    pub fn keygen_session(
+        &self,
+        params: ThresholdParams,
+        behaviors: &BTreeMap<u32, Behavior>,
+        seed: u64,
+        transport: &TransportKind,
+    ) -> Result<(DlinKeyMaterial, Metrics), DistKeygenError> {
+        let cfg = self.dkg_config(params);
+        let (outputs, metrics) =
+            dkg_session(&cfg, behaviors, seed, transport).map_err(DistKeygenError::Network)?;
+        Ok((self.assemble(params, &outputs, behaviors)?, metrics))
+    }
+
+    /// Assembles [`DlinKeyMaterial`] from a single player's DKG output
+    /// (the distributed-deployment path; see
+    /// [`crate::ro::ThresholdScheme::key_material_from_output`]).
+    pub fn key_material_from_output(
+        &self,
+        params: ThresholdParams,
+        id: u32,
+        output: &DkgOutput,
+    ) -> DlinKeyMaterial {
+        let outputs = [(id, Ok(output.clone()))].into_iter().collect();
+        self.assemble(params, &outputs, &BTreeMap::new())
+            .expect("a concrete DKG output always assembles")
+    }
+
+    /// Trusted-dealer key generation: one dealer deals the DKG's column
+    /// layout ([`DkgConfig::deal`]) and every player's output is read
+    /// from it by the DKG's assembly.
     pub fn dealer_keygen<R: RngCore + ?Sized>(
         &self,
         params: ThresholdParams,
         rng: &mut R,
     ) -> DlinKeyMaterial {
-        // One triple sharing per coordinate k = 1,2,3.
-        let bases = self.triple_bases();
-        let sharings: Vec<TripleSharing> = (0..3)
-            .map(|_| TripleSharing::deal_random(&bases, params.t, rng))
-            .collect();
-        self.assemble_from_sharings(params, &[sharings])
-    }
-
-    /// Optimistic-path distributed keygen: each of the `n` players deals
-    /// three verified triple sharings; all shares are validated against
-    /// the broadcast commitments and summed. One broadcast round, exactly
-    /// as in §3 (complaint handling would add the same two optional
-    /// rounds as the `borndist-dkg` implementation).
-    pub fn honest_dist_keygen<R: RngCore + ?Sized>(
-        &self,
-        params: ThresholdParams,
-        rng: &mut R,
-    ) -> DlinKeyMaterial {
-        let bases = self.triple_bases();
-        let deals: Vec<Vec<TripleSharing>> = (0..params.n)
-            .map(|_| {
-                (0..3)
-                    .map(|_| TripleSharing::deal_random(&bases, params.t, rng))
-                    .collect()
-            })
-            .collect();
-        // Every player verifies every received share (equation (12)).
-        for dealer in &deals {
-            for sharing in dealer {
-                for i in 1..=params.n as u32 {
-                    assert!(
-                        sharing
-                            .commitment
-                            .verify_share(&bases, &sharing.share_for(i)),
-                        "honest dealer share must verify"
-                    );
-                }
-            }
-        }
-        self.assemble_from_sharings(params, &deals)
-    }
-
-    fn assemble_from_sharings(
-        &self,
-        params: ThresholdParams,
-        deals: &[Vec<TripleSharing>],
-    ) -> DlinKeyMaterial {
-        // Combined commitments per coordinate.
-        let commitments: Vec<TripleCommitment> = (0..3)
-            .map(|k| {
-                deals
+        let columns = self.dkg_config(params).deal(false, rng);
+        let combined_commitments: Vec<PedersenCommitment> =
+            columns.iter().map(|c| c.commitment.clone()).collect();
+        let qualified: BTreeSet<u32> = (1..=params.n as u32).collect();
+        let outputs = qualified
+            .iter()
+            .map(|&id| {
+                let share = columns
                     .iter()
-                    .map(|d| d[k].commitment.clone())
-                    .reduce(|a, b| a.combine(&b))
-                    .expect("at least one dealer")
+                    .map(|c| {
+                        let s = c.share_for(id);
+                        (s.a, s.b)
+                    })
+                    .collect();
+                let output = DkgOutput {
+                    id,
+                    qualified: qualified.clone(),
+                    share,
+                    combined_commitments: combined_commitments.clone(),
+                    aggregate_witness: None,
+                    additive_secret: Vec::new(),
+                };
+                (id, Ok(output))
             })
             .collect();
-        // Public key: constant commitments.
-        let mut g_hat = Vec::new();
-        let mut h_hat = Vec::new();
-        for c in &commitments {
-            let (v0, w0) = c.constant_commitment();
-            g_hat.push(v0);
-            h_hat.push(w0);
-        }
-        let public_key = DlinPublicKey {
-            pk: SdpPublicKey { g_hat, h_hat },
+        self.assemble(params, &outputs, &BTreeMap::new())
+            .expect("every player's output is present")
+    }
+
+    /// Maps DKG outputs into DLIN key material: column `k` holds
+    /// `(A_k, B_k)`, column `3 + k` holds `(A_k, C_k)`.
+    fn assemble(
+        &self,
+        params: ThresholdParams,
+        outputs: &BTreeMap<u32, Result<DkgOutput, DkgAbort>>,
+        behaviors: &BTreeMap<u32, Behavior>,
+    ) -> Result<DlinKeyMaterial, DistKeygenError> {
+        let reference =
+            honest_reference(outputs, behaviors).ok_or(DistKeygenError::NoHonestOutput)?;
+        let sdp_key = |coords: &[G2Affine]| SdpPublicKey {
+            g_hat: coords[..WIDTH].to_vec(),
+            h_hat: coords[WIDTH..].to_vec(),
         };
-        // Shares and verification keys.
-        let mut shares = BTreeMap::new();
-        let mut verification_keys = BTreeMap::new();
-        for i in 1..=params.n as u32 {
-            let mut chi = vec![Fr::zero(); 3];
-            let mut gamma = vec![Fr::zero(); 3];
-            let mut delta = vec![Fr::zero(); 3];
-            for dealer in deals {
-                for (k, sharing) in dealer.iter().enumerate() {
-                    let s = sharing.share_for(i);
-                    chi[k] += s.a;
-                    gamma[k] += s.b;
-                    delta[k] += s.c;
+        let (shares, verification_keys) = scheme_keys(
+            params.n,
+            reference,
+            outputs,
+            |index, s| {
+                let (ab, ac) = s.split_at(WIDTH);
+                DlinKeyShare {
+                    index,
+                    sk: SdpSecretKey {
+                        chi: ab.iter().map(|c| c.0).collect(),
+                        gamma: ab.iter().map(|c| c.1).collect(),
+                        delta: ac.iter().map(|c| c.1).collect(),
+                    },
                 }
-            }
-            let sk = SdpSecretKey { chi, gamma, delta };
-            verification_keys.insert(
-                i,
-                DlinVerificationKey {
-                    index: i,
-                    pk: sk.public_key(&self.params),
-                },
-            );
-            shares.insert(i, DlinKeyShare { index: i, sk });
-        }
-        DlinKeyMaterial {
+            },
+            |index, vk| DlinVerificationKey {
+                index,
+                pk: sdp_key(vk),
+            },
+        );
+        Ok(DlinKeyMaterial {
             params,
-            public_key,
+            public_key: DlinPublicKey {
+                pk: sdp_key(&reference.public_key_coordinates()),
+            },
             shares,
             verification_keys,
-            commitments,
-        }
+            qualified: reference.qualified.clone(),
+            commitments: reference.combined_commitments.clone(),
+        })
     }
 
     /// `Share-Sign`: three 3-base multi-exponentiations.
@@ -340,20 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn distributed_keygen_works() {
-        let scheme = DlinScheme::new(b"dlin-dkg");
-        let mut r = StdRng::seed_from_u64(0xd12);
-        let km = scheme.honest_dist_keygen(ThresholdParams::new(1, 4).unwrap(), &mut r);
-        let msg = b"born distributed, dlin flavored";
-        let partials: Vec<DlinPartialSignature> = [2u32, 4]
-            .iter()
-            .map(|i| scheme.share_sign(&km.shares[i], msg))
-            .collect();
-        let sig = scheme.combine(&km.params, &partials).unwrap();
-        assert!(scheme.verify(&km.public_key, msg, &sig));
-    }
-
-    #[test]
     fn quorum_independence() {
         let (scheme, km) = setup(1, 5);
         let msg = b"unique";
@@ -388,24 +399,5 @@ mod tests {
             scheme.combine(&km.params, &partials),
             Err(CombineError::NotEnoughShares { .. })
         ));
-    }
-
-    #[test]
-    fn shares_open_combined_commitments() {
-        let scheme = DlinScheme::new(b"dlin-commit");
-        let mut r = StdRng::seed_from_u64(9);
-        let km = scheme.honest_dist_keygen(ThresholdParams::new(1, 4).unwrap(), &mut r);
-        let bases = scheme.triple_bases();
-        for (i, share) in &km.shares {
-            for k in 0..3 {
-                let ts = borndist_shamir::TripleShare {
-                    index: *i,
-                    a: share.sk.chi[k],
-                    b: share.sk.gamma[k],
-                    c: share.sk.delta[k],
-                };
-                assert!(km.commitments[k].verify_share(&bases, &ts));
-            }
-        }
     }
 }

@@ -8,8 +8,10 @@
 //! players across different epochs — learns nothing useful, because
 //! shares from different epochs do not interpolate to the secret.
 
-use crate::ro::{verification_keys, KeyMaterial, KeyShare, ThresholdScheme, VerificationKey};
-use borndist_dkg::{recovery, refresh, Behavior, DkgConfig, SharingMode};
+use crate::ro::{
+    honest_reference, verification_keys, KeyMaterial, KeyShare, ThresholdScheme, VerificationKey,
+};
+use borndist_dkg::{recovery, refresh, Behavior};
 use borndist_lhsps::{OneTimePublicKey, OneTimeSecretKey};
 use borndist_net::Metrics;
 use borndist_pairing::Fr;
@@ -100,20 +102,11 @@ impl ProactiveDeployment {
         seed: u64,
         transport: &borndist_net::TransportKind,
     ) -> Result<Metrics, ProactiveError> {
-        let cfg = DkgConfig {
-            params: self.material.params,
-            bases: self.scheme.pedersen_bases(),
-            width: 2,
-            mode: SharingMode::Refresh,
-            aggregate: None,
-        };
+        let cfg = self.scheme.dkg_config(self.material.params);
         let (outputs, metrics) = refresh::refresh_session(&cfg, behaviors, seed, transport)
             .map_err(ProactiveError::Network)?;
-        let reference = outputs
-            .iter()
-            .filter(|(id, _)| behaviors.get(id).is_none_or(Behavior::is_honest))
-            .find_map(|(_, o)| o.as_ref().ok())
-            .ok_or(ProactiveError::NoHonestOutput)?;
+        let reference =
+            honest_reference(&outputs, behaviors).ok_or(ProactiveError::NoHonestOutput)?;
 
         // Update combined commitments and verification keys.
         self.material.commitments =

@@ -17,7 +17,7 @@
 //! Signing is non-interactive: a server needs only its 4-scalar share and
 //! the message. Shares are `O(1)` size regardless of `n` (experiment E4).
 
-use borndist_dkg::{dkg_session, Behavior, DkgAbort, DkgConfig, DkgOutput, SharingMode};
+use borndist_dkg::{dkg_session, Appendix, Behavior, DkgAbort, DkgConfig, DkgOutput, SharingMode};
 use borndist_lhsps::{
     sign_derive, DpParams, OneTimePublicKey, OneTimeSecretKey, OneTimeSignature, PreparedDpParams,
 };
@@ -299,7 +299,7 @@ impl ThresholdScheme {
             bases: self.pedersen_bases(),
             width: 2,
             mode: SharingMode::Fresh,
-            aggregate: None,
+            appendix: Appendix::None,
         }
     }
 
@@ -328,49 +328,28 @@ impl ThresholdScheme {
         outputs: &BTreeMap<u32, Result<DkgOutput, DkgAbort>>,
         behaviors: &BTreeMap<u32, Behavior>,
     ) -> Result<KeyMaterial, DistKeygenError> {
-        // Any honest player's output describes the public state.
-        let reference = outputs
-            .iter()
-            .filter(|(id, _)| behaviors.get(id).is_none_or(Behavior::is_honest))
-            .find_map(|(_, o)| o.as_ref().ok())
-            .ok_or(DistKeygenError::NoHonestOutput)?;
+        let reference =
+            honest_reference(outputs, behaviors).ok_or(DistKeygenError::NoHonestOutput)?;
         let coords = reference.public_key_coordinates();
         let public_key = PublicKey {
             coords: [coords[0], coords[1]],
         };
-        let mut shares = BTreeMap::new();
-        for (id, out) in outputs {
-            if let Ok(o) = out {
-                shares.insert(
-                    *id,
-                    KeyShare {
-                        index: *id,
-                        sk: OneTimeSecretKey {
-                            chi: vec![o.share[0].0, o.share[1].0],
-                            gamma: vec![o.share[0].1, o.share[1].1],
-                        },
-                    },
-                );
-            }
-        }
-        let verification_keys: BTreeMap<u32, VerificationKey> =
-            verification_keys(&reference.combined_commitments, params.n, |i| {
-                reference.qualified.contains(&i)
-            })
-            .into_iter()
-            .zip(1..)
-            .map(|(vk, i)| {
-                (
-                    i,
-                    VerificationKey {
-                        index: i,
-                        pk: OneTimePublicKey {
-                            g_hat: vec![vk[0], vk[1]],
-                        },
-                    },
-                )
-            })
-            .collect();
+        let (shares, verification_keys) = scheme_keys(
+            params.n,
+            reference,
+            outputs,
+            |index, s| KeyShare {
+                index,
+                sk: OneTimeSecretKey {
+                    chi: vec![s[0].0, s[1].0],
+                    gamma: vec![s[0].1, s[1].1],
+                },
+            },
+            |index, vk| VerificationKey {
+                index,
+                pk: OneTimePublicKey { g_hat: vk.to_vec() },
+            },
+        );
         Ok(KeyMaterial {
             params,
             public_key,
@@ -721,6 +700,44 @@ impl From<borndist_net::Error> for DistKeygenError {
     fn from(e: borndist_net::Error) -> Self {
         DistKeygenError::Network(e)
     }
+}
+
+/// The output every scheme reads a `Dist-Keygen`'s public state from:
+/// the first honest-configured player that finished (every honest
+/// player's output agrees on it).
+pub(crate) fn honest_reference<'a>(
+    outputs: &'a BTreeMap<u32, Result<DkgOutput, DkgAbort>>,
+    behaviors: &BTreeMap<u32, Behavior>,
+) -> Option<&'a DkgOutput> {
+    outputs
+        .iter()
+        .filter(|(id, _)| behaviors.get(id).is_none_or(Behavior::is_honest))
+        .find_map(|(_, o)| o.as_ref().ok())
+}
+
+/// One scheme's key shares and verification keys from a `Dist-Keygen`:
+/// `share` maps each finished player's [`DkgOutput::share`] columns,
+/// `vk` each player's verification-key columns (identities outside
+/// `reference`'s QUAL).
+pub(crate) fn scheme_keys<S, V>(
+    n: usize,
+    reference: &DkgOutput,
+    outputs: &BTreeMap<u32, Result<DkgOutput, DkgAbort>>,
+    share: impl Fn(u32, &[(Fr, Fr)]) -> S,
+    vk: impl Fn(u32, &[G2Affine]) -> V,
+) -> (BTreeMap<u32, S>, BTreeMap<u32, V>) {
+    let shares = outputs
+        .iter()
+        .filter_map(|(id, o)| Some((*id, share(*id, &o.as_ref().ok()?.share))))
+        .collect();
+    let vks = verification_keys(&reference.combined_commitments, n, |i| {
+        reference.qualified.contains(&i)
+    })
+    .into_iter()
+    .zip(1..)
+    .map(|(v, i)| (i, vk(i, &v)))
+    .collect();
+    (shares, vks)
 }
 
 /// Every player's verification key `V̂_{k,i} = Π_ℓ Ŵ_{kℓ}^{i^ℓ}` for

@@ -22,10 +22,10 @@
 //! resistance composition (the hash is *not* modeled as a random oracle
 //! in the proof; only collision resistance is used).
 
-use borndist_dkg::{dkg_session, Behavior, DkgConfig, SharingMode};
+use borndist_dkg::{dkg_session, Appendix, Behavior, DkgConfig, SharingMode};
 use borndist_grothsahai as gs;
 use borndist_lhsps::{DpParams, PreparedDpParams};
-use borndist_net::Metrics;
+use borndist_net::{Metrics, TransportKind};
 use borndist_pairing::{hash_to_g1, hash_to_g2, msm, sha256, Fr, G1Affine, G1Table, G2Affine};
 use borndist_shamir::{
     LagrangeCache, PedersenBases, PedersenCommitment, Polynomial, ThresholdParams,
@@ -34,7 +34,7 @@ use rand::RngCore;
 use std::collections::BTreeMap;
 
 pub use crate::ro::CombineError;
-use crate::ro::DistKeygenError;
+use crate::ro::{honest_reference, scheme_keys, DistKeygenError};
 
 /// Message bit-length of the §4 scheme.
 pub const MESSAGE_BITS: usize = 256;
@@ -185,6 +185,14 @@ impl StandardScheme {
         &self.params
     }
 
+    /// `(ĝ_z, ĝ_r)` as the DKG's Pedersen bases.
+    fn pedersen_bases(&self) -> PedersenBases {
+        PedersenBases {
+            g_z: self.params.dp.g_z,
+            g_r: self.params.dp.g_r,
+        }
+    }
+
     /// Digests an arbitrary message into the fixed `L`-bit message space.
     pub fn message_digest(&self, msg: &[u8]) -> [u8; 32] {
         sha256(msg)
@@ -203,59 +211,44 @@ impl StandardScheme {
         gs::Crs::from_vectors(self.params.f, (fm1.to_affine(), fm2.to_affine()))
     }
 
-    /// `Dist-Keygen`: the width-1 instance of the Pedersen DKG.
+    /// `Dist-Keygen`: the width-1 instance of the Pedersen DKG, over any
+    /// transport.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`crate::ro::ThresholdScheme::keygen_session`].
     pub fn dist_keygen(
         &self,
         params: ThresholdParams,
         behaviors: &BTreeMap<u32, Behavior>,
         seed: u64,
+        transport: &TransportKind,
     ) -> Result<(StdKeyMaterial, Metrics), DistKeygenError> {
         let cfg = DkgConfig {
             params,
-            bases: PedersenBases {
-                g_z: self.params.dp.g_z,
-                g_r: self.params.dp.g_r,
-            },
+            bases: self.pedersen_bases(),
             width: 1,
             mode: SharingMode::Fresh,
-            aggregate: None,
+            appendix: Appendix::None,
         };
-        let (outputs, metrics) = dkg_session(
-            &cfg,
-            behaviors,
-            seed,
-            &borndist_net::TransportKind::Lockstep,
-        )
-        .map_err(DistKeygenError::Network)?;
-        let reference = outputs
-            .iter()
-            .filter(|(id, _)| behaviors.get(id).is_none_or(Behavior::is_honest))
-            .find_map(|(_, o)| o.as_ref().ok())
-            .ok_or(DistKeygenError::NoHonestOutput)?;
+        let (outputs, metrics) =
+            dkg_session(&cfg, behaviors, seed, transport).map_err(DistKeygenError::Network)?;
+        let reference =
+            honest_reference(&outputs, behaviors).ok_or(DistKeygenError::NoHonestOutput)?;
         let public_key = StdPublicKey {
             g1: reference.public_key_coordinates()[0],
         };
-        let mut shares = BTreeMap::new();
-        for (id, out) in &outputs {
-            if let Ok(o) = out {
-                shares.insert(
-                    *id,
-                    StdKeyShare {
-                        index: *id,
-                        a: o.share[0].0,
-                        b: o.share[0].1,
-                    },
-                );
-            }
-        }
-        let verification_keys =
-            crate::ro::verification_keys(&reference.combined_commitments, params.n, |i| {
-                reference.qualified.contains(&i)
-            })
-            .into_iter()
-            .zip(1..)
-            .map(|(vk, i)| (i, StdVerificationKey { index: i, v: vk[0] }))
-            .collect();
+        let (shares, verification_keys) = scheme_keys(
+            params.n,
+            reference,
+            &outputs,
+            |index, s| StdKeyShare {
+                index,
+                a: s[0].0,
+                b: s[0].1,
+            },
+            |index, vk| StdVerificationKey { index, v: vk[0] },
+        );
         Ok((
             StdKeyMaterial {
                 params,
@@ -278,12 +271,8 @@ impl StandardScheme {
         let b0 = Fr::random(rng);
         let poly_a = Polynomial::random_with_constant(a0, params.t, rng);
         let poly_b = Polynomial::random_with_constant(b0, params.t, rng);
-        let bases = PedersenBases {
-            g_z: self.params.dp.g_z,
-            g_r: self.params.dp.g_r,
-        };
         let sharing = borndist_shamir::PedersenSharing::from_polynomials(
-            &bases,
+            &self.pedersen_bases(),
             poly_a.clone(),
             poly_b.clone(),
         );
@@ -542,7 +531,12 @@ mod tests {
     fn dist_keygen_width_one() {
         let scheme = StandardScheme::new(b"std-dkg");
         let (km, metrics) = scheme
-            .dist_keygen(ThresholdParams::new(1, 4).unwrap(), &BTreeMap::new(), 3)
+            .dist_keygen(
+                ThresholdParams::new(1, 4).unwrap(),
+                &BTreeMap::new(),
+                3,
+                &TransportKind::Lockstep,
+            )
             .unwrap();
         assert_eq!(metrics.active_rounds, 1);
         let mut r = StdRng::seed_from_u64(4);

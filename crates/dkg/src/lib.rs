@@ -18,7 +18,9 @@
 //! Also here:
 //! * [`refresh`] — proactive zero-resharing (§3.3);
 //! * [`recovery`] — Herzberg-style lost-share recovery (§3.3);
-//! * the Appendix G witness broadcast for the aggregate-capable variant.
+//! * the [`Appendix`] variants of the one protocol: the Appendix G
+//!   witness broadcast for the aggregate-capable scheme, and Appendix F's
+//!   DLIN triples, dealt as paired Pedersen columns that share `A_k`.
 //!
 //! ## Example
 //!
@@ -44,8 +46,8 @@ pub mod refresh;
 
 pub use messages::{AggregateWitness, DkgMessage};
 pub use player::{
-    dkg_players, dkg_session, standard_config, AggregateBases, Behavior, DkgAbort, DkgConfig,
-    DkgOutput, DkgPlayer, SharingMode, SimulatedRunResult,
+    dkg_players, dkg_session, standard_config, AggregateBases, Appendix, Behavior, DkgAbort,
+    DkgConfig, DkgOutput, DkgPlayer, SharingMode, SimulatedRunResult,
 };
 pub use recovery::{recover_share, Helper, RecoveryError, RecoveryMessage};
 pub use refresh::{apply_refresh, apply_refresh_commitments, refresh_session, RefreshOutput};

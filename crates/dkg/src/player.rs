@@ -15,6 +15,12 @@
 //! equivocated broadcast, an invalid Appendix-G witness, or (in refresh
 //! mode) a sharing whose constant commitment is not the identity.
 //!
+//! Appendix F's DLIN triples run on the same machine ([`Appendix::Dlin`]):
+//! each triple `(A_k, B_k, C_k)` is two Pedersen columns that share `A_k`,
+//! and a bundle whose paired columns open to different `A_k(j)` is
+//! invalid like any other bad share (DESIGN.md §2, "Appendix F on the one
+//! `Dist-Keygen`").
+//!
 //! The player is *decode-validate-then-process*: its inbox carries the
 //! per-frame result of the strict [`borndist_net::Wire`] decode. A
 //! broadcast frame that failed to decode is public misbehavior — every
@@ -33,10 +39,10 @@ use borndist_net::{Delivered, Outgoing, PlayerId, Protocol, Recipient, RoundActi
 use borndist_pairing::{msm, multi_pairing, Fr, G1Affine, G1Projective, G2Affine, G2Projective};
 use borndist_shamir::{
     pedersen_check_verdicts, PedersenBases, PedersenCheck, PedersenCommitment, PedersenShare,
-    PedersenSharing, ThresholdParams,
+    PedersenSharing, Polynomial, ThresholdParams,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether a run deals fresh random secrets or a proactive refresh
@@ -60,6 +66,22 @@ pub struct AggregateBases {
     pub h: G1Affine,
 }
 
+/// The appendix variant a run extends §3.1's sharing with; the two
+/// appendices are mutually exclusive.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Appendix {
+    /// Plain §3.1: `width` Pedersen sharings under [`DkgConfig::bases`].
+    None,
+    /// Appendix G: every dealer also broadcasts a one-time LHSPS witness
+    /// on `(g, h)` (requires `width == 2`).
+    Aggregate(AggregateBases),
+    /// Appendix F: sharing `k` is a DLIN triple `(A_k, B_k, C_k)`, dealt
+    /// as two Pedersen columns that share `A_k` — column `k` is
+    /// `(A_k, B_k)` under [`DkgConfig::bases`] `(ĝ_z, ĝ_r)`, column
+    /// `width + k` is `(A_k, C_k)` under these `(ĥ_z, ĥ_u)`.
+    Dlin(PedersenBases),
+}
+
 /// Static configuration shared by all players of one DKG run.
 #[derive(Clone, Debug)]
 pub struct DkgConfig {
@@ -67,13 +89,61 @@ pub struct DkgConfig {
     pub params: ThresholdParams,
     /// The two commitment generators `(ĝ_z, ĝ_r)`.
     pub bases: PedersenBases,
-    /// Number of parallel pair-sharings (`2` for the §3 scheme, `1` for
-    /// §4, `3` for Appendix F).
+    /// Number of parallel sharings (`2` for the §3 scheme, `1` for §4,
+    /// `3` triples for Appendix F, which deals them as `6` columns).
     pub width: usize,
     /// Fresh keygen or proactive refresh.
     pub mode: SharingMode,
-    /// Enables the Appendix G witness broadcast (requires `width == 2`).
-    pub aggregate: Option<AggregateBases>,
+    /// The appendix extension of the run, if any.
+    pub appendix: Appendix,
+}
+
+impl DkgConfig {
+    /// Number of Pedersen columns each dealer deals: `width`, or
+    /// `2·width` under [`Appendix::Dlin`].
+    fn columns(&self) -> usize {
+        match self.appendix {
+            Appendix::Dlin(_) => 2 * self.width,
+            _ => self.width,
+        }
+    }
+
+    /// The column sets of one bundle, each with the bases its columns
+    /// are committed under.
+    fn column_sets(&self) -> Vec<(&PedersenBases, core::ops::Range<usize>)> {
+        let mut sets = vec![(&self.bases, 0..self.width)];
+        if let Appendix::Dlin(h) = &self.appendix {
+            sets.push((h, self.width..2 * self.width));
+        }
+        sets
+    }
+
+    /// Deals one dealer's Pedersen columns (`width` of them, `2·width`
+    /// under [`Appendix::Dlin`]) with random degree-`t` polynomials, every
+    /// constant term zero if `zero` (refresh). Under [`Appendix::Dlin`]
+    /// column `width + k` reuses column `k`'s `A_k`.
+    pub fn deal<R: RngCore + ?Sized>(&self, zero: bool, rng: &mut R) -> Vec<PedersenSharing> {
+        let t = self.params.t;
+        let poly = |rng: &mut R| {
+            if zero {
+                Polynomial::random_zero_constant(t, rng)
+            } else {
+                Polynomial::random(t, rng)
+            }
+        };
+        let mut paired = Vec::new();
+        let mut columns: Vec<PedersenSharing> = (0..self.width)
+            .map(|_| {
+                let (a, b) = (poly(rng), poly(rng));
+                if let Appendix::Dlin(h) = &self.appendix {
+                    paired.push(PedersenSharing::from_polynomials(h, a.clone(), poly(rng)));
+                }
+                PedersenSharing::from_polynomials(&self.bases, a, b)
+            })
+            .collect();
+        columns.extend(paired);
+        columns
+    }
 }
 
 /// One bundle judgment: the dealer's broadcast commitments, the share
@@ -86,10 +156,12 @@ type BundleCheck<'a> = (
 );
 
 /// Judges one share bundle per entry. Structural validity (bundle
-/// present, full width, shares addressed to the expected index) is
-/// decided outside the algebra; every structurally valid bundle of the
-/// call then folds into **one** randomized cross-dealer multi-scalar
-/// multiplication ([`pedersen_check_verdicts`]: each commitment is
+/// present, every column there, shares addressed to the expected index,
+/// and under [`Appendix::Dlin`] one `A_k(j)` in both columns of each
+/// triple) is decided outside the algebra; every structurally valid
+/// bundle of the call then folds, per column set, into **one**
+/// randomized cross-dealer multi-scalar multiplication under that set's
+/// bases ([`pedersen_check_verdicts`]: each commitment is
 /// evaluated once at its index by Horner's rule, and the MSM takes one
 /// point per check), which bisects a failing batch down to plain
 /// per-share leaves against the cached evaluations — so a forged share
@@ -99,37 +171,41 @@ type BundleCheck<'a> = (
 /// `check_seed` — a stream separate from the dealing RNG, so checking
 /// never perturbs dealt messages or golden traffic.
 fn judge_bundles(cfg: &DkgConfig, check_seed: u64, items: &[BundleCheck<'_>]) -> Vec<bool> {
+    let columns = cfg.columns();
+    let paired = matches!(cfg.appendix, Appendix::Dlin(_));
     let mut verdicts: Vec<bool> = items
         .iter()
         .map(|(coms, bundle, idx)| {
             bundle.is_some_and(|b| {
-                b.len() == cfg.width && coms.len() == cfg.width && b.iter().all(|s| s.index == *idx)
+                b.len() == columns
+                    && coms.len() == columns
+                    && b.iter().all(|s| s.index == *idx)
+                    && (!paired || (0..cfg.width).all(|k| b[k].a == b[cfg.width + k].a))
             })
         })
         .collect();
-    let mut checks: Vec<PedersenCheck<'_>> = Vec::new();
-    let mut owner: Vec<usize> = Vec::new();
-    for (j, ((coms, bundle, _), ok)) in items.iter().zip(verdicts.iter()).enumerate() {
-        if !*ok {
-            continue;
-        }
-        for (s, c) in bundle
-            .expect("structurally valid bundle is present")
-            .iter()
-            .zip(coms.iter())
-        {
-            checks.push(PedersenCheck {
-                commitment: c,
-                share: *s,
-            });
-            owner.push(j);
-        }
-    }
     let mut rng = StdRng::seed_from_u64(check_seed);
-    let leaves = pedersen_check_verdicts(&cfg.bases, &checks, &mut rng);
-    for (o, v) in owner.iter().zip(leaves) {
-        if !v {
-            verdicts[*o] = false;
+    for (bases, set) in cfg.column_sets() {
+        let mut checks: Vec<PedersenCheck<'_>> = Vec::new();
+        let mut owner: Vec<usize> = Vec::new();
+        for (j, ((coms, bundle, _), ok)) in items.iter().zip(verdicts.iter()).enumerate() {
+            if !*ok {
+                continue;
+            }
+            let bundle = bundle.expect("structurally valid bundle is present");
+            for c in set.clone() {
+                checks.push(PedersenCheck {
+                    commitment: &coms[c],
+                    share: bundle[c],
+                });
+                owner.push(j);
+            }
+        }
+        let leaves = pedersen_check_verdicts(bases, &checks, &mut rng);
+        for (o, v) in owner.iter().zip(leaves) {
+            if !v {
+                verdicts[*o] = false;
+            }
         }
     }
     verdicts
@@ -218,7 +294,9 @@ pub struct DkgOutput {
     pub qualified: BTreeSet<PlayerId>,
     /// Secret share: `(A_k(i), B_k(i))` for each parallel sharing `k` —
     /// `2·width` scalars total, independent of `n` (the "short shares"
-    /// property, experiment E4).
+    /// property, experiment E4). Under [`Appendix::Dlin`] entries
+    /// `width + k` follow, `(A_k(i), C_k(i))`: a DLIN share is its
+    /// `3·width` distinct scalars.
     pub share: Vec<(Fr, Fr)>,
     /// Coefficient-wise products `Π_{j∈Q} Ŵ_{jk·}` — commitments to the
     /// joint polynomials, from which the public key (`constant`) and all
@@ -307,7 +385,7 @@ impl DkgPlayer {
             cfg.params.n
         );
         assert!(
-            cfg.aggregate.is_none() || cfg.width == 2,
+            !matches!(cfg.appendix, Appendix::Aggregate(_)) || cfg.width == 2,
             "the Appendix G extension requires width 2"
         );
         DkgPlayer {
@@ -350,7 +428,9 @@ impl DkgPlayer {
 
     /// Builds the Appendix G witness for this dealer's sharings.
     fn aggregate_witness(&mut self) -> Option<AggregateWitness> {
-        let bases = self.cfg.aggregate?;
+        let Appendix::Aggregate(bases) = self.cfg.appendix else {
+            return None;
+        };
         if self.behavior.bad_aggregate_witness {
             return Some(AggregateWitness {
                 z0: G1Projective::random(&mut self.rng).to_affine(),
@@ -375,7 +455,7 @@ impl DkgPlayer {
         witness: &AggregateWitness,
         commitments: &[PedersenCommitment],
     ) -> bool {
-        let Some(bases) = cfg.aggregate else {
+        let Appendix::Aggregate(bases) = cfg.appendix else {
             return true;
         };
         let w10 = commitments[0].constant_commitment();
@@ -396,7 +476,7 @@ impl DkgPlayer {
         commitments: &[PedersenCommitment],
         witness: &Option<AggregateWitness>,
     ) -> bool {
-        if commitments.len() != self.cfg.width {
+        if commitments.len() != self.cfg.columns() {
             return false;
         }
         if commitments.iter().any(|c| c.len() != self.t() + 1) {
@@ -406,7 +486,7 @@ impl DkgPlayer {
         {
             return false;
         }
-        if self.cfg.aggregate.is_some() {
+        if matches!(self.cfg.appendix, Appendix::Aggregate(_)) {
             match witness {
                 None => return false,
                 Some(w) => {
@@ -422,21 +502,8 @@ impl DkgPlayer {
     // --- round bodies ---
 
     fn deal(&mut self) -> Vec<Outgoing<DkgMessage>> {
-        for _ in 0..self.cfg.width {
-            let sharing = match self.cfg.mode {
-                SharingMode::Fresh => {
-                    PedersenSharing::deal_random(&self.cfg.bases, self.t(), &mut self.rng)
-                }
-                SharingMode::Refresh => {
-                    if self.behavior.nonzero_refresh {
-                        PedersenSharing::deal_random(&self.cfg.bases, self.t(), &mut self.rng)
-                    } else {
-                        PedersenSharing::deal_zero(&self.cfg.bases, self.t(), &mut self.rng)
-                    }
-                }
-            };
-            self.my_sharings.push(sharing);
-        }
+        let zero = self.cfg.mode == SharingMode::Refresh && !self.behavior.nonzero_refresh;
+        self.my_sharings = self.cfg.deal(zero, &mut self.rng);
         let mut commitments: Vec<PedersenCommitment> = self
             .my_sharings
             .iter()
@@ -694,7 +761,7 @@ impl DkgPlayer {
         // are immutable after round 1 — so no second verification pass
         // is paid here.
         let q_list: Vec<PlayerId> = qualified.iter().copied().collect();
-        let mut share = vec![(Fr::zero(), Fr::zero()); self.cfg.width];
+        let mut share = vec![(Fr::zero(), Fr::zero()); self.cfg.columns()];
         for dealer in q_list.iter() {
             let use_private = self.private_verdicts.get(dealer).copied().unwrap_or(false);
             let bundle: &Vec<PedersenShare> = if use_private {
@@ -711,10 +778,10 @@ impl DkgPlayer {
         }
 
         // Combined commitments (joint polynomials): QUAL's vectors summed
-        // in projective form, one normalisation per sharing. Qualified
-        // broadcasts all passed `broadcast_valid`, so each holds `width`
-        // vectors of `t + 1` points.
-        let combined: Vec<PedersenCommitment> = (0..self.cfg.width)
+        // in projective form, one normalisation per column. Qualified
+        // broadcasts all passed `broadcast_valid`, so each holds
+        // `columns()` vectors of `t + 1` points.
+        let combined: Vec<PedersenCommitment> = (0..self.cfg.columns())
             .map(|k| {
                 let mut sums = vec![G2Projective::identity(); self.t() + 1];
                 for dealer in &qualified {
@@ -726,7 +793,7 @@ impl DkgPlayer {
             })
             .collect();
 
-        let aggregate_witness = self.cfg.aggregate.map(|_| {
+        let aggregate_witness = matches!(self.cfg.appendix, Appendix::Aggregate(_)).then(|| {
             let mut z = G1Projective::identity();
             let mut r = G1Projective::identity();
             for dealer in &qualified {
@@ -870,16 +937,20 @@ pub fn standard_config(
     t.extend_from_slice(b"/dkg");
     let g_z = borndist_pairing::hash_to_g2(b"borndist/dkg/g_z", &t).to_affine();
     let g_r = borndist_pairing::hash_to_g2(b"borndist/dkg/g_r", &t).to_affine();
-    let agg = aggregate.then(|| AggregateBases {
-        g: borndist_pairing::hash_to_g1(b"borndist/dkg/agg_g", &t).to_affine(),
-        h: borndist_pairing::hash_to_g1(b"borndist/dkg/agg_h", &t).to_affine(),
-    });
+    let appendix = if aggregate {
+        Appendix::Aggregate(AggregateBases {
+            g: borndist_pairing::hash_to_g1(b"borndist/dkg/agg_g", &t).to_affine(),
+            h: borndist_pairing::hash_to_g1(b"borndist/dkg/agg_h", &t).to_affine(),
+        })
+    } else {
+        Appendix::None
+    };
     DkgConfig {
         params,
         bases: PedersenBases { g_z, g_r },
         width,
         mode: SharingMode::Fresh,
-        aggregate: agg,
+        appendix,
     }
 }
 
@@ -887,9 +958,10 @@ pub fn standard_config(
 mod tests {
     use super::*;
 
-    /// One `judge_bundles` call over every kind of bundle. A short bundle
-    /// and a bundle addressed to another index have no [`Behavior`] hook,
-    /// so no protocol test reaches them.
+    /// One `judge_bundles` call over every kind of bundle, then one over
+    /// Appendix F bundles. A short bundle and a bundle addressed to
+    /// another index have no [`Behavior`] hook, so no protocol test
+    /// reaches them.
     #[test]
     fn judge_bundles_gives_each_bundle_its_own_verdict() {
         let params = ThresholdParams::new(1, 4).unwrap();
@@ -928,5 +1000,34 @@ mod tests {
             judge_bundles(&cfg, 7, &items),
             [true, false, false, false, false, true]
         );
+
+        // Appendix F: dealer 1's `(A, C)` columns spliced onto dealer 0's
+        // `(A, B)` columns. Every column opens under its own bases; the
+        // pairs open to different `A_k(me)`.
+        let mut dlin = standard_config(params, 3, b"judge-bundles", false);
+        dlin.appendix = Appendix::Dlin(PedersenBases {
+            g_z: borndist_pairing::hash_to_g2(b"judge-bundles/h_z", b"").to_affine(),
+            g_r: borndist_pairing::hash_to_g2(b"judge-bundles/h_u", b"").to_affine(),
+        });
+        let triples: Vec<Vec<PedersenSharing>> =
+            (0..2).map(|_| dlin.deal(false, &mut rng)).collect();
+        let dcoms: Vec<Vec<PedersenCommitment>> = triples
+            .iter()
+            .map(|d| d.iter().map(|s| s.commitment.clone()).collect())
+            .collect();
+        let dbundle = |dealer: usize| -> Vec<PedersenShare> {
+            triples[dealer].iter().map(|s| s.share_for(me)).collect()
+        };
+        let paired = dbundle(0);
+        let spliced_coms = [&dcoms[0][..3], &dcoms[1][3..]].concat();
+        let spliced = [&paired[..3], &dbundle(1)[3..]].concat();
+        let mut forged_c = dbundle(1);
+        forged_c[5].b += Fr::one();
+        let items: Vec<BundleCheck<'_>> = vec![
+            (&dcoms[0], Some(&paired), me),
+            (&spliced_coms, Some(&spliced), me),
+            (&dcoms[1], Some(&forged_c), me),
+        ];
+        assert_eq!(judge_bundles(&dlin, 7, &items), [true, false, false]);
     }
 }

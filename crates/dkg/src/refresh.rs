@@ -7,7 +7,7 @@
 //! public key — is unchanged, while any set of ≤ t shares from *different
 //! periods* becomes useless to a mobile adversary.
 
-use crate::player::{Behavior, DkgConfig, DkgOutput, SharingMode, SimulatedRunResult};
+use crate::player::{Appendix, Behavior, DkgConfig, DkgOutput, SharingMode, SimulatedRunResult};
 use borndist_net::PlayerId;
 use borndist_pairing::Fr;
 use borndist_shamir::PedersenCommitment;
@@ -64,7 +64,10 @@ pub fn refresh_session(
     let mut refresh_cfg = cfg.clone();
     refresh_cfg.mode = SharingMode::Refresh;
     // The Appendix G witness commits to the *key* constants, which are all
-    // zero during refresh; skip it.
-    refresh_cfg.aggregate = None;
+    // zero during refresh; skip it. Appendix F keeps its column layout:
+    // its zero-constant triples are dealt like any other refresh sharing.
+    if let Appendix::Aggregate(_) = refresh_cfg.appendix {
+        refresh_cfg.appendix = Appendix::None;
+    }
     crate::player::dkg_session(&refresh_cfg, behaviors, seed, transport)
 }

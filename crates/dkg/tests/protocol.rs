@@ -3,7 +3,7 @@
 
 use borndist_dkg::{
     apply_refresh, apply_refresh_commitments, dkg_session, recover_share, refresh_session,
-    standard_config, Behavior, DkgAbort, DkgOutput, Helper,
+    standard_config, Appendix, Behavior, DkgAbort, DkgOutput, Helper,
 };
 use borndist_net::TransportKind;
 use borndist_pairing::{Fr, G2Affine};
@@ -251,7 +251,9 @@ fn aggregate_witness_combines() {
     let o = outputs[&1].as_ref().unwrap();
     let witness = o.aggregate_witness.expect("witness present");
     let pk = o.public_key_coordinates();
-    let agg = cfg.aggregate.unwrap();
+    let Appendix::Aggregate(agg) = cfg.appendix else {
+        panic!("standard_config(.., true) enables Appendix G");
+    };
     // e(Z, g_z)·e(R, g_r)·e(g, pk_1)·e(h, pk_2) = 1.
     assert!(multi_pairing(&[
         (&witness.z0, &cfg.bases.g_z),

@@ -25,7 +25,6 @@ mod batch;
 mod feldman;
 mod lagrange;
 mod pedersen;
-mod pedersen_triple;
 mod polynomial;
 mod sss;
 
@@ -39,6 +38,5 @@ pub use lagrange::{
     lagrange_coefficients_at_zero, LagrangeCache, LagrangeError,
 };
 pub use pedersen::{PedersenBases, PedersenCommitment, PedersenShare, PedersenSharing};
-pub use pedersen_triple::{TripleBases, TripleCommitment, TripleShare, TripleSharing};
 pub use polynomial::Polynomial;
 pub use sss::{reconstruct, share, InvalidParams, Share, ThresholdParams};

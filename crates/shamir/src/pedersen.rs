@@ -75,14 +75,6 @@ impl PedersenSharing {
         Self::from_polynomials(bases, poly_a, poly_b)
     }
 
-    /// Deals the pair `(0, 0)` — a *refresh* sharing (§3.3): the constant
-    /// commitment is forced to the identity, which receivers must check.
-    pub fn deal_zero<R: RngCore + ?Sized>(bases: &PedersenBases, t: usize, rng: &mut R) -> Self {
-        let poly_a = Polynomial::random_zero_constant(t, rng);
-        let poly_b = Polynomial::random_zero_constant(t, rng);
-        Self::from_polynomials(bases, poly_a, poly_b)
-    }
-
     /// Deals specific secrets `(a, b)`.
     pub fn deal_pair<R: RngCore + ?Sized>(
         bases: &PedersenBases,
@@ -284,7 +276,12 @@ mod tests {
     fn zero_sharing_detected() {
         let mut r = rng();
         let b = bases(&mut r);
-        let zero = PedersenSharing::deal_zero(&b, 3, &mut r);
+        // A refresh sharing (§3.3) of the pair `(0, 0)`.
+        let zero = PedersenSharing::from_polynomials(
+            &b,
+            Polynomial::random_zero_constant(3, &mut r),
+            Polynomial::random_zero_constant(3, &mut r),
+        );
         assert!(zero.commitment.is_zero_sharing());
         assert_eq!(zero.secret_pair(), (Fr::zero(), Fr::zero()));
         // Shares of the zero sharing still verify.

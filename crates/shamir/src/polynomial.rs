@@ -115,8 +115,8 @@ impl Polynomial {
 }
 
 /// Evaluates a commitment vector in the exponent at a player index,
-/// `Π_ℓ C_ℓ^{index^ℓ}` — the one way this crate evaluates a Feldman,
-/// Pedersen or triple commitment.
+/// `Π_ℓ C_ℓ^{index^ℓ}` — the one way this crate evaluates a Feldman or
+/// Pedersen commitment.
 ///
 /// Horner's rule from the top coefficient: each step multiplies the
 /// accumulator by `index` with a plain double-and-add over the bits of
@@ -171,7 +171,7 @@ pub(crate) fn eval_by_powers_msm<C: CurveParams>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FeldmanCommitment, PedersenBases, PedersenSharing, TripleBases, TripleSharing};
+    use crate::{FeldmanCommitment, PedersenBases, PedersenSharing};
     use borndist_pairing::{G1Affine, G1Projective, G2Projective};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -189,9 +189,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// Horner evaluation equals the powers-of-index MSM for G1
-        /// Feldman, G2 Pedersen and triple commitments, at lengths 1 and
-        /// `t + 1`, with the coefficients that `zero_mask` selects zeroed
-        /// so that their commitment entries are the identity.
+        /// Feldman and G2 Pedersen commitments, at lengths 1 and `t + 1`,
+        /// with the coefficients that `zero_mask` selects zeroed so that
+        /// their commitment entries are the identity.
         #[test]
         fn eval_in_exponent_matches_powers_msm(
             seed in any::<u64>(),
@@ -201,7 +201,6 @@ mod tests {
             let mut r = StdRng::seed_from_u64(seed);
             let g2 = |r: &mut StdRng| G2Projective::random(r).to_affine();
             let pb = PedersenBases { g_z: g2(&mut r), g_r: g2(&mut r) };
-            let tb = TripleBases { g_z: g2(&mut r), g_r: g2(&mut r), h_z: g2(&mut r), h_u: g2(&mut r) };
             for len in [1, t + 1] {
                 let mut poly = || Polynomial::from_coefficients(
                     (0..len)
@@ -210,8 +209,6 @@ mod tests {
                 );
                 let feldman = FeldmanCommitment::commit(&poly(), &G1Projective::generator());
                 let pedersen = PedersenSharing::from_polynomials(&pb, poly(), poly()).commitment;
-                let triple = TripleSharing::from_polynomials(&tb, poly(), poly(), poly()).commitment;
-                let (v, w) = triple.elements();
                 for index in INDICES {
                     prop_assert_eq!(
                         feldman.evaluate_at_index(index),
@@ -220,10 +217,6 @@ mod tests {
                     prop_assert_eq!(
                         pedersen.evaluate_at_index(index),
                         eval_by_powers_msm(pedersen.elements(), index)
-                    );
-                    prop_assert_eq!(
-                        triple.evaluate_at_index(index),
-                        (eval_by_powers_msm(v, index), eval_by_powers_msm(w, index))
                     );
                 }
             }

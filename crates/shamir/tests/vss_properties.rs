@@ -4,7 +4,7 @@
 use borndist_pairing::{Fr, G2Projective};
 use borndist_shamir::{
     interpolate_in_exponent, lagrange_coefficients_at, PedersenBases, PedersenShare,
-    PedersenSharing, Polynomial, TripleBases, TripleSharing,
+    PedersenSharing, Polynomial,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -69,26 +69,6 @@ proptest! {
         }
     }
 
-    /// Triple VSS completeness + soundness on the `c` component (the one
-    /// only the second equation checks).
-    #[test]
-    fn triple_vss_checks_both_equations(seed in any::<u64>(), t in 0usize..4) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let tb = TripleBases {
-            g_z: G2Projective::random(&mut rng).to_affine(),
-            g_r: G2Projective::random(&mut rng).to_affine(),
-            h_z: G2Projective::random(&mut rng).to_affine(),
-            h_u: G2Projective::random(&mut rng).to_affine(),
-        };
-        let s = TripleSharing::deal_random(&tb, t, &mut rng);
-        for i in 1..=3u32 {
-            let mut sh = s.share_for(i);
-            prop_assert!(s.commitment.verify_share(&tb, &sh));
-            sh.c += Fr::one();
-            prop_assert!(!s.commitment.verify_share(&tb, &sh));
-        }
-    }
-
     /// Lagrange basis: Δ_{i,S}(j) = [i == j] for j ∈ S (Kronecker
     /// property), which underlies both Combine and share recovery.
     #[test]
@@ -126,7 +106,11 @@ proptest! {
     fn refresh_sharing_shape(seed in any::<u64>(), t in 0usize..5) {
         let mut rng = StdRng::seed_from_u64(seed);
         let b = bases(&mut rng);
-        let z = PedersenSharing::deal_zero(&b, t, &mut rng);
+        let z = PedersenSharing::from_polynomials(
+            &b,
+            Polynomial::random_zero_constant(t, &mut rng),
+            Polynomial::random_zero_constant(t, &mut rng),
+        );
         prop_assert!(z.commitment.is_zero_sharing());
         let fresh = PedersenSharing::deal_random(&b, t, &mut rng);
         let refreshed = fresh.commitment.combine(&z.commitment);

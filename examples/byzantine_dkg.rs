@@ -1,8 +1,11 @@
 //! Watching the DKG's immune system work: a 7-player key generation with
-//! four different simultaneous Byzantine faults (E5's pessimistic path).
+//! four different simultaneous Byzantine faults (E5's pessimistic path),
+//! then the Appendix F (DLIN) key born on the same protocol with a dealer
+//! that lies and refuses to answer.
 //!
 //! Run with: `cargo run --release --example byzantine_dkg`
 
+use borndist::core::DlinScheme;
 use borndist::dkg::{dkg_session, standard_config, Behavior, DkgAbort};
 use borndist::net::TransportKind;
 use borndist::shamir::ThresholdParams;
@@ -127,4 +130,39 @@ fn main() {
             .map(|b| format!("{:02x}", b))
             .collect::<String>()
     );
+
+    // Appendix F: the DLIN key runs the same complaint machinery.
+    println!("\n== Running the Appendix F (DLIN) DKG: n=7, t=2 ==");
+    println!("   player 3: lies to player 1 and refuses to answer");
+    let dlin = DlinScheme::new(b"byzantine-demo");
+    let dlin_behaviors: BTreeMap<u32, Behavior> = [(
+        3u32,
+        Behavior {
+            corrupt_shares_to: [1u32].into_iter().collect(),
+            refuse_answers: true,
+            ..Default::default()
+        },
+    )]
+    .into_iter()
+    .collect();
+    let (dkm, dmetrics) = dlin
+        .keygen_session(params, &dlin_behaviors, 0xB43, &TransportKind::Lockstep)
+        .expect("simulation runs");
+    println!(
+        "   active rounds: {}, messages: {}, bytes: {}",
+        dmetrics.active_rounds, dmetrics.messages, dmetrics.bytes
+    );
+    assert!(!dkm.qualified.contains(&3), "player 3 refused to answer");
+    println!(
+        "   Q = {:?} (player 3 disqualified)",
+        dkm.qualified.iter().collect::<Vec<_>>()
+    );
+    let msg = b"born distributively, under DLIN";
+    let partials: Vec<_> = [1u32, 5, 7]
+        .iter()
+        .map(|i| dlin.share_sign(&dkm.shares[i], msg))
+        .collect();
+    let sig = dlin.combine(&params, &partials).expect("t + 1 partials");
+    assert!(dlin.verify(&dkm.public_key, msg, &sig));
+    println!("   players 1, 5 and 7 sign; the DLIN signature verifies");
 }

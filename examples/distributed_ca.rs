@@ -11,6 +11,7 @@
 use borndist::core::aggregate::{AggPublicKey, AggregateScheme};
 use borndist::core::ro::PartialSignature;
 use borndist::core::KeyMaterial;
+use borndist::net::TransportKind;
 use borndist::shamir::ThresholdParams;
 use std::collections::BTreeMap;
 
@@ -30,7 +31,12 @@ fn main() {
         .enumerate()
         .map(|(i, name)| {
             let (pk, km, metrics) = scheme
-                .dist_keygen(params, &BTreeMap::new(), 0xCA00 + i as u64)
+                .dist_keygen(
+                    params,
+                    &BTreeMap::new(),
+                    0xCA00 + i as u64,
+                    &TransportKind::Lockstep,
+                )
                 .expect("honest DKG");
             println!(
                 "   {}: key born distributed in {} active round(s); built-in validity proof ok: {}",

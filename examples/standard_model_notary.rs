@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example standard_model_notary`
 
 use borndist::core::standard::{StandardScheme, StdPartialSignature};
+use borndist::net::TransportKind;
 use borndist::shamir::ThresholdParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +22,7 @@ fn main() {
 
     println!("== Notary committee keygen (standard model, width-1 DKG) ==");
     let (km, metrics) = scheme
-        .dist_keygen(params, &BTreeMap::new(), 0x2074)
+        .dist_keygen(params, &BTreeMap::new(), 0x2074, &TransportKind::Lockstep)
         .expect("honest DKG");
     println!(
         "   {} active round(s); public key ĝ1 = {}...",

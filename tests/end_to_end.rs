@@ -153,7 +153,7 @@ fn aggregate_of_dkg_born_authorities() {
     let mut chain = Vec::new();
     for i in 0..2u64 {
         let (pk, km, _) = scheme
-            .dist_keygen(params, &BTreeMap::new(), 1000 + i)
+            .dist_keygen(params, &BTreeMap::new(), 1000 + i, &TransportKind::Lockstep)
             .unwrap();
         assert!(scheme.key_valid(&pk));
         let msg = format!("statement {}", i).into_bytes();

@@ -8,7 +8,7 @@
 //! `tests/adversarial.rs`. The parallel layer is an execution detail; it
 //! must never be observable in outputs.
 
-use borndist::core::ro::{PartialSignature, PublicKey, Signature, ThresholdScheme};
+use borndist::core::ro::{PartialSignature, Signature, ThresholdScheme};
 use borndist::pairing::{
     msm, multi_miller_loop_mixed, multi_pairing, multi_pairing_mixed, FixedBaseTable, Fr, G1Affine,
     G1Projective, G2Affine, G2Prepared, G2Projective,
@@ -86,45 +86,6 @@ fn batch_verify_verdicts_are_thread_count_invariant() {
     let bad = invariant("batch_verify(forged)", || {
         let mut r = StdRng::seed_from_u64(2);
         scheme.batch_verify(&km.public_key, &forged, &mut r)
-    });
-    assert!(!bad);
-}
-
-#[test]
-fn batch_verify_multi_verdicts_are_thread_count_invariant() {
-    let scheme = ThresholdScheme::new(b"par-inv-multi");
-    let mut rng = StdRng::seed_from_u64(0x2b);
-    let kms: Vec<borndist::core::ro::KeyMaterial> = (0..4)
-        .map(|_| scheme.dealer_keygen(ThresholdParams::new(1, 3).unwrap(), &mut rng))
-        .collect();
-    let msgs: Vec<Vec<u8>> = (0..4).map(|i| format!("mk-{}", i).into_bytes()).collect();
-    let sigs: Vec<Signature> = kms
-        .iter()
-        .zip(msgs.iter())
-        .map(|(km, m)| {
-            let partials: Vec<PartialSignature> = (1..=2u32)
-                .map(|i| scheme.share_sign(&km.shares[&i], m))
-                .collect();
-            scheme.combine(&km.params, &partials).unwrap()
-        })
-        .collect();
-    let items: Vec<(&PublicKey, &[u8], &Signature)> = kms
-        .iter()
-        .zip(msgs.iter())
-        .zip(sigs.iter())
-        .map(|((km, m), s)| (&km.public_key, m.as_slice(), s))
-        .collect();
-    let ok = invariant("batch_verify_multi(valid)", || {
-        let mut r = StdRng::seed_from_u64(3);
-        scheme.batch_verify_multi(&items, &mut r)
-    });
-    assert!(ok);
-    // Cross-wired signature rejected under every setting.
-    let mut bad_items = items.clone();
-    bad_items[0].2 = items[1].2;
-    let bad = invariant("batch_verify_multi(cross-wired)", || {
-        let mut r = StdRng::seed_from_u64(4);
-        scheme.batch_verify_multi(&bad_items, &mut r)
     });
     assert!(!bad);
 }
