@@ -10,11 +10,13 @@
 //! forces extra communication to fix the key distribution. The paper's
 //! scheme pays 2× in signature size and share size for adaptive security
 //! with Pedersen's cheaper DKG.
+//!
+//! Keys come from a trusted dealer ([`dealer_keygen`]): the baseline
+//! prices signing, share verification and combining against the §3
+//! scheme, not key generation.
 
 use borndist_pairing::{hash_to_g1, multi_pairing, Fr, G1Affine, G2Affine, G2Projective};
-use borndist_shamir::{
-    lagrange_coefficients_at_zero, FeldmanCommitment, Polynomial, ThresholdParams,
-};
+use borndist_shamir::{lagrange_coefficients_at_zero, Polynomial, ThresholdParams};
 use rand::RngCore;
 use std::collections::BTreeMap;
 
@@ -70,48 +72,16 @@ pub struct TblsKeyMaterial {
     pub verification_keys: BTreeMap<u32, TblsVerificationKey>,
 }
 
-/// Dealer key generation (Boldyreva assumes a trusted dealer or a
-/// Gennaro-et-al. DKG; we provide the dealer and an honest-path
-/// Feldman-sum DKG below).
+/// Trusted-dealer key generation (Boldyreva assumes a dealer or a
+/// Gennaro-et-al. DKG).
 pub fn dealer_keygen<R: RngCore + ?Sized>(params: ThresholdParams, rng: &mut R) -> TblsKeyMaterial {
     let poly = Polynomial::random(params.t, rng);
-    assemble(params, &[poly])
-}
-
-/// The optimistic path of the Joint-Feldman DKG: every player deals a
-/// Feldman-verified sharing and shares are summed (the very protocol
-/// whose key bias forced Gennaro et al. to add rounds; recorded here for
-/// the E5 comparison).
-pub fn joint_feldman_keygen<R: RngCore + ?Sized>(
-    params: ThresholdParams,
-    rng: &mut R,
-) -> TblsKeyMaterial {
-    let polys: Vec<Polynomial> = (0..params.n)
-        .map(|_| Polynomial::random(params.t, rng))
-        .collect();
-    // All players verify all shares against the broadcast commitments.
     let g = G2Projective::generator();
-    for p in &polys {
-        let com = FeldmanCommitment::commit(p, &g);
-        for i in 1..=params.n as u32 {
-            assert!(com.verify_share(i, p.evaluate_at_index(i), &g));
-        }
-    }
-    assemble(params, &polys)
-}
-
-fn assemble(params: ThresholdParams, polys: &[Polynomial]) -> TblsKeyMaterial {
-    let joint = polys
-        .iter()
-        .cloned()
-        .reduce(|a, b| a.add(&b))
-        .expect("at least one dealer");
-    let g = G2Projective::generator();
-    let public_key = TblsPublicKey(g.mul(&joint.constant_term()).to_affine());
+    let public_key = TblsPublicKey(g.mul(&poly.constant_term()).to_affine());
     let mut shares = BTreeMap::new();
     let mut verification_keys = BTreeMap::new();
     for i in 1..=params.n as u32 {
-        let v = joint.evaluate_at_index(i);
+        let v = poly.evaluate_at_index(i);
         shares.insert(i, TblsKeyShare { index: i, value: v });
         verification_keys.insert(
             i,
@@ -213,19 +183,6 @@ mod tests {
         let s1 = combine(&km.params, &[all[&1], all[&2]]).unwrap();
         let s2 = combine(&km.params, &[all[&3], all[&5]]).unwrap();
         assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn distributed_keygen() {
-        let mut r = StdRng::seed_from_u64(0xfe1d);
-        let km = joint_feldman_keygen(ThresholdParams::new(1, 4).unwrap(), &mut r);
-        let msg = b"joint feldman";
-        let partials: Vec<TblsPartialSignature> = [1u32, 3]
-            .iter()
-            .map(|i| share_sign(&km.shares[i], msg))
-            .collect();
-        let sig = combine(&km.params, &partials).unwrap();
-        assert!(verify(&km.public_key, msg, &sig));
     }
 
     #[test]

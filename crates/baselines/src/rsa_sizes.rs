@@ -8,10 +8,6 @@
 /// a 3072-bit RSA value plus a 4-bit index disambiguation — "3076 bits".
 pub const SHOUP_RSA_SIGNATURE_BITS: usize = 3076;
 
-/// Bits per signature for Almansa–Damgård–Nielsen threshold RSA
-/// (Eurocrypt 2006), same modulus size (the paper groups it with \[67\]).
-pub const ADN_RSA_SIGNATURE_BITS: usize = 3076;
-
 /// RSA modulus bits at the 128-bit level (NIST equivalence).
 pub const RSA_MODULUS_BITS: usize = 3072;
 

@@ -157,11 +157,6 @@ impl AggregateScheme {
         (&self.g_table, &self.h_table)
     }
 
-    /// The generator pair `(ĝ_z, ĝ_r)`.
-    pub fn dp_params(&self) -> &DpParams {
-        &self.params
-    }
-
     /// Hashes `PK ‖ M` to `G²` (the scheme binds the key into the hash).
     pub fn hash_message(&self, pk: &AggPublicKey, msg: &[u8]) -> Vec<G1Projective> {
         let mut input = Vec::new();

@@ -120,11 +120,6 @@ impl DlinScheme {
         }
     }
 
-    /// The four generators.
-    pub fn sdp_params(&self) -> &SdpParams {
-        &self.params
-    }
-
     /// The random oracle `H : {0,1}* → G³`.
     pub fn hash_message(&self, msg: &[u8]) -> Vec<G1Projective> {
         hash_to_g1_vector(&self.hash_dst, msg, 3)

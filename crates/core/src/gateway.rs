@@ -18,15 +18,15 @@
 //! ```
 //!
 //! Every `Ĝ`-side element is *prepared*: the generator columns at scheme
-//! construction, the key coordinates through a bounded
-//! [`G2Prepared`] cache keyed by [`AggPublicKey::fingerprint`] — so a
+//! construction, the key coordinates through a [`G2Prepared`] cache of
+//! at most 1024 keys, keyed by [`AggPublicKey::fingerprint`] — so a
 //! steady-state flush runs zero on-the-fly Miller line computations.
 //! Key validity itself is cached: once a key's equation passed (inside a
 //! batch or individually), later buffers skip its `σ_d` terms.
 //!
 //! **Flush policy**: a buffer is answered when it reaches
 //! [`GatewayConfig::max_batch`] requests (size trigger), when its oldest
-//! request has waited [`GatewayConfig::max_delay`] (deadline trigger,
+//! request has waited [`MAX_DELAY`] = 5 ms (deadline trigger,
 //! driven by [`AggregationGateway::poll`]), when a request for a *new*
 //! epoch arrives (epoch boundary — buffers never fold across epochs),
 //! or on an explicit [`AggregationGateway::flush_all`].
@@ -51,28 +51,26 @@ use rand::RngCore;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
-/// Flush policy and cache sizing for the gateway.
+/// Deadline trigger: a buffer is flushed once its oldest request has
+/// waited this long (checked by [`AggregationGateway::poll`]).
+pub const MAX_DELAY: Duration = Duration::from_millis(5);
+
+/// Bound on the prepared-key cache. Entries are evicted in insertion
+/// order once the bound is reached, so a client sending many distinct
+/// keys cannot grow the gateway's memory; an evicted key is re-prepared
+/// and re-validated on next sight.
+const MAX_CACHED_KEYS: usize = 1024;
+
+/// The gateway's size trigger.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GatewayConfig {
-    /// Size trigger: flush an epoch's buffer when it holds this many
-    /// requests.
+    /// Flush an epoch's buffer when it holds this many requests.
     pub max_batch: usize,
-    /// Deadline trigger: flush a buffer once its oldest request has
-    /// waited this long (checked by [`AggregationGateway::poll`]).
-    pub max_delay: Duration,
-    /// Bound on the prepared-key cache (entries are evicted in insertion
-    /// order once the bound is reached; an evicted key is re-prepared
-    /// and re-validated on next sight).
-    pub max_cached_keys: usize,
 }
 
 impl Default for GatewayConfig {
     fn default() -> Self {
-        GatewayConfig {
-            max_batch: 64,
-            max_delay: Duration::from_millis(5),
-            max_cached_keys: 1024,
-        }
+        GatewayConfig { max_batch: 64 }
     }
 }
 
@@ -164,7 +162,6 @@ impl<R: RngCore> AggregationGateway<R> {
     /// sequence are deterministic in it.
     pub fn new(scheme: AggregateScheme, config: GatewayConfig, rng: R) -> Self {
         assert!(config.max_batch >= 1, "batch bound must be positive");
-        assert!(config.max_cached_keys >= 1, "key cache must be positive");
         AggregationGateway {
             scheme,
             config,
@@ -194,10 +191,7 @@ impl<R: RngCore> AggregationGateway<R> {
     /// The earliest deadline among the open buffers, if any — what a
     /// serving thread should sleep until before calling [`Self::poll`].
     pub fn next_deadline(&self) -> Option<Instant> {
-        self.buffers
-            .values()
-            .map(|b| b.oldest + self.config.max_delay)
-            .min()
+        self.buffers.values().map(|b| b.oldest + MAX_DELAY).min()
     }
 
     /// Submits a request, stamping its arrival now. Returns the verdicts
@@ -240,9 +234,8 @@ impl<R: RngCore> AggregationGateway<R> {
     }
 
     /// Deadline sweep: flushes every buffer whose oldest request has
-    /// waited at least [`GatewayConfig::max_delay`]. A serving loop
-    /// calls this between submissions (see
-    /// [`Self::next_deadline`]).
+    /// waited at least [`MAX_DELAY`]. A serving loop calls this between
+    /// submissions (see [`Self::next_deadline`]).
     pub fn poll(&mut self) -> Vec<Verdict> {
         self.poll_at(Instant::now())
     }
@@ -252,7 +245,7 @@ impl<R: RngCore> AggregationGateway<R> {
         let due: Vec<u64> = self
             .buffers
             .iter()
-            .filter(|(_, b)| now.duration_since(b.oldest) >= self.config.max_delay)
+            .filter(|(_, b)| now.duration_since(b.oldest) >= MAX_DELAY)
             .map(|(e, _)| *e)
             .collect();
         let mut verdicts = Vec::new();
@@ -448,7 +441,7 @@ impl<R: RngCore> AggregationGateway<R> {
             return entry.validated;
         }
         self.stats.prepared_misses += 1;
-        while self.keys.len() >= self.config.max_cached_keys {
+        while self.keys.len() >= MAX_CACHED_KEYS {
             let Some(oldest) = self.key_order.pop_front() else {
                 break;
             };

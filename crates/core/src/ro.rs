@@ -243,11 +243,6 @@ impl ThresholdScheme {
         &self.lagrange
     }
 
-    /// The underlying generator pair `(ĝ_z, ĝ_r)`.
-    pub fn dp_params(&self) -> &DpParams {
-        &self.params
-    }
-
     /// The prepared generator pair (cached Miller line coefficients).
     pub fn prepared_dp(&self) -> &PreparedDpParams {
         &self.prepared

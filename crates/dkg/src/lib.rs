@@ -50,4 +50,4 @@ pub use player::{
     DkgConfig, DkgOutput, DkgPlayer, SharingMode, SimulatedRunResult,
 };
 pub use recovery::{recover_share, Helper, RecoveryError, RecoveryMessage};
-pub use refresh::{apply_refresh, apply_refresh_commitments, refresh_session, RefreshOutput};
+pub use refresh::{apply_refresh, apply_refresh_commitments, refresh_session};

@@ -13,13 +13,6 @@ use borndist_pairing::Fr;
 use borndist_shamir::PedersenCommitment;
 use std::collections::BTreeMap;
 
-/// The per-player outcome of one refresh period.
-#[derive(Clone, Debug)]
-pub struct RefreshOutput {
-    /// The refresh-DKG output (zero-constant sharings).
-    pub dkg: DkgOutput,
-}
-
 /// Applies a refresh to an existing share vector: componentwise addition
 /// of the zero-sharing shares.
 pub fn apply_refresh(old_share: &[(Fr, Fr)], refresh: &DkgOutput) -> Vec<(Fr, Fr)> {

@@ -4,18 +4,18 @@
 //! (LHSPS, Libert–Peters–Joye–Yung, Crypto 2013) — the primitive from
 //! which the paper's threshold signatures are derived (§2.3, Appendix C).
 //!
-//! Three pieces:
+//! Two instantiations of Appendix C's template, each used through its
+//! concrete types:
 //!
-//! * [`one_time`] — the DP-assumption scheme with 2-element signatures;
+//! * [`one_time`] — the DP-assumption scheme with 2-element signatures
+//!   (the §3 and Appendix G schemes);
 //! * [`sdp`] — the SDP-assumption variant with 3-element signatures and
-//!   two verification equations (used by the Appendix F DLIN scheme);
-//! * [`rom_signature`] — Appendix D.1: LHSPS + random oracle ⇒ ordinary
-//!   signature scheme (the centralized baseline of the benchmarks).
+//!   two verification equations (the Appendix F DLIN scheme).
 //!
-//! Both instantiations expose the two structural properties the threshold
-//! constructions rely on: *linear* homomorphism over messages
-//! (`sign_derive`) and *key* homomorphism (`SecretKey::add`,
-//! `PublicKey::combine`).
+//! [`params`] holds their public bases. Both expose the two structural
+//! properties the threshold constructions rely on: *linear* homomorphism
+//! over messages (`sign_derive`) and *key* homomorphism
+//! (`SecretKey::add`, `PublicKey::combine`).
 //!
 //! ## Example
 //!
@@ -35,12 +35,8 @@
 
 pub mod one_time;
 pub mod params;
-pub mod rom_signature;
 pub mod sdp;
-pub mod template;
 
 pub use one_time::{sign_derive, OneTimePublicKey, OneTimeSecretKey, OneTimeSignature};
 pub use params::{DpParams, PreparedDpParams, SdpParams};
-pub use rom_signature::{RomSigner, RomVerifier};
 pub use sdp::{SdpPublicKey, SdpSecretKey, SdpSignature};
-pub use template::{DpLhsps, OneTimeLhsps, SdpLhsps};

@@ -60,10 +60,6 @@ macro_rules! impl_montgomery_field {
         );
 
         impl $name {
-            /// Number of 64-bit limbs in the representation.
-            pub const LIMBS: usize = $limbs;
-            /// Number of bytes in the canonical big-endian encoding.
-            pub const BYTES: usize = $limbs * 8;
             /// The field modulus as little-endian limbs.
             pub const MODULUS: [u64; $limbs] = $modulus;
 

@@ -347,15 +347,6 @@ pub const GLV_LAMBDA_1: [u64; 4] = [
     0x0000000000000000,
 ];
 
-/// `−X² mod r`, the other primitive cube root of unity (the eigenvalue
-/// of `φ²`, used when the probe resolves the opposite convention).
-pub const GLV_LAMBDA_2: [u64; 4] = [
-    0xfffffffe00000001,
-    0xa7780001fffcb7fc,
-    0x3339d80809a1d804,
-    0x73eda753299d7d48,
-];
-
 // ===== Frobenius p^2 coefficients: gamma_i = xi^(i(p^2-1)/6) in Fp =====
 // For f = sum_{i=0..5} a_i w^i with a_i in Fp2, f^(p^2) = sum a_i gamma_i w^i.
 pub const FROB2_GAMMA: [[u64; 6]; 6] = [

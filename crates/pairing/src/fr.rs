@@ -41,22 +41,6 @@ impl Fr {
         wnaf_digits(&self.to_canonical_limbs(), width)
     }
 
-    /// Splits the scalar for the 2-dimensional G1 GLV ladder:
-    /// `self ≡ k₁ + k₂·λ (mod r)` with both sub-scalar magnitudes below
-    /// 2¹²⁹ (`λ` is [`crate::glv_lambda`]). Convenience
-    /// re-exposure of [`crate::decompose_g1`] for callers that hold the
-    /// scalar rather than a point.
-    pub fn decompose_glv(&self) -> crate::glv::Decomposition {
-        crate::glv::decompose_g1(self)
-    }
-
-    /// Splits the scalar for the 4-dimensional G2 GLS ladder:
-    /// `self ≡ Σ aᵢ·eⁱ (mod r)` with 64-bit digits (`e` is
-    /// [`crate::gls_eigenvalue`]). See [`crate::decompose_g2`].
-    pub fn decompose_gls(&self) -> crate::glv::Decomposition {
-        crate::glv::decompose_g2(self)
-    }
-
     /// Samples a uniformly random *non-zero* scalar.
     pub fn random_nonzero<R: rand::RngCore + ?Sized>(rng: &mut R) -> Self {
         loop {

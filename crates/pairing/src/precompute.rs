@@ -4,7 +4,7 @@
 //! multiplied by many different scalars over their lifetime: the two
 //! curve generators, the per-scheme signing base `g` of the §4
 //! standard-model scheme, and long-lived public keys. The table stores
-//! every window-aligned multiple `j·2^(w·window)·B` in affine form
+//! every multiple `j·2^(4w)·B` aligned to a 4-bit window in affine form
 //! (normalized with one batched inversion at build time), so a 255-bit
 //! scalar multiplication becomes ~64 *mixed additions and zero
 //! doublings* — roughly a 4–6× speedup over the wNAF variable-base path,
@@ -29,12 +29,20 @@ use crate::msm::extract_bits;
 use crate::pairing::G2Prepared;
 use std::sync::OnceLock;
 
+/// Window width of every table. On a curve without endomorphism
+/// acceleration that is 64 windows of 15 entries; with GLV/GLS
+/// decomposition the table only spans the sub-scalar range — 33 windows
+/// (~23 KiB) in `G1`, 16 windows (~45 KiB) in `G2` — at the same per-mul
+/// cost, since the missing windows are reached through the endomorphism
+/// instead of storage.
+const WINDOW: usize = 4;
+
 /// Precomputed window tables for one fixed base point.
 ///
-/// `tables[w][j - 1] = j · 2^(w·window) · B` for `j in 1..2^window`.
+/// `tables[w][j - 1] = j · 2^(w·WINDOW) · B` for `j in 1..2^WINDOW`
+/// (`WINDOW` = 4 bits).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FixedBaseTable<C: CurveParams> {
-    window: usize,
     tables: Vec<Vec<Affine<C>>>,
     base: Affine<C>,
 }
@@ -45,38 +53,20 @@ pub type G1Table = FixedBaseTable<G1Params>;
 pub type G2Table = FixedBaseTable<G2Params>;
 
 impl<C: CurveParams> FixedBaseTable<C> {
-    /// Window width used by [`Self::new`]. On a curve without
-    /// endomorphism acceleration that is 64 windows of 15 entries; with
-    /// GLV/GLS decomposition the table only spans the sub-scalar range —
-    /// 33 windows (~23 KiB) in `G1`, 16 windows (~45 KiB) in `G2` — at
-    /// the same per-mul cost, since the missing windows are reached
-    /// through the endomorphism instead of storage.
-    pub const DEFAULT_WINDOW: usize = 4;
-
-    /// Builds the table for `base` with the default window width.
-    pub fn new(base: &Projective<C>) -> Self {
-        Self::with_window(base, Self::DEFAULT_WINDOW)
-    }
-
-    /// Builds the table with an explicit window width.
+    /// Builds the table for `base`.
     ///
-    /// Construction costs one pass of `2^window`-spaced additions
-    /// (~`2^window · 256/window` group additions) plus batched
+    /// Construction costs one pass of `2^WINDOW`-spaced additions
+    /// (~`2^WINDOW · 256/WINDOW` group additions) plus batched
     /// inversion; amortized over many multiplications of the same base.
     /// With more than one thread configured
     /// ([`borndist_parallel::current`]), a short doubling ladder derives
-    /// the window bases `2^(w·window)·B` up front and the per-window
+    /// the window bases `2^(w·WINDOW)·B` up front and the per-window
     /// fills run in parallel; sequentially, the classic addition chain
     /// (each window's last addition is the next window's base) is kept,
     /// costing zero extra group operations. The stored points are
     /// affine (canonical coordinates), so both paths build the
     /// identical table — enforced by `tests/parallel_invariance.rs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= window <= 8`.
-    pub fn with_window(base: &Projective<C>, window: usize) -> Self {
-        assert!((1..=8).contains(&window), "window width out of range");
+    pub fn new(base: &Projective<C>) -> Self {
         // With a decomposition the table only has to cover one
         // sub-scalar; [`Self::mul`] reaches the other dimensions by
         // applying the endomorphism to the looked-up entries.
@@ -85,11 +75,11 @@ impl<C: CurveParams> FixedBaseTable<C> {
         } else {
             256
         };
-        let num_windows = total_bits.div_ceil(window);
-        let entries = (1usize << window) - 1;
+        let num_windows = total_bits.div_ceil(WINDOW);
+        let entries = (1usize << WINDOW) - 1;
         let mut flat: Vec<Projective<C>> = Vec::with_capacity(num_windows * entries);
         if borndist_parallel::current_threads() <= 1 {
-            // Sequential: `window_base` walks through 2^(w·window)·B —
+            // Sequential: `window_base` walks through 2^(w·WINDOW)·B —
             // each window's final addition *is* the next window's base,
             // so the chain costs no extra group operations.
             let mut window_base = *base;
@@ -99,7 +89,7 @@ impl<C: CurveParams> FixedBaseTable<C> {
                     flat.push(cur);
                     cur = cur.add(&window_base);
                 }
-                // After `entries` additions, cur = 2^window · window_base.
+                // After `entries` additions, cur = 2^WINDOW · window_base.
                 window_base = cur;
             }
         } else {
@@ -111,7 +101,7 @@ impl<C: CurveParams> FixedBaseTable<C> {
             let mut wb = *base;
             for _ in 0..num_windows {
                 window_bases.push(wb);
-                for _ in 0..window {
+                for _ in 0..WINDOW {
                     wb = wb.double();
                 }
             }
@@ -131,7 +121,6 @@ impl<C: CurveParams> FixedBaseTable<C> {
         }
         let flat = Projective::batch_to_affine(&flat);
         FixedBaseTable {
-            window,
             tables: flat.chunks(entries).map(<[_]>::to_vec).collect(),
             base: base.to_affine(),
         }
@@ -140,11 +129,6 @@ impl<C: CurveParams> FixedBaseTable<C> {
     /// The base point this table multiplies.
     pub fn base(&self) -> Affine<C> {
         self.base
-    }
-
-    /// The window width of the table.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// Fixed-base scalar multiplication: `scalar · base` using only
@@ -159,7 +143,7 @@ impl<C: CurveParams> FixedBaseTable<C> {
             for (i, part) in dec.parts[..dec.len].iter().enumerate() {
                 let limbs = [part.limbs[0], part.limbs[1], part.limbs[2], 0];
                 for (w, table) in self.tables.iter().enumerate() {
-                    let idx = extract_bits(&limbs, w * self.window, self.window);
+                    let idx = extract_bits(&limbs, w * WINDOW, WINDOW);
                     if idx > 0 {
                         let mut entry = C::endo_affine(&table[idx - 1], i);
                         if part.negative {
@@ -174,7 +158,7 @@ impl<C: CurveParams> FixedBaseTable<C> {
         let limbs = scalar.to_le_bits();
         let mut acc = Projective::identity();
         for (w, table) in self.tables.iter().enumerate() {
-            let idx = extract_bits(&limbs, w * self.window, self.window);
+            let idx = extract_bits(&limbs, w * WINDOW, WINDOW);
             if idx > 0 {
                 acc = acc.add_affine(&table[idx - 1]);
             }
@@ -241,12 +225,8 @@ mod tests {
         let mut r = rng();
         let base = G1Projective::random(&mut r);
         let s = Fr::random(&mut r);
-        let want = base.mul(&s);
-        for window in [1usize, 3, 4, 5] {
-            let table = FixedBaseTable::with_window(&base, window);
-            assert_eq!(table.mul(&s), want, "window={}", window);
-            assert_eq!(table.window(), window);
-        }
+        let table = FixedBaseTable::new(&base);
+        assert_eq!(table.mul(&s), base.mul(&s));
     }
 
     #[test]

@@ -178,10 +178,6 @@ proptest! {
             prop_assert!(k2.bits() <= 129, "k2 has {} bits", k2.bits());
             prop_assert!(!k1.negative, "k1 is never negative by construction");
             prop_assert_eq!(sub_scalar_fr(k1) + sub_scalar_fr(k2) * lambda, *k);
-            // The Fr convenience method is the same split.
-            let via_fr = k.decompose_glv();
-            prop_assert_eq!(sub_scalar_fr(&via_fr.parts[0]), sub_scalar_fr(k1));
-            prop_assert_eq!(sub_scalar_fr(&via_fr.parts[1]), sub_scalar_fr(k2));
         }
     }
 
@@ -204,10 +200,6 @@ proptest! {
                 pow *= e;
             }
             prop_assert_eq!(acc, *k);
-            let via_fr = k.decompose_gls();
-            for (a, b) in via_fr.parts.iter().zip(dec.parts.iter()) {
-                prop_assert_eq!(sub_scalar_fr(a), sub_scalar_fr(b));
-            }
         }
     }
 

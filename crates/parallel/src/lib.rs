@@ -34,14 +34,13 @@
 //!
 //! 1. a scoped [`with_parallelism`] override (thread-local; what the
 //!    tests and benches use),
-//! 2. the process-wide [`set_parallelism`] value,
-//! 3. the `BORNDIST_THREADS` environment variable (`1` forces
-//!    [`Parallelism::Sequential`], `k` means [`Parallelism::Threads`]`(k)`,
-//!    `0`/`auto` mean [`Parallelism::Auto`]),
-//! 4. [`Parallelism::Auto`] ([`std::thread::available_parallelism`]).
+//! 2. the `BORNDIST_THREADS` environment variable, read once per
+//!    process (`1` forces [`Parallelism::Sequential`], `k` means
+//!    [`Parallelism::Threads`]`(k)`, `0`/`auto` mean
+//!    [`Parallelism::Auto`]),
+//! 3. [`Parallelism::Auto`] ([`std::thread::available_parallelism`]).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// How many worker threads the parallel primitives may use.
@@ -96,45 +95,15 @@ impl Parallelism {
     }
 }
 
-// Process-wide setting, encoded so reads are one atomic load:
-// 0 = unset (fall through to the environment), 1 = Sequential,
-// 2 = Auto, n+3 = Threads(n).
-static GLOBAL: AtomicUsize = AtomicUsize::new(0);
 static ENV_DEFAULT: OnceLock<Option<Parallelism>> = OnceLock::new();
-
-fn encode(p: Parallelism) -> usize {
-    match p {
-        Parallelism::Sequential => 1,
-        Parallelism::Auto => 2,
-        Parallelism::Threads(n) => n.saturating_add(3),
-    }
-}
-
-fn decode(v: usize) -> Option<Parallelism> {
-    match v {
-        0 => None,
-        1 => Some(Parallelism::Sequential),
-        2 => Some(Parallelism::Auto),
-        n => Some(Parallelism::Threads(n - 3)),
-    }
-}
 
 thread_local! {
     static OVERRIDE: Cell<Option<Parallelism>> = const { Cell::new(None) };
 }
 
-/// Sets the process-wide parallelism (overridden per-thread by
-/// [`with_parallelism`], and itself overriding `BORNDIST_THREADS`).
-pub fn set_parallelism(p: Parallelism) {
-    GLOBAL.store(encode(p), Ordering::Relaxed);
-}
-
 /// The parallelism in effect on the calling thread.
 pub fn current() -> Parallelism {
     if let Some(p) = OVERRIDE.with(Cell::get) {
-        return p;
-    }
-    if let Some(p) = decode(GLOBAL.load(Ordering::Relaxed)) {
         return p;
     }
     ENV_DEFAULT
@@ -359,9 +328,9 @@ mod tests {
 
     #[test]
     fn with_parallelism_restores_on_exit_and_unwind() {
-        // An outer override pins this thread's baseline, so the test is
-        // immune to concurrent set_parallelism calls from sibling tests
-        // (the thread-local layer always wins over the global).
+        // An outer override pins this thread's baseline, so the test
+        // does not depend on `BORNDIST_THREADS` (the thread-local layer
+        // always wins over the environment).
         with_parallelism(Parallelism::Threads(4), || {
             with_parallelism(Parallelism::Threads(5), || {
                 assert_eq!(current(), Parallelism::Threads(5));
@@ -377,21 +346,6 @@ mod tests {
             assert!(unwound.is_err());
             assert_eq!(current(), Parallelism::Threads(4));
         });
-    }
-
-    #[test]
-    fn global_setting_is_visible_until_overridden() {
-        // Restores the process-wide state on exit; sibling tests that
-        // read current() do so under their own thread-local overrides,
-        // which always take precedence over this temporary global.
-        let prior = GLOBAL.load(Ordering::Relaxed);
-        set_parallelism(Parallelism::Threads(3));
-        let seen = std::thread::spawn(current).join().unwrap();
-        assert_eq!(seen, Parallelism::Threads(3));
-        with_parallelism(Parallelism::Sequential, || {
-            assert_eq!(current(), Parallelism::Sequential);
-        });
-        GLOBAL.store(prior, Ordering::Relaxed);
     }
 
     #[test]

@@ -686,13 +686,11 @@ pub fn read_frame<T: Wire, R: Read>(r: &mut R) -> std::io::Result<T> {
 // Gateway worker: the verification front door's serving loop.
 // ---------------------------------------------------------------------
 
-/// How long an idle gateway worker sleeps when no buffer has a pending
-/// deadline.
-const GATEWAY_IDLE_TICK: std::time::Duration = std::time::Duration::from_millis(20);
-
 /// Serves an [`AggregationGateway`] from a request channel: submissions
 /// drive size/epoch flushes, the gap between arrivals drives deadline
-/// flushes, and channel close drains everything left. Each
+/// flushes, and channel close drains everything left. With every buffer
+/// empty no deadline is pending, so the worker blocks until the next
+/// request or the close. Each
 /// [`borndist_core::gateway::Verdict`] goes out as a
 /// [`ClientResponse::Verified`]. Returns the gateway's final stats.
 ///
@@ -718,11 +716,15 @@ pub fn run_gateway_worker<R: rand::RngCore>(
         }
     };
     loop {
-        let timeout = gateway
-            .next_deadline()
-            .map(|d| d.saturating_duration_since(std::time::Instant::now()))
-            .unwrap_or(GATEWAY_IDLE_TICK);
-        match intake.recv_timeout(timeout) {
+        let received = match gateway.next_deadline() {
+            None => intake
+                .recv()
+                .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+            Some(deadline) => {
+                intake.recv_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
+            }
+        };
+        match received {
             Ok(req) => emit(gateway.submit(req), &responses),
             Err(mpsc::RecvTimeoutError::Timeout) => emit(gateway.poll(), &responses),
             Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -1000,5 +1002,60 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn gateway_worker_flushes_a_request_that_ends_an_idle_spell() {
+        use borndist_core::gateway::GatewayConfig;
+        use borndist_core::AggregateScheme;
+        use rand::SeedableRng;
+
+        let scheme = AggregateScheme::new(b"gateway-worker-test");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let params = ThresholdParams::new(1, 4).unwrap();
+        let (pk, km) = scheme.dealer_keygen(params, &mut rng);
+        let msg = b"after an idle spell".to_vec();
+        let partials: Vec<_> = (1..=2u32)
+            .map(|j| scheme.share_sign(&pk, &km.shares[&j], &msg))
+            .collect();
+        let sig = scheme.combine(&params, &partials).unwrap();
+        let gateway = AggregationGateway::new(scheme, GatewayConfig::default(), rng);
+        let (intake, intake_rx) = mpsc::channel();
+        let (responses_tx, responses) = mpsc::channel();
+        let worker =
+            std::thread::spawn(move || run_gateway_worker(gateway, intake_rx, responses_tx));
+
+        // The worker starts with nothing buffered, so it blocks on the
+        // intake. A lone request must then flush on its deadline while
+        // the intake stays open.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        intake
+            .send(VerifyRequest {
+                id: 7,
+                epoch: 0,
+                pk,
+                msg,
+                sig,
+            })
+            .unwrap();
+        let answer = responses
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the deadline flush answers without the intake closing");
+        assert!(
+            matches!(
+                answer,
+                ClientResponse::Verified {
+                    id: 7,
+                    epoch: 0,
+                    valid: true
+                }
+            ),
+            "{answer:?}"
+        );
+
+        drop(intake);
+        let stats = worker.join().unwrap();
+        assert_eq!((stats.submitted, stats.accepted), (1, 1));
+        assert_eq!(stats.deadline_flushes, 1);
     }
 }

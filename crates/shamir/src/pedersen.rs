@@ -75,19 +75,6 @@ impl PedersenSharing {
         Self::from_polynomials(bases, poly_a, poly_b)
     }
 
-    /// Deals specific secrets `(a, b)`.
-    pub fn deal_pair<R: RngCore + ?Sized>(
-        bases: &PedersenBases,
-        a: Fr,
-        b: Fr,
-        t: usize,
-        rng: &mut R,
-    ) -> Self {
-        let poly_a = Polynomial::random_with_constant(a, t, rng);
-        let poly_b = Polynomial::random_with_constant(b, t, rng);
-        Self::from_polynomials(bases, poly_a, poly_b)
-    }
-
     /// Builds the sharing from explicit polynomials (degrees must match).
     pub fn from_polynomials(bases: &PedersenBases, poly_a: Polynomial, poly_b: Polynomial) -> Self {
         assert_eq!(
@@ -253,6 +240,22 @@ mod tests {
             let share = sharing.share_for(i);
             assert!(sharing.commitment.verify_share(&b, &share));
         }
+        // A sharing of chosen secrets `(a, b)` opens to them, and its
+        // constant commitment is `ĝ_z^a ĝ_r^b`.
+        let (a_sec, b_sec) = (Fr::random(&mut r), Fr::random(&mut r));
+        let chosen = PedersenSharing::from_polynomials(
+            &b,
+            Polynomial::random_with_constant(a_sec, 3, &mut r),
+            Polynomial::random_with_constant(b_sec, 3, &mut r),
+        );
+        for i in 1u32..=7 {
+            assert!(chosen.commitment.verify_share(&b, &chosen.share_for(i)));
+        }
+        assert_eq!(chosen.secret_pair(), (a_sec, b_sec));
+        assert_eq!(
+            chosen.commitment.constant_commitment().to_projective(),
+            b.commit(&a_sec, &b_sec)
+        );
     }
 
     #[test]
@@ -309,19 +312,6 @@ mod tests {
             };
             assert!(combined.verify_share(&b, &sum_share));
         }
-    }
-
-    #[test]
-    fn specific_pair_commitment_shape() {
-        let mut r = rng();
-        let b = bases(&mut r);
-        let (a_sec, b_sec) = (Fr::random(&mut r), Fr::random(&mut r));
-        let sharing = PedersenSharing::deal_pair(&b, a_sec, b_sec, 2, &mut r);
-        assert_eq!(sharing.secret_pair(), (a_sec, b_sec));
-        assert_eq!(
-            sharing.commitment.constant_commitment().to_projective(),
-            b.commit(&a_sec, &b_sec)
-        );
     }
 
     #[test]

@@ -220,10 +220,7 @@ fn gateway_row(record: &mut Record, rng: &mut StdRng) {
         })
         .collect();
     let first_buffer = requests[..batch].to_vec();
-    let config = GatewayConfig {
-        max_batch: batch,
-        ..GatewayConfig::default()
-    };
+    let config = GatewayConfig { max_batch: batch };
     let mut gateway = AggregationGateway::new(scheme.clone(), config, StdRng::seed_from_u64(6));
     let mut requests = requests.into_iter();
     // The size trigger must answer each buffer whole.

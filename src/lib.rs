@@ -14,7 +14,7 @@
 //! | [`shamir`] | polynomials, Lagrange (plain & in-the-exponent), Feldman / Pedersen VSS |
 //! | [`net`] | the paper's communication model as a transport-abstracted runtime: canonical byte frames, one in-memory link (lockstep or under a fault policy) + a socket reactor, fault injection, exact traffic metering |
 //! | [`dkg`] | Pedersen distributed key generation (§3.1) with complaints, disqualification, proactive refresh (§3.3) and share recovery, for every scheme including Appendix F's DLIN triples |
-//! | [`lhsps`] | one-time linearly homomorphic structure-preserving signatures (§2.3, Appendices C–D) |
+//! | [`lhsps`] | one-time linearly homomorphic structure-preserving signatures (§2.3, Appendix C): the DP and SDP instantiations |
 //! | [`grothsahai`] | SXDH Groth–Sahai NIWI proofs for linear pairing-product equations (§4, Appendix A) |
 //! | [`core`] | the paper's schemes: §3 ROM, Appendix G aggregation, Appendix F DLIN, §4 standard model, §3.3 proactive epochs |
 //! | [`baselines`] | plain BLS, Boldyreva threshold BLS, additive-reshare (ADN-style) scheme, RSA size constants |

@@ -76,10 +76,7 @@ fn poisoned_buffer_bisection_isolates_forgeries() {
     let forged = [2usize, 9, 10];
     let reqs = requests(&scheme, &auths, 16, 0, &forged);
 
-    let config = GatewayConfig {
-        max_batch: 16,
-        ..GatewayConfig::default()
-    };
+    let config = GatewayConfig { max_batch: 16 };
     let mut gw = AggregationGateway::new(scheme, config, StdRng::seed_from_u64(82));
     let now = Instant::now();
     let mut verdicts: Vec<Verdict> = Vec::new();
@@ -114,10 +111,7 @@ fn all_honest_buffer_costs_one_product() {
     let auths = authorities(&scheme, 2, &mut rng);
     let reqs = requests(&scheme, &auths, 8, 0, &[]);
 
-    let config = GatewayConfig {
-        max_batch: 8,
-        ..GatewayConfig::default()
-    };
+    let config = GatewayConfig { max_batch: 8 };
     let mut gw = AggregationGateway::new(scheme, config, StdRng::seed_from_u64(84));
     let now = Instant::now();
     let mut verdicts = Vec::new();
@@ -191,11 +185,7 @@ fn deadline_poll_answers_trickle_traffic() {
     let auths = authorities(&scheme, 1, &mut rng);
     let reqs = requests(&scheme, &auths, 2, 0, &[]);
 
-    let config = GatewayConfig {
-        max_batch: 64,
-        max_delay: Duration::from_millis(5),
-        ..GatewayConfig::default()
-    };
+    let config = GatewayConfig { max_batch: 64 };
     let mut gw = AggregationGateway::new(scheme, config, StdRng::seed_from_u64(88));
     let t0 = Instant::now();
     for req in reqs {
@@ -226,10 +216,7 @@ fn poisoned_run(parallelism: Parallelism) -> Vec<Verdict> {
         let mut rng = StdRng::seed_from_u64(89);
         let auths = authorities(&scheme, 3, &mut rng);
         let reqs = requests(&scheme, &auths, 20, 0, &[1, 7, 13, 18]);
-        let config = GatewayConfig {
-            max_batch: 8,
-            ..GatewayConfig::default()
-        };
+        let config = GatewayConfig { max_batch: 8 };
         let mut gw = AggregationGateway::new(scheme, config, StdRng::seed_from_u64(90));
         let t0 = Instant::now();
         let mut verdicts = Vec::new();

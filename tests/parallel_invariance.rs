@@ -227,7 +227,7 @@ fn normalization_and_tables_are_thread_count_invariant() {
         G1Projective::batch_to_affine(&pts)
     });
     let base = G1Projective::random(&mut rng);
-    invariant("fixed_base_table", || FixedBaseTable::with_window(&base, 4));
+    invariant("fixed_base_table", || FixedBaseTable::new(&base));
 }
 
 #[test]

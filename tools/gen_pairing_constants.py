@@ -112,7 +112,6 @@ def main():
     print(fmt("pub const GLV_G1_FLOOR: [u64; 5]", g1_floor, 5))
     print(fmt("pub const GLV_G2_FLOOR: [u64; 3]", g2_floor, 3))
     print(fmt("pub const GLV_LAMBDA_1: [u64; 4]", lam1, 4))
-    print(fmt("pub const GLV_LAMBDA_2: [u64; 4]", lam2, 4))
     print()
     # Spot-check the rounding error bound of the floor approximation:
     # k1 = d1*(X^2-1) + d2 and k2 = d2*X^2 - d1 with d1, d2 in [0, 2).
